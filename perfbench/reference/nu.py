@@ -1,0 +1,267 @@
+"""Parametric Nikiforov-Uvarov engine.
+
+A second-order equation brought to the standard form
+
+    psi''(s) + (c1 - c2 s) / (s (1 - c3 s)) psi'(s)
+             + (-xi1 s^2 + xi2 s - xi3) / (s (1 - c3 s))^2 psi(s) = 0
+
+is solved by a known recipe: ten constants c4..c13 follow algebraically from
+(c1, c2, c3, xi1, xi2, xi3), bound states satisfy a transcendental
+quantization condition, and the eigenfunctions are weighted Jacobi
+polynomials.  This module implements that recipe generically plus the mapping
+from the screened radial problem onto it, and a bracketing root finder that
+solves the quantization condition numerically.  The root finder is the
+independent oracle used to validate every closed-form energy expression in
+spectrum.py.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+from scipy.optimize import brentq
+
+from .errors import ComplexBranchError, DomainError, NoRootError, NumericalError
+from .potential import (
+    PhysicalConstants,
+    PotentialParams,
+    QuantumNumbers,
+    dimensionless_params,
+)
+
+_BRENTQ_RTOL = 4.0 * np.finfo(float).eps
+
+
+@dataclass(frozen=True)
+class NuCoefficients:
+    """Inputs (c1, c2, c3) and (xi1, xi2, xi3) of the standard form."""
+
+    c1: float
+    c2: float
+    c3: float
+    xi1: float
+    xi2: float
+    xi3: float
+
+
+@dataclass(frozen=True)
+class NuDerived:
+    """The derived constants c4..c13."""
+
+    c4: float
+    c5: float
+    c6: float
+    c7: float
+    c8: float
+    c9: float
+    c10: float
+    c11: float
+    c12: float
+    c13: float
+
+    @property
+    def real_branch(self) -> bool:
+        """True when c8 and c9 admit real square roots (always, by construction)."""
+        return self.c8 >= 0.0 and self.c9 >= 0.0
+
+
+@dataclass(frozen=True)
+class WaveShape:
+    """Exponents and Jacobi indices of the NU eigenfunction shape.
+
+    psi(s) = N s^{s_exponent} (1 - c3 s)^{one_minus_s_exponent}
+             P_n^{(jacobi_a, jacobi_b)}(1 - 2 c3 s)
+    """
+
+    s_exponent: float
+    one_minus_s_exponent: float
+    jacobi_a: float
+    jacobi_b: float
+
+
+def derive_constants(coeffs: NuCoefficients) -> NuDerived:
+    """c4..c13 from the NU inputs.
+
+    Raises ComplexBranchError when c8 < 0 or c9 < 0 (the square roots in
+    c10..c13 would leave the real axis).
+    """
+    c1, c2, c3 = coeffs.c1, coeffs.c2, coeffs.c3
+    c4 = 0.5 * (1.0 - c1)
+    c5 = 0.5 * (c2 - 2.0 * c3)
+    c6 = c5**2 + coeffs.xi1
+    c7 = 2.0 * c4 * c5 - coeffs.xi2
+    c8 = c4**2 + coeffs.xi3
+    c9 = c3 * c7 + c3**2 * c8 + c6
+    if c8 < 0.0 or c9 < 0.0:
+        raise ComplexBranchError(c8, c9)
+    sqrt_c8 = math.sqrt(c8)
+    sqrt_c9 = math.sqrt(c9)
+    return NuDerived(
+        c4=c4,
+        c5=c5,
+        c6=c6,
+        c7=c7,
+        c8=c8,
+        c9=c9,
+        c10=c1 + 2.0 * c4 + 2.0 * sqrt_c8,
+        c11=c2 - 2.0 * c5 + 2.0 * (sqrt_c9 + c3 * sqrt_c8),
+        c12=c4 + sqrt_c8,
+        c13=c5 - (sqrt_c9 + c3 * sqrt_c8),
+    )
+
+
+def quantization_residual(coeffs: NuCoefficients, n: int, derived: NuDerived = None) -> float:
+    """Left-hand side of the NU quantization condition at radial number n.
+
+    Zero exactly at a bound-state energy.  For the screened radial mapping
+    the residual is strictly increasing in xi^2, so each n has at most one
+    root.
+    """
+    QuantumNumbers(int(n), 0)
+    if derived is None:
+        derived = derive_constants(coeffs)
+    c2, c3 = coeffs.c2, coeffs.c3
+    sqrt_c8 = math.sqrt(derived.c8)
+    sqrt_c9 = math.sqrt(derived.c9)
+    return (
+        c2 * n
+        - (2.0 * n + 1.0) * derived.c5
+        + (2.0 * n + 1.0) * (sqrt_c9 + c3 * sqrt_c8)
+        + n * (n - 1.0) * c3
+        + derived.c7
+        + 2.0 * c3 * derived.c8
+        + 2.0 * sqrt_c8 * sqrt_c9
+    )
+
+
+def wave_shape(coeffs: NuCoefficients, derived: NuDerived = None) -> WaveShape:
+    """Eigenfunction exponents and Jacobi indices from the derived constants."""
+    if coeffs.c3 == 0.0:
+        raise DomainError("wave shape requires c3 != 0 (the 1 - c3 s factor degenerates)")
+    if derived is None:
+        derived = derive_constants(coeffs)
+    return WaveShape(
+        s_exponent=derived.c12,
+        one_minus_s_exponent=-derived.c12 - derived.c13 / coeffs.c3,
+        jacobi_a=derived.c10 - 1.0,
+        jacobi_b=derived.c11 / coeffs.c3 - derived.c10 - 1.0,
+    )
+
+
+def mrey_mapping(
+    params: PotentialParams, consts: PhysicalConstants, l: int
+) -> Callable[[float], NuCoefficients]:
+    """Map the screened radial problem at angular momentum l onto NU form.
+
+    Returns energy -> NuCoefficients with c1 = c2 = c3 = 1 and
+
+        xi1 = xi^2 - x2 + x3
+        xi2 = 2 xi^2 + x1 + x3
+        xi3 = xi^2 + l(l+1)
+
+    in the dimensionless variables of potential.dimensionless_params.
+    """
+    QuantumNumbers(0, l)
+    ll1 = float(l * (l + 1))
+
+    def mapping(energy: float) -> NuCoefficients:
+        dim = dimensionless_params(params, consts, energy)
+        return NuCoefficients(
+            c1=1.0,
+            c2=1.0,
+            c3=1.0,
+            xi1=dim.xi_sq - dim.x2 + dim.x3,
+            xi2=2.0 * dim.xi_sq + dim.x1 + dim.x3,
+            xi3=dim.xi_sq + ll1,
+        )
+
+    return mapping
+
+
+def _residual_of_energy(mapping, n):
+    def f(energy):
+        coeffs = mapping(energy)
+        return quantization_residual(coeffs, n)
+
+    return f
+
+
+def solve_energy_oracle(
+    mapping: Callable[[float], NuCoefficients],
+    n: int,
+    bracket: tuple[float, float],
+    xtol: float = 1e-14,
+    maxiter: int = 200,
+) -> float:
+    """Solve the quantization condition for E inside a user-supplied bracket.
+
+    The residual must change sign over the bracket (NoRootError otherwise);
+    a complex NU branch encountered inside the bracket propagates as
+    ComplexBranchError.  Returns the root E*; the residual there is verified
+    to be small relative to max(1, |c7|).
+    """
+    e_lo, e_hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(e_lo) and math.isfinite(e_hi)) or not e_lo < e_hi:
+        raise DomainError(f"bad bracket {bracket!r}")
+    f = _residual_of_energy(mapping, n)
+    r_lo, r_hi = f(e_lo), f(e_hi)
+    if r_lo == 0.0:
+        return e_lo
+    if r_hi == 0.0:
+        return e_hi
+    if math.copysign(1.0, r_lo) == math.copysign(1.0, r_hi):
+        raise NoRootError(
+            f"no root in bracket [{e_lo:g}, {e_hi:g}]: "
+            f"residual {r_lo:.6g} -> {r_hi:.6g} does not change sign"
+        )
+    root = brentq(f, e_lo, e_hi, xtol=xtol, rtol=_BRENTQ_RTOL, maxiter=maxiter)
+    derived = derive_constants(mapping(root))
+    scale = max(1.0, abs(derived.c7))
+    if abs(f(root)) > 1e-9 * scale:
+        raise NumericalError(
+            f"root refinement left residual {f(root):.3e} (scale {scale:.3e})"
+        )
+    return float(root)
+
+
+def solve_bound_state(
+    params: PotentialParams,
+    consts: PhysicalConstants,
+    n: int,
+    l: int,
+    xtol: float = 1e-14,
+    maxiter: int = 200,
+) -> float:
+    """Bracket and solve the quantization condition for level (n, l).
+
+    Works in xi^2 = -2 mu E / (hbar alpha)^2, where the residual is strictly
+    increasing: a bound state exists iff the residual is negative at xi^2 = 0,
+    and the upper bracket edge is found by doubling.  Raises NoRootError when
+    the level is unbound.  This never consults the closed-form spectrum.
+    """
+    QuantumNumbers(n, l)
+    mapping = mrey_mapping(params, consts, l)
+    e_scale = (consts.hbar * params.alpha) ** 2 / (2.0 * consts.mu)
+
+    def residual_of_xi_sq(xi_sq):
+        return quantization_residual(mapping(-xi_sq * e_scale), n)
+
+    r0 = residual_of_xi_sq(0.0)
+    if r0 == 0.0:
+        return 0.0
+    if r0 > 0.0:
+        raise NoRootError(f"no bound state for n={n}, l={l}: residual {r0:.6g} at E=0")
+    hi = 1.0
+    for _ in range(200):
+        if residual_of_xi_sq(hi) > 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise NoRootError(f"residual never changes sign up to xi^2 = {hi:g}")
+    xi_sq_root = brentq(
+        residual_of_xi_sq, 0.0, hi, xtol=xtol, rtol=_BRENTQ_RTOL, maxiter=maxiter
+    )
+    return -float(xi_sq_root) * e_scale

@@ -87,11 +87,20 @@ def channel_bound(l: int, alpha: float, consts: PhysicalConstants) -> float:
     return (consts.hbar * alpha) ** 2 * l * (l + 1) / (2.0 * consts.mu)
 
 
-def _model_energies(x, rows, alpha, consts):
+def _row_arrays(rows):
+    """(n, l(l+1), index of the first row of each distinct l by ascending l)."""
+    ls = np.array([row.l for row in rows])
+    _, first = np.unique(ls, return_index=True)
+    n = np.array([row.n for row in rows], dtype=float)
+    return n, (ls * (ls + 1)).astype(float), first
+
+
+def _model_energies(x, n, ll1, first, alpha, consts):
     """Closed-form E for each row with the radicand clamped at zero.
 
-    Returns (energies, penalties) where penalties hold one entry per
-    distinct l, zero inside the physical domain.
+    Rows come as the arrays of _row_arrays.  Returns (energies, penalties)
+    where penalties hold one entry per distinct l, zero inside the physical
+    domain.
     """
     a1, a2, a3 = x
     h2a2 = (consts.hbar * alpha) ** 2
@@ -100,18 +109,12 @@ def _model_energies(x, rows, alpha, consts):
     x3 = 2.0 * consts.mu * a3 / (consts.hbar**2 * alpha)
     q2 = h2a2 / (8.0 * consts.mu)
 
-    energies = []
-    penalties = {}
-    for row in rows:
-        ll1 = float(row.l * (row.l + 1))
-        radicand = 1.0 + 4.0 * ll1 - 4.0 * x1 - 4.0 * x2
-        penalties.setdefault(row.l, _RADICAND_PENALTY * max(0.0, -radicand))
-        delta = 0.5 + 0.5 * math.sqrt(max(radicand, 0.0))
-        rho = row.n + delta
-        q1 = h2a2 * ll1 / (2.0 * consts.mu)
-        q3 = x2 - x3 + ll1
-        energies.append(q1 - q2 * (rho + q3 / rho) ** 2)
-    return np.array(energies), np.array([penalties[l] for l in sorted(penalties)])
+    radicand = 1.0 + 4.0 * ll1 - 4.0 * x1 - 4.0 * x2
+    penalties = _RADICAND_PENALTY * np.maximum(0.0, -radicand[first])
+    rho = n + (0.5 + 0.5 * np.sqrt(np.maximum(radicand, 0.0)))
+    q1 = h2a2 * ll1 / (2.0 * consts.mu)
+    q3 = x2 - x3 + ll1
+    return q1 - q2 * (rho + q3 / rho) ** 2, penalties
 
 
 def fit_couplings(
@@ -131,9 +134,10 @@ def fit_couplings(
         raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
 
     targets = np.array([r.energy for r in rows])
+    arrays = _row_arrays(rows)
 
     def residual_vec(x):
-        energies, penalties = _model_energies(x, rows, alpha, consts)
+        energies, penalties = _model_energies(x, *arrays, alpha, consts)
         return np.concatenate([energies - targets, penalties, _RIDGE * np.asarray(x)])
 
     best = None
@@ -142,7 +146,7 @@ def fit_couplings(
         if best is None or result.cost < best.cost:
             best = result
 
-    fitted, _ = _model_energies(best.x, rows, alpha, consts)
+    fitted, _ = _model_energies(best.x, *arrays, alpha, consts)
     residuals = fitted - targets
     rms = float(np.sqrt(np.mean(residuals**2)))
 

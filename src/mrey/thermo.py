@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
 
 from .errors import DomainError, NumericalError, RangeError
 from .potential import SpectralCoefficients
@@ -130,6 +129,8 @@ def _panel_integrate(f, points):
     what must hold is that the accumulated error estimate stays small against
     the assembled total.
     """
+    from scipy.integrate import quad_vec  # deferred: keeps it out of import mrey
+
     total = None
     err_sum = 0.0
     for a, b in zip(points[:-1], points[1:]):

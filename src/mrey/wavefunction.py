@@ -11,12 +11,24 @@ exponents and Jacobi indices are taken from the generic NU shape (nu.wave_shape)
 rather than re-derived here, so the zeta = delta identity is a genuine
 cross-module check.
 
-Normalization is numerical: the closed form of N in the source chain is not
-available, so N is fixed by adaptive quadrature of psi^2 over (0, R] with R
-pushed until the tail is negligible.  No orthogonality is asserted between
-different n at fixed l: each level carries its own beta exponent (energy
-enters the weight), so the Jacobi orthogonality relation does not apply
-across levels.  overlap_matrix reports the actual overlaps as a diagnostic.
+Normalization is exact.  With s = e^{-alpha r} the norm integral is
+
+    (1/alpha) * integral over (0, 1) of
+        s^{2 beta - 1} (1 - s)^{2 zeta} P_n(1 - 2 s)^2 ds,
+
+a polynomial of degree 2n against a Jacobi weight, which an (n+1)-node
+Gauss-Jacobi rule integrates exactly (Golub & Welsch, Math. Comp. 23, 1969).
+The rule is built in log space, so deep wells (2 beta up to ~4e5) neither
+overflow nor lose the tiny weights that carry the mass.  The same rule on
+the tail of the integral fixes r_tail, the radius past which doubling R
+adds under 1e-13 of the norm; node grids, ode_residual and the CLI's r
+range use it.  verification.check_wavefunctions rechecks every norm on an
+independent Simpson grid.
+
+No orthogonality is asserted between different n at fixed l: each level
+carries its own beta exponent (energy enters the weight), so the Jacobi
+orthogonality relation does not apply across levels.  overlap_matrix
+reports the actual overlaps, exact by the same quadrature, as a diagnostic.
 """
 
 from __future__ import annotations
@@ -25,7 +37,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import gammaln
 
 from .errors import DomainError, NumericalError, ResolutionError
 from .nu import derive_constants, mrey_mapping, wave_shape
@@ -33,6 +46,11 @@ from .potential import PhysicalConstants, PotentialParams
 from .spectrum import EnergyLevel
 
 _TAIL_FRACTION = 1e-13  # stop extending R once a doubling adds less than this
+_TAIL_DOUBLINGS = 64
+# Tail-rule nodes beyond n: (1 - s)^{2 zeta} is not a polynomial in s, but
+# with s <= e^{-10} its Taylor terms past the 32nd are below double precision
+# for zeta up to ~4e4.
+_TAIL_EXTRA_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -147,30 +165,217 @@ def build_wave(
         zeta_exp=shape.one_minus_s_exponent,
         jacobi=JacobiParams(n=level.n, a=shape.jacobi_a, b=shape.jacobi_b),
     )
-    total, r_tail = _norm_integral(wave)
-    return replace(wave, norm=1.0 / math.sqrt(total), r_tail=r_tail)
+    log_total, _ = _log_overlap(wave, wave)
+    if not abs(log_total) < 1400.0:  # N = e^{-log_total / 2} must be a double
+        raise NumericalError(
+            f"norm integral e^{log_total:.6g} of level (n={level.n}, l={level.l}) "
+            "is outside double range"
+        )
+    return replace(
+        wave, norm=math.exp(-0.5 * log_total), r_tail=_tail_radius(wave, log_total)
+    )
 
 
-def _quad_checked(f, a, b):
-    result = quad(f, a, b, epsabs=1e-14, epsrel=1e-10, limit=200, full_output=1)
-    if len(result) > 3:
-        raise NumericalError(f"quadrature on [{a:g}, {b:g}] did not converge: {result[3]}")
-    return result[0]
+# Stirling coefficients B_2k / (2k (2k - 1)), highest order first; seven
+# terms leave a truncation error below 1e-16 for x >= 10.
+_STIRLING = (1.0 / 156.0, -691.0 / 360360.0, 1.0 / 1188.0, -1.0 / 1680.0,
+             1.0 / 1260.0, -1.0 / 360.0, 1.0 / 12.0)
 
 
-def _norm_integral(wave: RadialWave):
-    """Integral of profile^2 over (0, R] with R doubled until the tail dies."""
-    f = lambda r: wave.profile(r) ** 2
-    alpha = wave.params.alpha
-    upper = max(2.0, 10.0 / alpha)
-    total = _quad_checked(f, 0.0, upper)
-    for _ in range(64):
-        piece = _quad_checked(f, upper, 2.0 * upper)
-        total += piece
-        upper *= 2.0
-        if piece <= _TAIL_FRACTION * total:
-            return total, upper
-    raise NumericalError("normalization tail did not converge")
+def _log_gamma_ratio(z: float, d: float) -> float:
+    """ln Gamma(z + d) - ln Gamma(z) for z > 0, d >= 0.
+
+    Two gammaln calls cancel once z >> d: at z = 4e5 their difference is off
+    by ~5e-10.  For z >= 10 the Stirling series (DLMF 5.11.1) written as a
+    difference keeps full precision.
+    """
+    if z < 10.0:
+        return float(gammaln(z + d) - gammaln(z))
+
+    def remainder(x):  # ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi) / 2
+        y = 1.0 / (x * x)
+        series = 0.0
+        for c in _STIRLING:
+            series = series * y + c
+        return series / x
+
+    return (z - 0.5) * math.log1p(d / z) + d * math.log(z + d) - d + (
+        remainder(z + d) - remainder(z)
+    )
+
+
+def _jacobi_scaled(n: int, a, b, sigma):
+    """P_n^{(a,b)}(1 - 2 sigma) and P_{n-1}^{(a,b)}(1 - 2 sigma), n >= 1.
+
+    Returns (p_n, p_n_minus_1, log_scale) with both values = mantissa *
+    e^{log_scale}; a and b may be arrays broadcasting against sigma.  This
+    is the recurrence of jacobi_eval with x = 1 - 2 sigma substituted and its
+    constant term expanded, so nothing cancels near sigma = 0 and small
+    sigma keeps its relative precision.  Where P_n(1) = binom(n + a, n)
+    could overflow (deep wells) the mantissas are rescaled as they grow.
+    """
+    p_prev = np.ones_like(sigma)
+    p_curr = (a + 1.0) - (a + b + 2.0) * sigma
+    log_scale = np.zeros_like(p_curr)
+    # on [-1, 1], |P_n| <= binom(n + max(a, b), n) < (n + max(a, b) + 2)^n
+    rescale = n * math.log(n + max(np.max(a), np.max(b), 0.0) + 2.0) > 300.0
+    # P_k = (c0 - c1 sigma) P_{k-1} - c2 P_{k-2}, all coefficients at once
+    k = np.arange(2.0, n + 1.0).reshape((-1,) + (1,) * np.ndim(p_curr))
+    s = 2.0 * k + a + b
+    lead = 2.0 * k * (k + a + b) * (s - 2.0)
+    c0 = (s - 1.0) * (2.0 * (a + b) * (a + 2.0 * k - 1.0) + 4.0 * k * (k - 1.0)) / lead
+    c1 = 2.0 * (s - 1.0) * s * (s - 2.0) / lead
+    c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s / lead
+    for i in range(n - 1):
+        p_curr, p_prev = (c0[i] - c1[i] * sigma) * p_curr - c2[i] * p_prev, p_curr
+        if rescale:
+            factor = np.maximum(np.abs(p_curr), 1.0)
+            p_curr, p_prev = p_curr / factor, p_prev / factor
+            log_scale = log_scale + np.log(factor)
+    return p_curr, p_prev, log_scale
+
+
+def _log_sum_exp(terms, signs=1.0, axis=None):
+    """(ln |sum signs * e^terms|, sign of the sum) along axis."""
+    top = np.max(terms, axis=axis, keepdims=True)
+    top[np.isneginf(top)] = 0.0  # every term zero: the sum is zero
+    total = np.sum(signs * np.exp(terms - top), axis=axis)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(total)) + np.squeeze(top, axis=axis), np.sign(total)
+
+
+def _gauss_jacobi(m: int, a: float, b: float):
+    """m-point Gauss rule for the weight s^a (1 - s)^b on (0, 1), a, b > -1.
+
+    Returns (s, v, log_w): the nodes s, their complements v = 1 - s and the
+    log weights.  In deep wells a passes 1e5, the nodes crowd s = 1 and the
+    weights span hundreds of e-folds, so:
+
+    - nodes start from the eigenvalues of the Jacobi matrix (Golub & Welsch,
+      Math. Comp. 23, 1969) and take one Newton step in sigma, the smaller
+      of s and v, which restores its relative precision; where v < s the
+      polynomial is P_m^{(b,a)}(1 - 2v) = (-1)^m P_m^{(a,b)}(1 - 2s);
+    - weights come from the Christoffel formula in logs,
+        w_i = G (2m+a+b)^2 s_i v_i / ((m+a)^2 (m+b)^2 P_{m-1}(s_i)^2),
+        G = Gamma(m+a+1) Gamma(m+b+1) / (Gamma(m+a+b+1) m!),
+      not from eigenvectors, which lose the e^{-200}-sized weights that
+      carry the mass when the integrand is huge elsewhere.
+    """
+    ab = a + b
+    k = np.arange(1.0, m)
+    t = 2.0 * k + ab
+    diag = np.concatenate(([(b - a) / (ab + 2.0)], (b - a) * ab / (t * (t + 2.0))))
+    off = np.sqrt(
+        4.0 * k * (k + a) * (k + b) * (k + ab) / (t * t * (t + 1.0) * (t - 1.0))
+    )
+    x = eigh_tridiagonal(diag, off, eigvals_only=True)
+    near = x >= 0.0
+    sigma = 0.5 - 0.5 * np.abs(x)
+    a_el, b_el = np.where(near, a, b), np.where(near, b, a)
+    # Newton in sigma from (2m+a+b)(1-x^2) P_m' = m [(a-b) - (2m+a+b) x] P_m
+    # + 2 (m+a) (m+b) P_{m-1}, with dx = -2 dsigma
+    p, p_prev, _ = _jacobi_scaled(m, a_el, b_el, sigma)
+    slope = m * (2.0 * (2.0 * m + ab) * sigma - 2.0 * (m + b_el)) * p + 2.0 * (
+        m + a_el
+    ) * (m + b_el) * p_prev
+    sigma = sigma + 2.0 * (2.0 * m + ab) * sigma * (1.0 - sigma) * p / slope
+    if not np.all(sigma > 0.0):
+        raise NumericalError(
+            f"Gauss-Jacobi nodes for the weight s^{a:g} (1 - s)^{b:g} lie closer "
+            "to an end of (0, 1) than double precision resolves"
+        )
+    _, p_prev, log_scale = _jacobi_scaled(m, a_el, b_el, sigma)
+    s, v = np.where(near, sigma, 1.0 - sigma), np.where(near, 1.0 - sigma, sigma)
+    log_w = (
+        _log_gamma_ratio(m + 1.0, b) - _log_gamma_ratio(m + a + 1.0, b)
+        + 2.0 * math.log((2.0 * m + ab) / ((m + a) * (m + b)))
+        + np.log(s) + np.log(v) - 2.0 * (np.log(np.abs(p_prev)) + log_scale)
+    )
+    return s, v, log_w
+
+
+def _log_jacobi(jacobi: JacobiParams, s, v):
+    """(ln |P_n^{(a,b)}(1 - 2s)|, sign) at points given as (s, v = 1 - s),
+    the recurrence running in the smaller of s and v."""
+    n, a, b = jacobi.n, jacobi.a, jacobi.b
+    if n == 0:
+        return np.zeros_like(s), np.ones_like(s)
+    near = s <= 0.5
+    p, _, log_scale = _jacobi_scaled(
+        n, np.where(near, a, b), np.where(near, b, a), np.where(near, s, v)
+    )
+    p = np.where(near, p, (-1.0) ** n * p)
+    with np.errstate(divide="ignore"):  # a node on a root of P_n adds nothing
+        return np.log(np.abs(p)) + log_scale, np.sign(p)
+
+
+def _log_overlap(first: RadialWave, second: RadialWave):
+    """(ln |I|, sign of I) for I = integral of profile_1 profile_2 over (0, inf).
+
+    In s = e^{-alpha r} the integral is
+
+      amp_1 amp_2 / alpha * integral over (0, 1) of
+          s^{beta_1 + beta_2 - 1} (1 - s)^{zeta_1 + zeta_2}
+          * P^{(1)}(1 - 2s) P^{(2)}(1 - 2s) ds,
+
+    a polynomial of degree n_1 + n_2 against a Jacobi weight, which
+    (n_1 + n_2) // 2 + 1 Gauss-Jacobi nodes integrate exactly.
+    """
+    alpha = first.params.alpha
+    if second.params.alpha != alpha:
+        raise DomainError(
+            f"overlap needs one alpha (got {alpha!r} and {second.params.alpha!r}): "
+            "only then do the waves share the variable s = e^{-alpha r}"
+        )
+    s, v, log_w = _gauss_jacobi(
+        (first.jacobi.n + second.jacobi.n) // 2 + 1,
+        first.beta_exp + second.beta_exp - 1.0,
+        first.zeta_exp + second.zeta_exp,
+    )
+    log_p1, sign1 = _log_jacobi(first.jacobi, s, v)
+    log_p2, sign2 = _log_jacobi(second.jacobi, s, v)
+    log_sum, sign = _log_sum_exp(log_w + log_p1 + log_p2, sign1 * sign2)
+    amp = first.amplitude * second.amplitude
+    return (
+        float(log_sum) + math.log(abs(amp)) - math.log(alpha),
+        float(sign) * math.copysign(1.0, amp),
+    )
+
+
+def _tail_radius(wave: RadialWave, log_total: float) -> float:
+    """R past which the tail of profile^2 is negligible.
+
+    R starts at max(2, 10/alpha) and doubles until the doubling adds at most
+    _TAIL_FRACTION of the running total.  The piece over [R, 2R] is
+    T(R) - T(2R), with s_R = e^{-alpha R}, t = s / s_R and
+
+      T(R) = amp^2 / alpha * s_R^{2 beta} * integral over (0, 1) of
+             t^{2 beta - 1} (1 - s_R t)^{2 zeta} P_n(1 - 2 s_R t)^2 dt.
+
+    One Gauss-Jacobi rule in t serves every R.
+    """
+    alpha, jac = wave.params.alpha, wave.jacobi
+    two_beta, two_zeta = 2.0 * wave.beta_exp, 2.0 * wave.zeta_exp
+    t, _, log_w = _gauss_jacobi(jac.n + _TAIL_EXTRA_NODES, two_beta - 1.0, 0.0)
+    uppers = max(2.0, 10.0 / alpha) * 2.0 ** np.arange(_TAIL_DOUBLINGS + 1)
+    log_s = -alpha * uppers
+    sigma = np.exp(log_s)[:, None] * t
+    terms = log_w + two_zeta * np.log1p(-sigma)
+    if jac.n > 0:
+        p, _, log_scale = _jacobi_scaled(jac.n, jac.a, jac.b, sigma)
+        terms = terms + 2.0 * (np.log(np.abs(p)) + log_scale)
+    log_tail = (
+        two_beta * log_s + _log_sum_exp(terms, axis=1)[0]
+        + 2.0 * math.log(abs(wave.amplitude)) - math.log(alpha)
+    )
+    log_piece = log_tail[:-1] + np.log(-np.expm1(log_tail[1:] - log_tail[:-1]))
+    log_running = log_total + np.log1p(-np.exp(log_tail[1:] - log_total))
+    done = np.nonzero(log_piece <= math.log(_TAIL_FRACTION) + log_running)[0]
+    if done.size == 0:
+        raise NumericalError(
+            f"normalization tail did not converge within {_TAIL_DOUBLINGS} doublings"
+        )
+    return float(uppers[done[0] + 1])
 
 
 def normalize(wave: RadialWave) -> float:
@@ -179,8 +384,8 @@ def normalize(wave: RadialWave) -> float:
     Scales inversely with the wave's amplitude; applied to an
     already-normalized() wave it returns 1.
     """
-    total, _ = _norm_integral(wave)
-    return 1.0 / math.sqrt(total)
+    log_total, _ = _log_overlap(wave, wave)
+    return math.exp(-0.5 * log_total)
 
 
 def default_node_grid(wave: RadialWave) -> np.ndarray:
@@ -272,14 +477,15 @@ def ode_residual(wave: RadialWave, num_points: int = 150, screened: bool = True)
 
 
 def overlap_matrix(waves: list[RadialWave]) -> np.ndarray:
-    """Pairwise integrals of psi_i psi_j (diagnostic; not expected diagonal)."""
+    """Pairwise integrals of psi_i psi_j (diagnostic; not expected diagonal).
+
+    Exact by Gauss-Jacobi quadrature; all waves must share one alpha.
+    """
     size = len(waves)
+    normalized = [wave.normalized() for wave in waves]
     out = np.eye(size)
     for i in range(size):
         for j in range(i + 1, size):
-            upper = max(waves[i].r_tail, waves[j].r_tail)
-            value = _quad_checked(
-                lambda r: waves[i].psi(r) * waves[j].psi(r), 0.0, upper
-            )
-            out[i, j] = out[j, i] = value
+            log_value, sign = _log_overlap(normalized[i], normalized[j])
+            out[i, j] = out[j, i] = sign * math.exp(log_value)
     return out

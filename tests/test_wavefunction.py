@@ -3,13 +3,17 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.special import binom
 
 from mrey import (
     DomainError,
+    NoRealDeltaError,
+    NumericalError,
     PhysicalConstants,
     PotentialParams,
     ResolutionError,
@@ -19,11 +23,14 @@ from mrey import (
     energy,
     spectral_coefficients,
 )
+from mrey.verification import _recheck_norm
 from mrey.wavefunction import JacobiParams, jacobi_eval, normalize, ode_residual, overlap_matrix
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 UNIT_YUKAWA = PotentialParams(0.0, 0.0, 1.0, 0.5)
 DEEP_YUKAWA = PotentialParams(0.0, 0.0, 5.0, 0.5)
+# 2 beta reaches 4e5 at n = 0
+DEEPEST_WELL = PotentialParams(0.0, 0.0, 2000.0, 0.01)
 
 
 def _jacobi_by_summation(n, a, b, x):
@@ -35,6 +42,15 @@ def _jacobi_by_summation(n, a, b, x):
         binom(n + a, n - k) * binom(n + b, k) * half_minus**k * half_plus ** (n - k)
         for k in range(n + 1)
     )
+
+
+def _simpson_log_r(wave, f, points=4001):
+    """Integral of f(r) over (1e-9/alpha, 1.5 r_tail] by Simpson's rule in
+    ln r, which resolves narrow deep-well waves as well as wide ones."""
+    alpha = wave.params.alpha
+    u = np.linspace(math.log(1e-9 / alpha), math.log(1.5 * wave.r_tail), points)
+    r = np.exp(u)
+    return simpson(f(r) * r, x=u)
 
 
 def test_jacobi_low_degrees():
@@ -183,3 +199,101 @@ def test_overlap_matrix_diagnostic():
     # expected; just record that the mixing stays modest
     off = overlap[~np.eye(3, dtype=bool)]
     assert np.all(np.abs(off) < 0.5)
+
+
+@pytest.mark.parametrize(
+    "params, l",
+    [
+        (UNIT_YUKAWA, 0),
+        (DEEP_YUKAWA, 1),
+        (PotentialParams(0.01, -0.02, 5.0, 0.05), 0),
+        (PotentialParams(0.0, 0.0, 50.0, 0.02), 2),
+        (PotentialParams(0.0, 0.0, 100.0, 0.01), 0),
+        (DEEPEST_WELL, 0),
+    ],
+)
+def test_ground_state_norm_is_a_beta_function(params, l):
+    # at n = 0 the norm integral is B(2 beta, 2 zeta + 1) / alpha exactly
+    wave = build_wave(params, CONSTS, energy(params, CONSTS, 0, l))
+    with mpmath.workdps(30):
+        exact = mpmath.beta(
+            mpmath.mpf(2.0 * wave.beta_exp), mpmath.mpf(2.0 * wave.zeta_exp) + 1
+        ) / params.alpha
+        assert float(abs(1 / mpmath.mpf(wave.norm) ** 2 / exact - 1)) < 1e-13
+
+
+def test_deepest_well_builds():
+    # r_tail as the adaptive-quadrature route found it; n = 0 used to raise
+    # ZeroDivisionError.  The default node grid resolves only n = 0 here.
+    for n in (0, 50, 100, 150):
+        wave = build_wave(DEEPEST_WELL, CONSTS, energy(DEEPEST_WELL, CONSTS, n, 0))
+        assert wave.r_tail == 2000.0
+        assert _simpson_log_r(wave, lambda r: wave.psi(r) ** 2) == pytest.approx(
+            1.0, abs=1e-8
+        )
+        if n == 0:
+            assert count_nodes(wave, default_node_grid(wave)) == 0
+
+
+def test_norm_outside_double_range_is_typed():
+    # N = e^{6900} here; the adaptive route raised a bare ZeroDivisionError
+    params = PotentialParams(0.0, 0.0, 1e8, 0.001)
+    with pytest.raises(NumericalError):
+        build_wave(params, CONSTS, energy(params, CONSTS, 3, 0))
+
+
+def test_formerly_unconverged_level():
+    # the adaptive route raised NumericalError here (n = 0, l = 2)
+    params = PotentialParams(
+        0.00018034108256850278, -0.0003047104113244009, 54.57323831627239,
+        0.12214066435125673,
+    )
+    wave = build_wave(params, CONSTS, energy(params, CONSTS, 0, 2))
+    assert _recheck_norm(wave) == pytest.approx(1.0, abs=1e-8)
+    assert count_nodes(wave, default_node_grid(wave)) == 0
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    a1=st.floats(-0.01, 0.01),
+    a2=st.floats(-0.01, 0.01),
+    log_a3=st.floats(0.0, math.log(100.0)),
+    log_alpha=st.floats(math.log(0.01), math.log(0.5)),
+    n=st.integers(0, 5),
+    l=st.integers(0, 3),
+)
+def test_norm_sweep_against_simpson(a1, a2, log_a3, log_alpha, n, l):
+    # small alpha turns small a1, a2 into large x1, x2: narrow waves with
+    # zeta up to ~15, where adaptive quadrature had returned wrong norms
+    params = PotentialParams(a1, a2, math.exp(log_a3), math.exp(log_alpha))
+    try:
+        level = energy(params, CONSTS, n, l)
+    except NoRealDeltaError:
+        return
+    if not level.valid_bound_state:
+        return
+    wave = build_wave(params, CONSTS, level)
+    assert _simpson_log_r(wave, lambda r: wave.psi(r) ** 2) == pytest.approx(
+        1.0, abs=1e-8
+    )
+
+
+def test_overlap_matrix_matches_simpson():
+    params = PotentialParams(0.01, -0.03, 5.0, 0.2)
+    waves = [
+        build_wave(params, CONSTS, energy(params, CONSTS, n, l))
+        for n, l in ((0, 0), (1, 0), (2, 0), (0, 1), (3, 1))
+    ]
+    overlap = overlap_matrix(waves)
+    for i, j in ((0, 1), (0, 2), (1, 2), (0, 3), (2, 4)):
+        value = _simpson_log_r(
+            max(waves[i], waves[j], key=lambda w: w.r_tail),
+            lambda r: waves[i].psi(r) * waves[j].psi(r),
+            points=20001,
+        )
+        assert overlap[i, j] == pytest.approx(value, abs=1e-10)
+    with pytest.raises(DomainError):
+        other = PotentialParams(0.01, -0.03, 5.0, 0.25)
+        overlap_matrix(
+            [waves[0], build_wave(other, CONSTS, energy(other, CONSTS, 0, 0))]
+        )

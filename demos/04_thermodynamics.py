@@ -16,13 +16,9 @@ from mrey import (
     PhysicalConstants,
     PotentialParams,
     ThermoInput,
-    entropy,
-    free_energy,
-    heat_capacity,
-    mean_energy,
-    partition_integral,
     spectral_coefficients,
     thermo_curve,
+    thermo_state,
 )
 from mrey.thermo import (
     heat_capacity_fd,
@@ -50,7 +46,7 @@ print("== sum vs integral ==")
 print("the discrete sum tracks the integral when the integrand varies slowly")
 print("per unit n (half-integer cap, small beta):")
 for lam, beta in ((20.5, 0.01), (100.5, 0.001)):
-    zi = partition_integral(ThermoInput(coeffs, lam, beta))
+    zi = thermo_state(ThermoInput(coeffs, lam, beta)).z
     zd = partition_discrete(level_energies(coeffs, lam), beta)
     print(f"  lambda={lam:6g} beta={beta:6g}  integral {zi:10.4f}  "
           f"sum {zd:10.4f}  rel gap {abs(zd - zi) / zi:.2e}")
@@ -59,22 +55,17 @@ print()
 print("== derived quantities along a temperature sweep (lambda = 1) ==")
 print(f"  {'beta':>7} {'Z':>10} {'U':>10} {'S':>10} {'F':>10} {'C':>10}")
 for beta in (0.1, 0.5, 1.0, 5.0, 20.0, 100.0):
-    inp = ThermoInput(coeffs, 1.0, beta)
-    z = partition_integral(inp)
-    u = mean_energy(inp)
-    s = entropy(inp)
-    f = free_energy(inp)
-    c = heat_capacity(inp)
-    print(f"  {beta:>7g} {z:>10.4f} {u:>10.4f} {s:>10.4f} {f:>10.4f} {c:>10.4f}")
-    assert abs(f - (u - s / beta)) <= 1e-9 * max(1.0, abs(f))
+    st = thermo_state(ThermoInput(coeffs, 1.0, beta))
+    print(f"  {beta:>7g} {st.z:>10.4f} {st.u:>10.4f} {st.s:>10.4f} "
+          f"{st.f:>10.4f} {st.c:>10.4f}")
+    assert abs(st.f - (st.u - st.s / beta)) <= 1e-9 * max(1.0, abs(st.f))
 
 print("  (F = U - TS checked at every row)")
 
 print()
 print("== analytic heat capacity vs finite differences of ln Z ==")
 for beta in (0.5, 5.0, 50.0):
-    inp = ThermoInput(coeffs, 5.0, beta)
-    c = heat_capacity(inp)
+    c = thermo_state(ThermoInput(coeffs, 5.0, beta)).c
     c_fd = heat_capacity_fd(coeffs, 5.0, beta)
     print(f"  beta={beta:5g}  C={c:.10f}  FD={c_fd:.10f}  "
           f"gap {abs(c - c_fd):.1e}")

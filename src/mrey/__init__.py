@@ -43,12 +43,9 @@ from .wavefunction import RadialWave, build_wave, count_nodes, default_node_grid
 from .thermo import (
     ThermoCurve,
     ThermoInput,
-    entropy,
-    free_energy,
-    heat_capacity,
-    mean_energy,
-    partition_integral,
+    ThermoState,
     thermo_curve,
+    thermo_state,
 )
 from .recovery import RecoveryReport, TableRow, channel_bound, fit_couplings
 
@@ -88,12 +85,9 @@ __all__ = [
     "default_node_grid",
     "ThermoCurve",
     "ThermoInput",
-    "entropy",
-    "free_energy",
-    "heat_capacity",
-    "mean_energy",
-    "partition_integral",
+    "ThermoState",
     "thermo_curve",
+    "thermo_state",
     "RecoveryReport",
     "TableRow",
     "channel_bound",

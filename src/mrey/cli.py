@@ -30,12 +30,6 @@ from .spectrum import energy, lambda_max, spectrum_table
 from .thermo import thermo_curve
 from .wavefunction import build_wave
 
-_CONFIG_KEYS = (
-    "hbar", "mu", "k", "a1", "a2", "a3", "alpha",
-    "n_max", "l_max", "beta_grid", "lambda_grid", "lambda_fixed",
-    "output_dir", "format",
-)
-
 # Stable defaults; golden-file tests depend on these.
 _DEFAULTS = {
     "hbar": 1.0,
@@ -169,7 +163,7 @@ def parse_config_text(text: str) -> dict:
         if not key:
             raise ConfigError(f"line {lineno}, column 1: missing key before '='")
         key_col = line.index(key) + 1
-        if key not in _CONFIG_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}, column {key_col}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}, column {key_col}: duplicate key {key!r}")
@@ -574,12 +568,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_FLAG_KEYS = (
-    "hbar", "mu", "k", "a1", "a2", "a3", "alpha",
-    "n_max", "l_max", "lambda_fixed", "output_dir", "format",
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -590,7 +578,8 @@ def main(argv=None) -> int:
     try:
         file_values = load_config(args.config) if args.config else {}
         flag_values = {}
-        for key in _CONFIG_FLAG_KEYS:
+        for key in _DEFAULTS:
+            # grid keys have no flag, so getattr yields None for them
             value = getattr(args, key, None)
             if key == "alpha" and isinstance(value, list):
                 # table collects repeated alphas itself

@@ -9,10 +9,10 @@ is solved by a known recipe: ten constants c4..c13 follow algebraically from
 (c1, c2, c3, xi1, xi2, xi3), bound states satisfy a transcendental
 quantization condition, and the eigenfunctions are weighted Jacobi
 polynomials.  This module implements that recipe generically plus the mapping
-from the screened radial problem onto it, and a bracketing root finder that
-solves the quantization condition numerically.  The root finder is the
-independent oracle used to validate every closed-form energy expression in
-spectrum.py.
+from the screened radial problem onto it, and solve_bound_state, a root
+finder that brackets the quantization condition itself (no closed-form input)
+and solves it numerically.  It is the independent oracle used to validate
+every closed-form energy expression in spectrum.py.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ComplexBranchError, DomainError, NoRootError, NumericalError
+from .errors import ComplexBranchError, DomainError, NoRootError
 from .potential import (
     PhysicalConstants,
     PotentialParams,
@@ -61,11 +61,6 @@ class NuDerived:
     c11: float
     c12: float
     c13: float
-
-    @property
-    def real_branch(self) -> bool:
-        """True when c8 and c9 admit real square roots (always, by construction)."""
-        return self.c8 >= 0.0 and self.c9 >= 0.0
 
 
 @dataclass(frozen=True)
@@ -179,52 +174,6 @@ def mrey_mapping(
         )
 
     return mapping
-
-
-def _residual_of_energy(mapping, n):
-    def f(energy):
-        coeffs = mapping(energy)
-        return quantization_residual(coeffs, n)
-
-    return f
-
-
-def solve_energy_oracle(
-    mapping: Callable[[float], NuCoefficients],
-    n: int,
-    bracket: tuple[float, float],
-    xtol: float = 1e-14,
-    maxiter: int = 200,
-) -> float:
-    """Solve the quantization condition for E inside a user-supplied bracket.
-
-    The residual must change sign over the bracket (NoRootError otherwise);
-    a complex NU branch encountered inside the bracket propagates as
-    ComplexBranchError.  Returns the root E*; the residual there is verified
-    to be small relative to max(1, |c7|).
-    """
-    e_lo, e_hi = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(e_lo) and math.isfinite(e_hi)) or not e_lo < e_hi:
-        raise DomainError(f"bad bracket {bracket!r}")
-    f = _residual_of_energy(mapping, n)
-    r_lo, r_hi = f(e_lo), f(e_hi)
-    if r_lo == 0.0:
-        return e_lo
-    if r_hi == 0.0:
-        return e_hi
-    if math.copysign(1.0, r_lo) == math.copysign(1.0, r_hi):
-        raise NoRootError(
-            f"no root in bracket [{e_lo:g}, {e_hi:g}]: "
-            f"residual {r_lo:.6g} -> {r_hi:.6g} does not change sign"
-        )
-    root = brentq(f, e_lo, e_hi, xtol=xtol, rtol=_BRENTQ_RTOL, maxiter=maxiter)
-    derived = derive_constants(mapping(root))
-    scale = max(1.0, abs(derived.c7))
-    if abs(f(root)) > 1e-9 * scale:
-        raise NumericalError(
-            f"root refinement left residual {f(root):.3e} (scale {scale:.3e})"
-        )
-    return float(root)
 
 
 def solve_bound_state(

@@ -7,17 +7,20 @@ lambda (normally spectrum.lambda_max):
     E(n) = Q1 - Q2 (rho + Q3/rho)^2,  rho = n + delta.
 
 Completing the square in the exponent gives the equivalent form implemented
-by partition_integral,
+by log_partition_integral,
 
     Z = e^{beta (2 Q2 Q3 - Q1)}
         * integral_delta^{lambda+delta} e^{beta Q2 (rho^2 + Q3^2 / rho^2)} d rho,
 
-while partition_integral_direct codes the n-space integrand literally; the
-two routes agreeing is one of the package's acceptance checks.  U, S, F and C
-follow from ln Z:
+while log_partition_direct codes the n-space integrand literally; the two
+routes agreeing is one of the package's acceptance checks.  thermo_state
+derives every property at a point from one set of moments:
 
     U = -d ln Z / d beta          S = k ln Z + k beta U
     F = -(1/beta) ln Z            C = k beta^2 (<E^2> - <E>^2)
+
+and mean_energy_fd / heat_capacity_fd are the independent finite-difference
+oracles for U and C.
 
 Overflow policy: every exponential is evaluated against a subtracted
 reference exponent, so ln Z, U, S, F, C stay finite even when Z itself
@@ -57,6 +60,25 @@ class ThermoInput:
             raise DomainError(f"lambda must be finite and > 0, got {self.lam!r}")
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise DomainError(f"beta must be finite and >= 0, got {self.beta!r}")
+
+
+@dataclass(frozen=True)
+class ThermoState:
+    """ln Z, U, S, C and F at one (lambda, beta) point.
+
+    f is None at beta = 0, where F = -ln Z / beta is undefined.
+    """
+
+    ln_z: float
+    u: float
+    s: float
+    c: float
+    f: float | None
+
+    @property
+    def z(self) -> float:
+        """Z itself; +inf if Z overflows the double range."""
+        return math.exp(self.ln_z) if self.ln_z <= _LOG_MAX else math.inf
 
 
 @dataclass
@@ -202,6 +224,19 @@ def _moments(coeffs: SpectralCoefficients, lam: float, beta: float):
     return ln_z, e_ref + scale * m1, var
 
 
+def thermo_state(inp: ThermoInput, k: float = 1.0) -> ThermoState:
+    """Z, U, S, F and C at one point from a single pass of the moments."""
+    beta = inp.beta
+    ln_z, u, var = _moments(inp.coeffs, inp.lam, beta)
+    return ThermoState(
+        ln_z=ln_z,
+        u=u,
+        s=k * (ln_z + beta * u),
+        c=k * beta**2 * var,
+        f=-ln_z / beta if beta > 0.0 else None,
+    )
+
+
 def log_partition_integral(inp: ThermoInput) -> float:
     """ln Z via the completed-square rho-space form."""
     coeffs, lam, beta = inp.coeffs, inp.lam, inp.beta
@@ -219,31 +254,21 @@ def log_partition_integral(inp: ThermoInput) -> float:
     return prefactor + g_max + log_i
 
 
-def partition_integral(inp: ThermoInput) -> float:
-    """Z in the completed-square form; +inf if Z overflows the double range."""
-    ln_z = log_partition_integral(inp)
-    if ln_z > _LOG_MAX:
-        return math.inf
-    return math.exp(ln_z)
-
-
-def log_partition_direct(inp: ThermoInput) -> float:
-    """ln Z via the literal n-space integrand (independent cross-check route)."""
-    coeffs, lam, beta = inp.coeffs, inp.lam, inp.beta
-    e_ref, _ = _reference_energy(coeffs, lam)
+def _log_s0(coeffs, lam, beta, e_ref, points=None) -> float:
+    """ln integral e^{-beta (E - e_ref)} dn with a caller-fixed reference."""
 
     def f(n):
         return math.exp(-beta * (compact_energy(coeffs, n) - e_ref))
 
-    points = _split_points(coeffs, lam, beta)
-    return -beta * e_ref + _shifted_log_integral(f, points)
+    if points is None:
+        points = _split_points(coeffs, lam, beta)
+    return _shifted_log_integral(f, points)
 
 
-def partition_integral_direct(inp: ThermoInput) -> float:
-    ln_z = log_partition_direct(inp)
-    if ln_z > _LOG_MAX:
-        return math.inf
-    return math.exp(ln_z)
+def log_partition_direct(inp: ThermoInput) -> float:
+    """ln Z via the literal n-space integrand (independent cross-check route)."""
+    e_ref, _ = _reference_energy(inp.coeffs, inp.lam)
+    return -inp.beta * e_ref + _log_s0(inp.coeffs, inp.lam, inp.beta, e_ref)
 
 
 def level_energies(coeffs: SpectralCoefficients, lam: float) -> np.ndarray:
@@ -269,48 +294,8 @@ def partition_discrete(energies, beta: float) -> float:
     return math.exp(log_z)
 
 
-def mean_energy(inp: ThermoInput) -> float:
-    """Boltzmann-weighted mean of E over [0, lambda] (uniform mean at beta = 0)."""
-    _, u, _ = _moments(inp.coeffs, inp.lam, inp.beta)
-    return u
-
-
-def entropy(inp: ThermoInput, k: float = 1.0) -> float:
-    """S = k ln Z + k beta U."""
-    ln_z, u, _ = _moments(inp.coeffs, inp.lam, inp.beta)
-    return k * (ln_z + inp.beta * u)
-
-
-def free_energy(inp: ThermoInput, k: float = 1.0) -> float:
-    """F = -(1/beta) ln Z; requires beta > 0."""
-    if inp.beta <= 0.0:
-        raise DomainError("free energy requires beta > 0")
-    ln_z, _, _ = _moments(inp.coeffs, inp.lam, inp.beta)
-    del k  # F carries no explicit k; kept for signature symmetry
-    return -ln_z / inp.beta
-
-
-def heat_capacity(inp: ThermoInput, k: float = 1.0) -> float:
-    """C = k beta^2 Var(E) >= 0 (variance form)."""
-    _, _, var = _moments(inp.coeffs, inp.lam, inp.beta)
-    return k * inp.beta**2 * var
-
-
-def _log_s0(coeffs, lam, beta, e_ref, points=None) -> float:
-    """ln integral e^{-beta (E - e_ref)} dn with a caller-fixed reference."""
-
-    def f(n):
-        return math.exp(-beta * (compact_energy(coeffs, n) - e_ref))
-
-    if points is None:
-        points = _split_points(coeffs, lam, beta)
-    return _shifted_log_integral(f, points)
-
-
-def mean_energy_fd(
-    coeffs: SpectralCoefficients, lam: float, beta: float, rel_step: float = 1e-4
-) -> float:
-    """U = -d ln Z / d beta by central differencing (independent oracle).
+def mean_energy_fd(coeffs: SpectralCoefficients, lam: float, beta: float) -> float:
+    """U = -d ln Z / d beta by central differencing at h = 1e-4 beta (independent oracle).
 
     The reference energy and the panel mesh are held fixed across the
     stencil, so the huge linear part of ln Z drops out analytically and the
@@ -319,7 +304,7 @@ def mean_energy_fd(
     """
     if beta <= 0.0:
         raise DomainError("finite-difference U requires beta > 0")
-    h = rel_step * beta
+    h = 1e-4 * beta
     e_ref, _ = _reference_energy(coeffs, lam)
     points = _split_points(coeffs, lam, beta)
     g_plus = _log_s0(coeffs, lam, beta + h, e_ref, points)
@@ -328,38 +313,28 @@ def mean_energy_fd(
 
 
 def heat_capacity_fd(
-    coeffs: SpectralCoefficients,
-    lam: float,
-    beta: float,
-    k: float = 1.0,
-    rel_step: float = 1e-4,
-    order: int = 3,
+    coeffs: SpectralCoefficients, lam: float, beta: float, k: float = 1.0
 ) -> float:
-    """C = k beta^2 d^2 ln Z / d beta^2 by finite differences.
+    """C = k beta^2 d^2 ln Z / d beta^2 by finite differences (independent oracle).
 
-    order=3 is the plain central second difference; order=5 uses the
-    five-point stencil, which tolerates a much larger step and is the
-    preferred oracle on wide parameter sweeps where the optimal 3-point step
-    varies by orders of magnitude.
+    Five-point stencil at step h = 5e-3 beta: its O(h^4) truncation error
+    allows a step large enough that the quadrature noise in ln Z, amplified
+    by 1/h^2, stays small.  The reference energy and the panel mesh are held
+    fixed as in mean_energy_fd.
     """
     if beta <= 0.0:
         raise DomainError("finite-difference C requires beta > 0")
-    if order not in (3, 5):
-        raise DomainError("order must be 3 or 5")
-    h = rel_step * beta
+    h = 5e-3 * beta
     e_ref, _ = _reference_energy(coeffs, lam)
     points = _split_points(coeffs, lam, beta)
     g = lambda b: _log_s0(coeffs, lam, b, e_ref, points)
-    if order == 3:
-        d2 = (g(beta - h) - 2.0 * g(beta) + g(beta + h)) / h**2
-    else:
-        d2 = (
-            -g(beta - 2.0 * h)
-            + 16.0 * g(beta - h)
-            - 30.0 * g(beta)
-            + 16.0 * g(beta + h)
-            - g(beta + 2.0 * h)
-        ) / (12.0 * h**2)
+    d2 = (
+        -g(beta - 2.0 * h)
+        + 16.0 * g(beta - h)
+        - 30.0 * g(beta)
+        + 16.0 * g(beta + h)
+        - g(beta + 2.0 * h)
+    ) / (12.0 * h**2)
     return k * beta**2 * d2
 
 
@@ -394,18 +369,18 @@ def thermo_curve(
         beta = value if sweep == "beta" else fixed_beta
         lam = value if sweep == "lambda" else fixed_lambda
         try:
-            inp = ThermoInput(coeffs=coeffs, lam=lam, beta=beta)
-            ln_z, u, var = _moments(coeffs, lam, beta)
-            columns["z"][i] = math.exp(ln_z) if ln_z <= _LOG_MAX else math.inf
-            columns["u"][i] = u
-            columns["s"][i] = k * (ln_z + beta * u)
-            columns["c"][i] = k * beta**2 * var
-            if beta > 0.0:
-                columns["f"][i] = -ln_z / beta
-            else:
-                errors.append((i, "F undefined at beta = 0"))
+            state = thermo_state(ThermoInput(coeffs=coeffs, lam=lam, beta=beta), k)
         except (DomainError, NumericalError) as exc:
             errors.append((i, str(exc)))
+            continue
+        columns["z"][i] = state.z
+        columns["u"][i] = state.u
+        columns["s"][i] = state.s
+        columns["c"][i] = state.c
+        if state.f is None:
+            errors.append((i, "F undefined at beta = 0"))
+        else:
+            columns["f"][i] = state.f
     return ThermoCurve(
         sweep=sweep,
         grid=grid,

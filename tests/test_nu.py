@@ -23,7 +23,6 @@ from mrey.nu import (
     mrey_mapping,
     quantization_residual,
     solve_bound_state,
-    solve_energy_oracle,
     wave_shape,
 )
 from mrey.potential import dimensionless_params
@@ -148,8 +147,7 @@ def test_wave_shape_rejects_zero_c3():
 
 
 def test_oracle_finds_anchor_root():
-    mapping = mrey_mapping(UNIT_YUKAWA, CONSTS, 0)
-    root = solve_energy_oracle(mapping, 0, (-1.0, -1e-6))
+    root = solve_bound_state(UNIT_YUKAWA, CONSTS, 0, 0)
     assert root == pytest.approx(-0.28125, abs=1e-11)
 
 
@@ -158,23 +156,8 @@ def test_oracle_free_case_has_no_root():
     # u = -0.5 < 0: the value lies on the non-normalizable branch and the
     # quantization residual never crosses zero, matching the physics (a free
     # particle binds nothing)
-    mapping = mrey_mapping(PotentialParams(0.0, 0.0, 0.0, 0.5), CONSTS, 0)
-    with pytest.raises(NoRootError):
-        solve_energy_oracle(mapping, 0, (-1.0, -1e-6))
     with pytest.raises(NoRootError):
         solve_bound_state(PotentialParams(0.0, 0.0, 0.0, 0.5), CONSTS, 0, 0)
-
-
-def test_oracle_requires_sign_change():
-    mapping = mrey_mapping(UNIT_YUKAWA, CONSTS, 0)
-    with pytest.raises(NoRootError):
-        solve_energy_oracle(mapping, 0, (-10.0, -9.0))
-
-
-def test_oracle_rejects_bad_bracket():
-    mapping = mrey_mapping(UNIT_YUKAWA, CONSTS, 0)
-    with pytest.raises(DomainError):
-        solve_energy_oracle(mapping, 0, (-1e-6, -1.0))
 
 
 def test_bracket_free_solver_matches_closed_form():

@@ -19,13 +19,9 @@ from mrey import (
     RangeError,
     ThermoInput,
     compact_energy,
-    entropy,
-    free_energy,
-    heat_capacity,
-    mean_energy,
-    partition_integral,
     spectral_coefficients,
     thermo_curve,
+    thermo_state,
 )
 from mrey.thermo import (
     heat_capacity_fd,
@@ -34,7 +30,6 @@ from mrey.thermo import (
     log_partition_integral,
     mean_energy_fd,
     partition_discrete,
-    partition_integral_direct,
 )
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
@@ -79,14 +74,16 @@ def test_discrete_sum_overflow_policy():
 
 
 def test_integral_constant_spectrum():
-    z = partition_integral(ThermoInput(FLAT, 5.0, 1.0))
+    z = math.exp(log_partition_integral(ThermoInput(FLAT, 5.0, 1.0)))
     assert z == pytest.approx(5.0 * math.e, rel=1e-12)
-    assert partition_integral(ThermoInput(FLAT, 5.0, 0.0)) == pytest.approx(5.0, rel=1e-14)
+    z0 = math.exp(log_partition_integral(ThermoInput(FLAT, 5.0, 0.0)))
+    assert z0 == pytest.approx(5.0, rel=1e-14)
 
 
 def test_integral_beta_zero_is_lambda():
     for lam in (1.0, 7.5, 100.0):
-        assert partition_integral(ThermoInput(COEFFS, lam, 0.0)) == pytest.approx(lam, rel=1e-12)
+        z0 = math.exp(log_partition_integral(ThermoInput(COEFFS, lam, 0.0)))
+        assert z0 == pytest.approx(lam, rel=1e-12)
 
 
 def test_integral_routes_agree():
@@ -103,14 +100,14 @@ def test_integral_against_plain_quadrature():
     reference, err = quad(lambda n: math.exp(-compact_energy(COEFFS, n)), 0.0, 1.0,
                           epsabs=1e-14, epsrel=1e-12)
     assert err < 1e-12
-    assert partition_integral(inp) == pytest.approx(reference, rel=1e-11)
-    assert partition_integral_direct(inp) == pytest.approx(reference, rel=1e-11)
+    assert math.exp(log_partition_integral(inp)) == pytest.approx(reference, rel=1e-11)
+    assert math.exp(log_partition_direct(inp)) == pytest.approx(reference, rel=1e-11)
 
 
 def test_mean_energy_constant_and_bounds():
-    assert mean_energy(ThermoInput(FLAT, 5.0, 2.0)) == pytest.approx(-1.0, rel=1e-12)
+    assert thermo_state(ThermoInput(FLAT, 5.0, 2.0)).u == pytest.approx(-1.0, rel=1e-12)
     for beta in (0.1, 1.0, 10.0):
-        u = mean_energy(ThermoInput(COEFFS, 5.0, beta))
+        u = thermo_state(ThermoInput(COEFFS, 5.0, beta)).u
         grid = compact_energy(COEFFS, np.linspace(0.0, 5.0, 20001))
         assert grid.min() - 1e-9 <= u <= grid.max() + 1e-9
 
@@ -118,16 +115,16 @@ def test_mean_energy_constant_and_bounds():
 def test_mean_energy_high_temperature_limit():
     # beta -> 0: the weight flattens and U tends to the unweighted average
     lam = 3.0
-    u = mean_energy(ThermoInput(COEFFS, lam, 1e-8))
+    u = thermo_state(ThermoInput(COEFFS, lam, 1e-8)).u
     flat_avg = quad(lambda n: compact_energy(COEFFS, n), 0.0, lam)[0] / lam
     assert u == pytest.approx(flat_avg, rel=1e-6)
 
 
 def test_entropy_constant_spectrum():
     for beta in (0.5, 1.0, 4.0):
-        s = entropy(ThermoInput(FLAT, 5.0, beta))
+        s = thermo_state(ThermoInput(FLAT, 5.0, beta)).s
         assert s == pytest.approx(math.log(5.0), rel=1e-12)
-    assert entropy(ThermoInput(FLAT, 5.0, 1.0), k=2.0) == pytest.approx(
+    assert thermo_state(ThermoInput(FLAT, 5.0, 1.0), k=2.0).s == pytest.approx(
         2.0 * math.log(5.0), rel=1e-12
     )
 
@@ -137,48 +134,46 @@ def test_free_energy_identities():
     # spectrum, where F must vanish
     flat_pos = replace(FLAT, q1=1.0)
     beta_star = math.log(5.0)  # lam e^{-beta q1} = 1 at q1 = 1, lam = 5
-    assert free_energy(ThermoInput(flat_pos, 5.0, beta_star)) == pytest.approx(0.0, abs=1e-12)
-    assert free_energy(ThermoInput(FLAT, 5.0, 2.0)) == pytest.approx(
+    f_star = thermo_state(ThermoInput(flat_pos, 5.0, beta_star)).f
+    assert f_star == pytest.approx(0.0, abs=1e-12)
+    assert thermo_state(ThermoInput(FLAT, 5.0, 2.0)).f == pytest.approx(
         -1.0 - math.log(5.0) / 2.0, rel=1e-12
     )
-    with pytest.raises(DomainError):
-        free_energy(ThermoInput(FLAT, 5.0, 0.0))
+    # F is undefined at beta = 0: reported as None, never a silent NaN
+    state = thermo_state(ThermoInput(FLAT, 5.0, 0.0))
+    assert state.f is None
+    assert state.z == pytest.approx(5.0, rel=1e-14)
 
 
 def test_f_equals_u_minus_ts():
     for lam in (1.0, 20.0, 700.0):
         for beta in (0.1, 1.0, 10.0):
-            inp = ThermoInput(COEFFS, lam, beta)
-            f = free_energy(inp)
-            u = mean_energy(inp)
-            s = entropy(inp)
-            gap = abs(f - (u - s / beta))
-            assert gap <= 1e-9 * max(1.0, abs(f))
+            state = thermo_state(ThermoInput(COEFFS, lam, beta))
+            gap = abs(state.f - (state.u - state.s / beta))
+            assert gap <= 1e-9 * max(1.0, abs(state.f))
 
 
 def test_heat_capacity_constant_spectrum_and_sign():
-    assert heat_capacity(ThermoInput(FLAT, 5.0, 3.0)) == pytest.approx(0.0, abs=1e-12)
+    assert thermo_state(ThermoInput(FLAT, 5.0, 3.0)).c == pytest.approx(0.0, abs=1e-12)
     for lam in (1.0, 20.0, 100.0):
         for beta in (0.1, 1.0, 10.0):
-            assert heat_capacity(ThermoInput(COEFFS, lam, beta)) >= 0.0
+            assert thermo_state(ThermoInput(COEFFS, lam, beta)).c >= 0.0
 
 
 def test_moment_derivatives_match_finite_differences():
     for lam, beta in ((5.0, 0.5), (20.0, 2.0), (100.0, 10.0)):
-        inp = ThermoInput(COEFFS, lam, beta)
-        u = mean_energy(inp)
+        state = thermo_state(ThermoInput(COEFFS, lam, beta))
         u_fd = mean_energy_fd(COEFFS, lam, beta)
-        assert abs(u - u_fd) <= 1e-6 * max(1.0, abs(u))
-        c = heat_capacity(inp)
+        assert abs(state.u - u_fd) <= 1e-6 * max(1.0, abs(state.u))
         c_fd = heat_capacity_fd(COEFFS, lam, beta)
-        assert abs(c - c_fd) <= 1e-6 * max(1.0, abs(c))
+        assert abs(state.c - c_fd) <= 1e-6 * max(1.0, abs(state.c))
 
 
 def test_discrete_approaches_integral_when_smooth():
     # Euler-Maclaurin-scale agreement; the loose 0.5/lambda bound holds on
     # half-integer lambda (end half-cells cancel) at small beta
     for lam, beta in ((20.5, 0.01), (50.5, 0.005), (100.5, 0.001)):
-        zi = partition_integral(ThermoInput(COEFFS, lam, beta))
+        zi = math.exp(log_partition_integral(ThermoInput(COEFFS, lam, beta)))
         zd = partition_discrete(level_energies(COEFFS, lam), beta)
         assert abs(zd - zi) / zi <= 0.5 / lam
 
@@ -189,6 +184,13 @@ def test_extreme_corner_stays_finite():
     ln_z = log_partition_integral(inp)
     assert math.isfinite(ln_z) and ln_z > 1e5
     assert abs(ln_z - log_partition_direct(inp)) <= 1e-9 * ln_z
+
+
+def test_z_overflows_to_inf_while_ln_z_stays_finite():
+    state = thermo_state(ThermoInput(COEFFS, 700.0, 100.0))
+    assert math.isfinite(state.ln_z) and state.ln_z > 1e5
+    assert state.z == math.inf
+    assert all(math.isfinite(v) for v in (state.u, state.s, state.c, state.f))
 
 
 def test_beta_sweep_curve():
@@ -230,3 +232,27 @@ def test_curve_records_per_point_failures():
     assert len(curve.errors) == 1 and curve.errors[0][0] == 0
     assert math.isnan(curve.f[0]) and math.isfinite(curve.f[1])
     assert curve.z[0] == pytest.approx(1.0, rel=1e-12)  # Z(beta=0) = lambda
+
+
+def _assert_columns_match_states(curve, inputs):
+    for i, inp in enumerate(inputs):
+        state = thermo_state(inp)
+        assert (curve.z[i], curve.u[i], curve.s[i], curve.c[i]) == (
+            state.z, state.u, state.s, state.c
+        )
+        if state.f is None:
+            assert math.isnan(curve.f[i])
+        else:
+            assert curve.f[i] == state.f
+
+
+def test_curve_columns_equal_thermo_state():
+    # the sweep is a loop over thermo_state: bit-identical, beta = 0 included
+    betas = np.array([0.0, 0.5, 1.0, 10.0])
+    curve = thermo_curve(COEFFS, "beta", betas, fixed_lambda=0.9)
+    _assert_columns_match_states(curve, [ThermoInput(COEFFS, 0.9, b) for b in betas])
+    assert [i for i, _ in curve.errors] == [0]
+    lams = np.array([0.5, 3.0, 40.0])
+    curve = thermo_curve(COEFFS, "lambda", lams, fixed_beta=2.0)
+    _assert_columns_match_states(curve, [ThermoInput(COEFFS, lam, 2.0) for lam in lams])
+    assert curve.errors == []

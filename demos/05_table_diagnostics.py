@@ -3,8 +3,9 @@
 The level formula obeys a hard bound E <= Q1(l) = (hbar alpha)^2 l(l+1)/(2 mu)
 for every real evaluation, because the energy is Q1 minus a square.  In
 particular every l = 0 entry must be <= 0.  The recovery fitter makes this
-actionable: given tabulated (n, l, E) rows and alpha, it least-squares fits
-the couplings and reports which rows no coupling choice can reach.
+actionable: given tabulated (n, l, E) rows and alpha, it fits the two coupling
+combinations the energies depend on (x1 + x2 and x2 - x3) and reports which
+rows no coupling choice can reach.
 
 Run:  python3 demos/05_table_diagnostics.py
 """

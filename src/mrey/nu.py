@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ComplexBranchError, DomainError, NoRootError
 from .potential import (
@@ -191,6 +190,8 @@ def solve_bound_state(
     and the upper bracket edge is found by doubling.  Raises NoRootError when
     the level is unbound.  This never consults the closed-form spectrum.
     """
+    from scipy.optimize import brentq  # deferred: keeps it out of import mrey
+
     QuantumNumbers(n, l)
     mapping = mrey_mapping(params, consts, l)
     e_scale = (consts.hbar * params.alpha) ** 2 / (2.0 * consts.mu)

@@ -1,23 +1,22 @@
 """Least-squares recovery of potential couplings from an energy table.
 
-Given rows (n, l, E) at a known screening alpha, fit (A1, A2, A3) so the
+Given rows (n, l, E) at a known screening alpha, fit the couplings so the
 closed-form spectrum reproduces the table.  The fit doubles as a diagnostic:
 every level obeys E <= Q1(l) = hbar^2 alpha^2 l(l+1) / (2 mu), and Q1 does
 not involve the couplings, so a row above that bound is unreachable by any
 coupling choice and the report says so instead of pretending the residual
 is merely large.
 
-The optimizer itself is scipy's trust-region least_squares.  Infeasible
-coupling regions (negative delta radicand) are handled by clamping the
-radicand at zero inside the model and adding a smooth one-sided penalty
-per l channel, which pushes iterates back into the physical domain without
-exceptions mid-optimization.
-
-The spectrum constrains the couplings only through the two dimensionless
-combinations x1 + x2 and x2 - x3, so three raw couplings are one gauge
-direction short of identifiable.  A small ridge term selects the
-minimum-norm representative deterministically; the report carries the two
-identifiable combinations alongside the representative couplings.
+The spectrum sees the couplings only through u = x1 + x2 (in delta) and
+v = x2 - x3 (in Q3 = v + l(l+1)), so those two are fitted, as (t, v) with
+t = 2 delta - 1 at the lowest l of the table.  The real-delta domain is then
+the bound t >= 0.  At fixed t each row's rho + Q3/rho is linear in v, so the
+squared-residual sum is a quartic in v whose minima are the outer real roots
+of a cubic.  Both minima are followed along a fixed grid in t, and each
+local minimum of either branch seeds one bounded trust-region polish in
+(t, v); the best polish wins.  The three raw couplings are one gauge
+direction short of identifiable: the report gives the exact minimum-norm
+(A1, A2, A3) for the fitted (u, v), plus u and v themselves.
 """
 
 from __future__ import annotations
@@ -26,31 +25,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DomainError
 from .potential import PhysicalConstants, PotentialParams, QuantumNumbers
 
-# Penalty weight for a negative delta radicand; large against typical
-# energy residuals so the optimum sits in the physical domain.
-_RADICAND_PENALTY = 1e3
-
-# Ridge weight; breaks the gauge degeneracy without disturbing the fit
-# (contributes ~1e-12 |A|^2 to the cost).
-_RIDGE = 1e-6
-
-# Deterministic multi-start points in (A1, A2, A3); the cost surface has
-# local minima when rows conflict, one start is not enough.
-_STARTS = (
-    (0.0, 0.0, 1.0),
-    (0.0, 0.0, 0.1),
-    (0.1, 0.1, 0.1),
-    (0.0, 0.5, 0.0),
-    (0.5, 0.0, 0.0),
-    (-0.1, 0.1, 0.5),
-    (0.2, -0.2, 1.0),
-    (1.0, 1.0, 1.0),
-)
+# t = 2 delta - 1 at the lowest l of the table is scanned on this grid; each
+# local minimum of the best v along it seeds one polish in (t, v).
+_T_GRID = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 121)))
 
 
 @dataclass(frozen=True)
@@ -87,43 +68,14 @@ def channel_bound(l: int, alpha: float, consts: PhysicalConstants) -> float:
     return (consts.hbar * alpha) ** 2 * l * (l + 1) / (2.0 * consts.mu)
 
 
-def _row_arrays(rows):
-    """(n, l(l+1), index of the first row of each distinct l by ascending l)."""
-    ls = np.array([row.l for row in rows])
-    _, first = np.unique(ls, return_index=True)
-    n = np.array([row.n for row in rows], dtype=float)
-    return n, (ls * (ls + 1)).astype(float), first
-
-
-def _model_energies(x, n, ll1, first, alpha, consts):
-    """Closed-form E for each row with the radicand clamped at zero.
-
-    Rows come as the arrays of _row_arrays.  Returns (energies, penalties)
-    where penalties hold one entry per distinct l, zero inside the physical
-    domain.
-    """
-    a1, a2, a3 = x
-    h2a2 = (consts.hbar * alpha) ** 2
-    x1 = 2.0 * consts.mu * a1 / h2a2
-    x2 = 2.0 * consts.mu * a2 / h2a2
-    x3 = 2.0 * consts.mu * a3 / (consts.hbar**2 * alpha)
-    q2 = h2a2 / (8.0 * consts.mu)
-
-    radicand = 1.0 + 4.0 * ll1 - 4.0 * x1 - 4.0 * x2
-    penalties = _RADICAND_PENALTY * np.maximum(0.0, -radicand[first])
-    rho = n + (0.5 + 0.5 * np.sqrt(np.maximum(radicand, 0.0)))
-    q1 = h2a2 * ll1 / (2.0 * consts.mu)
-    q3 = x2 - x3 + ll1
-    return q1 - q2 * (rho + q3 / rho) ** 2, penalties
-
-
 def fit_couplings(
     rows,
     alpha: float,
     consts: PhysicalConstants = PhysicalConstants(),
-    starts=_STARTS,
 ) -> RecoveryReport:
-    """Fit (A1, A2, A3) to table rows at fixed alpha; best of all starts."""
+    """Fit the table at fixed alpha; report the minimum-norm (A1, A2, A3)."""
+    from scipy.optimize import least_squares  # deferred: keeps it out of import mrey
+
     rows = tuple(
         r if isinstance(r, TableRow) else TableRow(int(r[0]), int(r[1]), float(r[2]))
         for r in rows
@@ -134,22 +86,50 @@ def fit_couplings(
         raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
 
     targets = np.array([r.energy for r in rows])
-    arrays = _row_arrays(rows)
+    n = np.array([r.n for r in rows], dtype=float)
+    ll1 = np.array([r.l * (r.l + 1) for r in rows], dtype=float)
+    gap = 4.0 * (ll1 - ll1.min())  # radicand at each row's l minus t^2
+    h2a2 = (consts.hbar * alpha) ** 2
+    q1 = h2a2 * ll1 / (2.0 * consts.mu)
+    q2 = h2a2 / (8.0 * consts.mu)
+    y = (q1 - targets) / q2  # a row is fitted exactly when (a + b v)^2 = y
 
-    def residual_vec(x):
-        energies, penalties = _model_energies(x, *arrays, alpha, consts)
-        return np.concatenate([energies - targets, penalties, _RIDGE * np.asarray(x)])
+    def linear_in_v(t):
+        """(a, b) with rho + Q3/rho = a + b v for each row, per t."""
+        rho = n + 0.5 + 0.5 * np.sqrt(np.square(t)[..., None] + gap)
+        return rho + ll1 / rho, 1.0 / rho
+
+    def residual_vec(p):
+        """Closed-form energy of every row at (t, v) = p, minus its target."""
+        a, b = linear_in_v(p[0])
+        return q1 - q2 * (a + b * p[1]) ** 2 - targets
+
+    # sum((a + b v)^2 - y)^2 is a quartic in v; its minima are the outer
+    # real roots of its derivative's cubic.
+    a, b = linear_in_v(_T_GRID)
+    terms = [b**4, 3.0 * a * b**3, (3.0 * a**2 - y) * b**2, (a**2 - y) * a * b]
+    branches = np.empty((2, _T_GRID.size))
+    for i, coefficients in enumerate(np.sum(terms, axis=2).T):
+        roots = np.roots(coefficients)
+        real = roots.real[roots.imag == 0.0]
+        branches[:, i] = real.min(), real.max()
+    costs = np.sum(((a + b * branches[..., None]) ** 2 - y) ** 2, axis=2)
 
     best = None
-    for x0 in starts:
-        result = least_squares(residual_vec, x0, method="trf", xtol=1e-14)
-        if best is None or result.cost < best.cost:
-            best = result
+    for v, cost in zip(branches, costs):
+        falls = np.r_[True, cost[1:] < cost[:-1]]
+        rises = np.r_[cost[:-1] <= cost[1:], True]
+        for i in np.nonzero(falls & rises)[0]:
+            result = least_squares(
+                residual_vec, (_T_GRID[i], v[i]), bounds=([0.0, -np.inf], np.inf),
+                xtol=1e-15, gtol=1e-15,
+            )
+            if best is None or result.cost < best.cost:
+                best = result
 
-    fitted, _ = _model_energies(best.x, *arrays, alpha, consts)
-    residuals = fitted - targets
+    residuals = best.fun
+    fitted = targets + residuals
     rms = float(np.sqrt(np.mean(residuals**2)))
-
     infeasible = tuple(
         i
         for i, r in enumerate(rows)
@@ -168,22 +148,24 @@ def fit_couplings(
             f"best rms {rms:.3e}"
         )
 
-    h2a2 = (consts.hbar * alpha) ** 2
-    x1 = 2.0 * consts.mu * float(best.x[0]) / h2a2
-    x2 = 2.0 * consts.mu * float(best.x[1]) / h2a2
-    x3 = 2.0 * consts.mu * float(best.x[2]) / (consts.hbar**2 * alpha)
+    # (x1 + x2, x2 - x3) = (u, v) fixes (A1, A2, A3) up to the gauge
+    # direction (-c3, c3, c12); lstsq returns the minimum-norm solution.
+    t, v = best.x
+    u = 0.25 + ll1.min() - 0.25 * t * t
+    c12 = 2.0 * consts.mu / h2a2
+    c3 = 2.0 * consts.mu / (consts.hbar**2 * alpha)
+    matrix = [[c12, c12, 0.0], [0.0, c12, -c3]]
+    couplings = np.linalg.lstsq(matrix, [u, v], rcond=None)[0]
     return RecoveryReport(
-        params=PotentialParams(
-            a1=float(best.x[0]), a2=float(best.x[1]), a3=float(best.x[2]), alpha=alpha
-        ),
+        params=PotentialParams(*(float(c) for c in couplings), alpha=alpha),
         alpha=alpha,
         rows=rows,
         fitted=tuple(float(e) for e in fitted),
         residuals=tuple(float(e) for e in residuals),
         rms=rms,
         max_abs_residual=float(np.max(np.abs(residuals))),
-        x1_plus_x2=x1 + x2,
-        x2_minus_x3=x2 - x3,
+        x1_plus_x2=float(u),
+        x2_minus_x3=float(v),
         infeasible_rows=infeasible,
         feasible=feasible,
         converged=bool(best.success),

@@ -51,6 +51,9 @@ _TAIL_DOUBLINGS = 64
 # with s <= e^{-10} its Taylor terms past the 32nd are below double precision
 # for zeta up to ~4e4.
 _TAIL_EXTRA_NODES = 16
+# count_nodes evaluates psi on at most this many grid points at a time, so
+# its memory does not grow with the grid.
+_NODE_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -413,14 +416,24 @@ def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
             f"{grid.size} points over alpha*r span {span:g} is under "
             "1000 points per unit"
         )
-    values = wave.psi(grid)
-    signs = np.sign(values)
-    nonzero_idx = np.nonzero(signs)[0]
-    signs_nz = signs[nonzero_idx]
-    change_pos = np.nonzero(signs_nz[1:] != signs_nz[:-1])[0]
-    if change_pos.size > 1 and np.min(np.diff(nonzero_idx[change_pos])) < 3:
-        raise ResolutionError("two sign changes within three samples; refine the grid")
-    return int(change_pos.size)
+    # psi is evaluated chunk by chunk; the last nonzero sample and the last
+    # change carry over, so the count and the gap test see the whole grid.
+    carried_idx, carried_sign = np.empty(0, dtype=np.intp), np.empty(0)
+    last_change = np.empty(0, dtype=np.intp)
+    changes = 0
+    for start in range(0, grid.size, _NODE_CHUNK):
+        signs = np.sign(wave.psi(grid[start:start + _NODE_CHUNK]))
+        nonzero = np.nonzero(signs)[0]
+        idx = np.concatenate([carried_idx, nonzero + start])
+        sign = np.concatenate([carried_sign, signs[nonzero]])
+        before_change = idx[:-1][sign[1:] != sign[:-1]]  # nonzero sample before it
+        changed = np.concatenate([last_change, before_change])
+        if np.any(np.diff(changed) < 3):
+            raise ResolutionError("two sign changes within three samples; refine the grid")
+        changes += before_change.size
+        last_change = changed[-1:]
+        carried_idx, carried_sign = idx[-1:], sign[-1:]
+    return changes
 
 
 def _stiffness(wave: RadialWave, r, screened: bool):

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrey import (
     DomainError,
@@ -17,6 +18,7 @@ from mrey import (
     PotentialParams,
     energy,
     fit_couplings,
+    spectrum_table,
 )
 from mrey.recovery import TableRow, channel_bound
 
@@ -91,3 +93,88 @@ def test_fit_input_validation():
     # plain (n, l, E) triples are accepted and coerced
     report = fit_couplings([(0, 0, -0.28125), (1, 0, -0.02)], alpha=0.5, consts=CONSTS)
     assert report.converged
+
+
+def _from_x(x1, x2, x3, alpha):
+    """Couplings with dimensionless (x1, x2, x3) at hbar = mu = 1."""
+    return PotentialParams(x1 * alpha**2 / 2, x2 * alpha**2 / 2, x3 * alpha / 2, alpha)
+
+
+def _valid_rows(params, n_max=5, l_max=3):
+    return [
+        (r.n, r.l, r.energy)
+        for r in spectrum_table(params, CONSTS, n_max, l_max).rows
+        if r.valid_bound_state
+    ]
+
+
+def _assert_recovers(rows, x1, x2, x3, alpha):
+    report = fit_couplings(rows, alpha=alpha, consts=CONSTS)
+    assert report.converged and report.feasible
+    assert report.x1_plus_x2 == pytest.approx(x1 + x2, abs=1e-6)
+    assert report.x2_minus_x3 == pytest.approx(x2 - x3, abs=1e-6)
+    return report
+
+
+@pytest.mark.parametrize(
+    "x", [(0.01, -0.02, 200.0, 0.1), (0.03, -0.04, 22600.0, 0.0232)]
+)
+def test_deep_wells_are_recovered(x):
+    # the 8-start fit in (A1, A2, A3) landed in wrong minima on both
+    rows = _valid_rows(_from_x(*x))
+    assert len(rows) == 24
+    _assert_recovers(rows, *x)
+
+
+def test_one_row_per_l_of_a_deep_well():
+    # one level per channel: the fit sits on the lower of the two minima in
+    # v, and following only the upper one misses it
+    x = (-15.8, -19.6, 4470.0, 0.015)
+    params = _from_x(*x)
+    rows = [(2, l, energy(params, CONSTS, 2, l).energy) for l in range(4)]
+    _assert_recovers(rows, *x)
+
+
+def test_best_fit_of_a_perturbed_table_on_the_upper_v_branch():
+    # +-1% on alternate rows: no coupling fits, and the best fit has
+    # x2 - x3 ~ +5255, on the upper of the two minima in v (the lower one
+    # gives rms 1.013); the optimum came from a dense (u, v) grid and a
+    # Nelder-Mead polish, independent of the fitter
+    x1, x2, x3, alpha = -15.5, -9.2, 5594.0, 0.038
+    rows = [
+        (n, l, e * (1 + 0.01 * (-1) ** i))
+        for i, (n, l, e) in enumerate(_valid_rows(_from_x(x1, x2, x3, alpha), 3, 1))
+    ]
+    assert len(rows) == 8
+    report = fit_couplings(rows, alpha=alpha, consts=CONSTS)
+    assert report.rms == pytest.approx(0.98852465353584, rel=1e-9)
+    assert report.x2_minus_x3 > 0.0
+
+
+def test_couplings_are_minimum_norm():
+    # (-c3, c3, c12) moves (A1, A2, A3) without changing x1 + x2 or x2 - x3,
+    # so the minimum-norm couplings are orthogonal to it
+    alpha = 0.4
+    truth = PotentialParams(0.005, 0.002, 1.2, alpha)
+    rows = [(n, l, energy(truth, CONSTS, n, l).energy) for n in range(4) for l in range(3)]
+    p = fit_couplings(rows, alpha=alpha, consts=CONSTS).params
+    c12, c3 = 2.0 / alpha**2, 2.0 / alpha
+    gauge = np.array([-c3, c3, c12])
+    couplings = np.array([p.a1, p.a2, p.a3])
+    cosine = couplings @ gauge / (np.linalg.norm(couplings) * np.linalg.norm(gauge))
+    assert abs(cosine) <= 1e-12
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    x1=st.floats(-0.05, 0.05),
+    x2=st.floats(-0.05, 0.05),
+    log_a3=st.floats(0.0, math.log(316.0)),
+    alpha=st.floats(0.01, 0.5),
+)
+def test_round_trip_sweep(x1, x2, log_a3, alpha):
+    x3 = 2.0 * math.exp(log_a3) / alpha
+    rows = _valid_rows(_from_x(x1, x2, x3, alpha))
+    if len(rows) < 3:
+        return
+    _assert_recovers(rows, x1, x2, x3, alpha)

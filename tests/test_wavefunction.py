@@ -23,6 +23,7 @@ from mrey import (
     energy,
     spectral_coefficients,
 )
+from mrey import wavefunction
 from mrey.verification import _recheck_norm
 from mrey.wavefunction import JacobiParams, jacobi_eval, normalize, ode_residual, overlap_matrix
 
@@ -150,6 +151,65 @@ def test_node_counts_match_quantum_number():
         assert level.valid_bound_state
         wave = build_wave(DEEP_YUKAWA, CONSTS, level)
         assert count_nodes(wave, default_node_grid(wave)) == n
+
+
+# count_nodes probes: the first raises ResolutionError on its default grid,
+# the second counts 0 nodes at n = 1
+NODE_PROBES = (
+    (PotentialParams(9.841691298364683e-08, -2.2338228310324652e-07,
+                     91.79960954609237, 0.011497931669835109), 4, 0),
+    (PotentialParams(1.9555538494703054e-05, -2.589938200401326e-05,
+                     82.30161341989387, 0.03235739230426554), 1, 0),
+)
+
+
+def _nodes_or_error(wave, grid):
+    try:
+        return count_nodes(wave, grid)
+    except ResolutionError:
+        return ResolutionError
+
+
+@pytest.mark.parametrize("chunk", [5, 64])
+def test_node_count_is_independent_of_chunking(monkeypatch, chunk):
+    well = PotentialParams(0.0, 0.0, 20.0, 0.5)
+    cases = [(well, n, l) for n, l in ((0, 0), (2, 0), (5, 0), (3, 1), (2, 2))]
+    counts = []
+    for params, n, l in cases + list(NODE_PROBES):
+        wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
+        grid = default_node_grid(wave)
+        monkeypatch.setattr(wavefunction, "_NODE_CHUNK", grid.size)
+        whole = _nodes_or_error(wave, grid)
+        monkeypatch.setattr(wavefunction, "_NODE_CHUNK", chunk)
+        assert _nodes_or_error(wave, grid) == whole
+        counts.append(whole)
+    # the probes' faults are reproduced, not mended
+    assert counts == [0, 2, 5, 3, 2, ResolutionError, 0]
+
+
+class _SignPattern:
+    """Stands in for a wave whose psi takes the given values on GRID."""
+
+    GRID = np.arange(1, 13) * 1e-4
+    params = PotentialParams(0.0, 0.0, 1.0, 1.0)
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+
+    def psi(self, r):
+        return self.values[np.rint(r * 1e4).astype(int) - 1]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 64])
+def test_chunks_carry_the_last_sign_and_change(monkeypatch, chunk):
+    monkeypatch.setattr(wavefunction, "_NODE_CHUNK", chunk)
+    # changes after samples 3 and 4 are within three samples
+    close = _SignPattern([1, 1, 1, 1, -1, 1, 1, 1, 1, 1, 1, 1])
+    with pytest.raises(ResolutionError):
+        count_nodes(close, close.GRID)
+    # zero samples do not count as a change and do not hide one
+    spaced = _SignPattern([1, 1, 1, -1, 0, 0, -1, -1, 0, 1, 1, 1])
+    assert count_nodes(spaced, spaced.GRID) == 2
 
 
 def test_node_grid_validation():

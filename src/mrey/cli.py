@@ -5,7 +5,7 @@ Configuration is layered: built-in defaults, then an optional config file
 (flat ``key = value`` lines), then command-line flags.  Output files are
 written deterministically (fixed field order, 17 significant digits, LF
 line endings, no timestamps), so identical configs produce byte-identical
-files.
+files.  ``verify`` runs on fixed inputs and takes no options.
 
 Exit codes: 0 success, 2 invalid config or parameters, 3 numerical or IO
 failure, 64 usage error.  ``verify`` exits 1 when any check fails.
@@ -19,34 +19,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MreyError, NumericalError
+from .errors import ConfigError, DomainError, MreyError
 from .potential import PhysicalConstants, PotentialParams, spectral_coefficients
 from .recovery import fit_couplings
 from .spectrum import energy, lambda_max, spectrum_table
 from .thermo import thermo_curve
 from .wavefunction import build_wave
-
-# Stable defaults; golden-file tests depend on these.
-_DEFAULTS = {
-    "hbar": 1.0,
-    "mu": 1.0,
-    "k": 1.0,
-    "a1": 0.0,
-    "a2": 0.0,
-    "a3": 1.0,
-    "alpha": 0.5,
-    "n_max": 5,
-    "l_max": 3,
-    "beta_grid": tuple(np.geomspace(0.1, 100.0, 20)),
-    "lambda_grid": tuple(np.linspace(1.0, 100.0, 34)),
-    "lambda_fixed": None,
-    "output_dir": "out",
-    "format": "csv",
-}
 
 # Canonical screening values for the table command when none are requested.
 _TABLE_ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -62,20 +45,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    constants: PhysicalConstants
-    potential: PotentialParams
-    n_max: int
-    l_max: int
-    beta_grid: tuple
-    lambda_grid: tuple
-    lambda_fixed: float | None
-    output_dir: str
-    format: str
-    file_keys: frozenset = frozenset()  # keys the config file set explicitly
 
 
 def _convert_float(key, raw, where):
@@ -97,7 +66,6 @@ def _convert_int(key, raw, where):
 
 def _convert_grid(key, raw, where):
     """Comma list, or lin:start:stop:num / log:start:stop:num shorthand."""
-    raw = raw.strip()
     if raw.startswith(("lin:", "log:")):
         parts = raw.split(":")
         if len(parts) != 4:
@@ -126,25 +94,35 @@ def _convert_grid(key, raw, where):
     return grid
 
 
-def _convert_value(key, raw, where):
-    if key in ("hbar", "mu", "k", "a1", "a2", "a3", "alpha"):
-        return _convert_float(key, raw, where)
-    if key in ("n_max", "l_max"):
-        return _convert_int(key, raw, where)
-    if key in ("beta_grid", "lambda_grid"):
-        return _convert_grid(key, raw, where)
-    if key == "lambda_fixed":
-        if raw.strip().lower() in ("none", ""):
-            return None
-        return _convert_float(key, raw, where)
-    if key == "output_dir":
-        return raw.strip()
-    if key == "format":
-        fmt = raw.strip().lower()
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"{where}: key 'format' must be csv or json, got {raw!r}")
-        return fmt
-    raise ConfigError(f"{where}: unknown key {key!r}")
+def _convert_optional_float(key, raw, where):
+    return None if raw.lower() in ("none", "") else _convert_float(key, raw, where)
+
+
+def _convert_format(key, raw, where):
+    if raw.lower() not in ("csv", "json"):
+        raise ConfigError(f"{where}: key 'format' must be csv or json, got {raw!r}")
+    return raw.lower()
+
+
+# Every configuration key: its built-in default (golden-file tests depend on
+# these) and the parser of its config-file value.  Flags of the same name
+# override both.
+_KEYS = {
+    "hbar": (1.0, _convert_float),
+    "mu": (1.0, _convert_float),
+    "k": (1.0, _convert_float),
+    "a1": (0.0, _convert_float),
+    "a2": (0.0, _convert_float),
+    "a3": (1.0, _convert_float),
+    "alpha": (0.5, _convert_float),
+    "n_max": (5, _convert_int),
+    "l_max": (3, _convert_int),
+    "beta_grid": (tuple(np.geomspace(0.1, 100.0, 20)), _convert_grid),
+    "lambda_grid": (tuple(np.linspace(1.0, 100.0, 34)), _convert_grid),
+    "lambda_fixed": (None, _convert_optional_float),
+    "output_dir": ("out", lambda key, raw, where: raw),
+    "format": ("csv", _convert_format),
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -163,13 +141,13 @@ def parse_config_text(text: str) -> dict:
         if not key:
             raise ConfigError(f"line {lineno}, column 1: missing key before '='")
         key_col = line.index(key) + 1
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}, column {key_col}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}, column {key_col}: duplicate key {key!r}")
         value_col = len(key_part) + 2 + (len(value_part) - len(value_part.lstrip()))
         where = f"line {lineno}, column {value_col}"
-        values[key] = _convert_value(key, value_part.strip(), where)
+        values[key] = _KEYS[key][1](key, value_part.strip(), where)
     return values
 
 
@@ -182,47 +160,31 @@ def load_config(path: str) -> dict:
     return parse_config_text(text)
 
 
-def build_config(file_values: dict, flag_values: dict) -> RunConfig:
-    """Layer defaults <- file <- flags and validate the result."""
-    merged = dict(_DEFAULTS)
+def build_config(file_values: dict, flag_values: dict) -> SimpleNamespace:
+    """Layer defaults <- file <- flags (None flags skipped) and validate.
+
+    The result has an attribute per key of _KEYS, plus ``constants``,
+    ``potential`` and ``file_keys`` (the keys the config file set).
+    """
+    merged = {key: default for key, (default, _) in _KEYS.items()}
     merged.update(file_values)
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
+    merged.update((key, value) for key, value in flag_values.items() if value is not None)
     if merged["n_max"] < 0 or merged["l_max"] < 0:
         raise ConfigError("n_max and l_max must be >= 0")
-    for beta in merged["beta_grid"]:
-        if beta < 0.0:
-            raise ConfigError("beta_grid values must be >= 0")
-    for lam in merged["lambda_grid"]:
-        if lam <= 0.0:
-            raise ConfigError("lambda_grid values must be > 0")
-    return RunConfig(
+    if any(beta < 0.0 for beta in merged["beta_grid"]):
+        raise ConfigError("beta_grid values must be >= 0")
+    if any(lam <= 0.0 for lam in merged["lambda_grid"]):
+        raise ConfigError("lambda_grid values must be > 0")
+    return SimpleNamespace(
+        **merged,
         constants=PhysicalConstants(
             hbar=merged["hbar"], mu=merged["mu"], k_boltzmann=merged["k"]
         ),
         potential=PotentialParams(
             a1=merged["a1"], a2=merged["a2"], a3=merged["a3"], alpha=merged["alpha"]
         ),
-        n_max=merged["n_max"],
-        l_max=merged["l_max"],
-        beta_grid=tuple(merged["beta_grid"]),
-        lambda_grid=tuple(merged["lambda_grid"]),
-        lambda_fixed=merged["lambda_fixed"],
-        output_dir=merged["output_dir"],
-        format=merged["format"],
         file_keys=frozenset(file_values),
     )
-
-
-def _format_field(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
 
 
 def _json_field(value):
@@ -235,13 +197,30 @@ def _json_field(value):
     return value
 
 
-def write_output(header, rows, fmt: str, path: str) -> None:
-    """CSV (17 significant digits, LF endings) or JSON with the same fields."""
-    if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_format_field(v) for v in row))
-        body = "\n".join(lines) + "\n"
+def _csv_field(value) -> str:
+    value = _json_field(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _write_text(path: str, body: str) -> str:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(body)
+    print(path)
+    return path
+
+
+def write_output(cfg, stem: str, header, rows) -> str:
+    """Write ``<output_dir>/<stem>.<format>`` and print its path.
+
+    CSV has 17 significant digits and LF endings; JSON has the same fields.
+    """
+    if cfg.format == "csv":
+        lines = [header] + [[_csv_field(v) for v in row] for row in rows]
+        body = "".join(",".join(line) + "\n" for line in lines)
     else:
         payload = {
             "fields": list(header),
@@ -250,79 +229,62 @@ def write_output(header, rows, fmt: str, path: str) -> None:
             ],
         }
         body = json.dumps(payload, indent=2) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(body)
-
-
-def _out_path(cfg: RunConfig, stem: str) -> str:
     os.makedirs(cfg.output_dir, exist_ok=True)
-    ext = ".csv" if cfg.format == "csv" else ".json"
-    return os.path.join(cfg.output_dir, stem + ext)
+    return _write_text(os.path.join(cfg.output_dir, f"{stem}.{cfg.format}"), body)
 
 
-def _full_table(cfg: RunConfig, params: PotentialParams):
-    """Spectrum rows for the whole (n, l) range; any failed channel is fatal."""
+def _write_levels(cfg, params: PotentialParams, stem: str, wide: bool = False) -> None:
+    """Write the spectrum for the whole (n, l) range; any failed channel is fatal.
+
+    Long layout: one (n, l, E, valid) row per level.  Wide layout
+    (``<stem>_wide``): one row per n with an energy column per l.
+    """
     table = spectrum_table(params, cfg.constants, cfg.n_max, cfg.l_max)
     if table.errors:
         l, message = sorted(table.errors.items())[0]
         raise DomainError(f"channel l = {l} has no spectrum: {message}")
-    return sorted(table.rows, key=lambda row: (row.n, row.l))
+    rows = sorted(table.rows, key=lambda row: (row.n, row.l))
+    if not wide:
+        write_output(cfg, stem, ["n", "l", "E", "valid"],
+                     [(r.n, r.l, r.energy, r.valid_bound_state) for r in rows])
+        return
+    by_key = {(r.n, r.l): r.energy for r in rows}
+    ls = range(cfg.l_max + 1)
+    write_output(cfg, f"{stem}_wide", ["n"] + [f"E_l{l}" for l in ls],
+                 [[n] + [by_key[n, l] for l in ls] for n in range(cfg.n_max + 1)])
 
 
-def cmd_table(cfg: RunConfig, args) -> int:
-    if args.alpha:
-        alphas = tuple(args.alpha)
+def cmd_table(cfg, args) -> int:
+    if args.alphas:
+        alphas = args.alphas
     elif "alpha" in cfg.file_keys:
         alphas = (cfg.potential.alpha,)
     else:
         alphas = _TABLE_ALPHAS
     for alpha in alphas:
-        params = replace(cfg.potential, alpha=alpha)
-        rows = _full_table(cfg, params)
-        tag = format(alpha, "g")
-        if args.wide:
-            header = ["n"] + [f"E_l{l}" for l in range(cfg.l_max + 1)]
-            by_key = {(r.n, r.l): r.energy for r in rows}
-            out_rows = [
-                [n] + [by_key[(n, l)] for l in range(cfg.l_max + 1)]
-                for n in range(cfg.n_max + 1)
-            ]
-            path = _out_path(cfg, f"table_alpha{tag}_wide")
-        else:
-            header = ["n", "l", "E", "valid"]
-            out_rows = [(r.n, r.l, r.energy, r.valid_bound_state) for r in rows]
-            path = _out_path(cfg, f"table_alpha{tag}")
-        write_output(header, out_rows, cfg.format, path)
-        print(path)
+        _write_levels(cfg, replace(cfg.potential, alpha=alpha), f"table_alpha{alpha:g}",
+                      args.wide)
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig, args) -> int:
+def cmd_spectrum(cfg, args) -> int:
     if (args.n is None) != (args.l is None):
         raise _UsageError("spectrum needs both --n and --l, or neither")
-    if args.n is not None:
-        level = energy(cfg.potential, cfg.constants, args.n, args.l)
-        if level.valid_bound_state:
-            status = "valid"
-        elif level.marginal:
-            status = "marginal"
-        else:
-            status = "invalid"
-        print(f"E = {level.energy:.12g}, {status}")
+    if args.n is None:
+        _write_levels(cfg, cfg.potential, "spectrum")
         return 0
-    rows = _full_table(cfg, cfg.potential)
-    path = _out_path(cfg, "spectrum")
-    write_output(
-        ["n", "l", "E", "valid"],
-        [(r.n, r.l, r.energy, r.valid_bound_state) for r in rows],
-        cfg.format,
-        path,
-    )
-    print(path)
+    level = energy(cfg.potential, cfg.constants, args.n, args.l)
+    if level.valid_bound_state:
+        status = "valid"
+    elif level.marginal:
+        status = "marginal"
+    else:
+        status = "invalid"
+    print(f"E = {level.energy:.12g}, {status}")
     return 0
 
 
-def cmd_wavefunction(cfg: RunConfig, args) -> int:
+def cmd_wavefunction(cfg, args) -> int:
     n = args.n if args.n is not None else 0
     l = args.l if args.l is not None else 0
     level = energy(cfg.potential, cfg.constants, n, l)
@@ -334,43 +296,34 @@ def cmd_wavefunction(cfg: RunConfig, args) -> int:
     if not (math.isfinite(r_max) and r_max > 0.0):
         raise ConfigError(f"r_max must be positive and finite, got {r_max!r}")
     grid = np.linspace(r_max / points, r_max, points)
-    psi = wave.psi(grid)
-    path = _out_path(cfg, f"wavefunction_n{n}_l{l}")
-    write_output(["r", "psi"], list(zip(grid, psi)), cfg.format, path)
-    print(path)
+    write_output(cfg, f"wavefunction_n{n}_l{l}", ["r", "psi"], list(zip(grid, wave.psi(grid))))
     return 0
 
 
-def _figures_grids(cfg: RunConfig, args):
-    beta_flags = (args.beta_min, args.beta_max, args.beta_points)
-    if any(v is not None for v in beta_flags):
-        bmin = args.beta_min if args.beta_min is not None else cfg.beta_grid[0]
-        bmax = args.beta_max if args.beta_max is not None else cfg.beta_grid[-1]
-        bnum = args.beta_points if args.beta_points is not None else len(cfg.beta_grid)
-        if bmin <= 0.0 or bmax <= bmin or bnum < 2:
-            raise ConfigError("beta sweep needs 0 < beta-min < beta-max and >= 2 points")
-        beta_grid = tuple(float(v) for v in np.geomspace(bmin, bmax, bnum))
-    else:
-        beta_grid = cfg.beta_grid
-    lam_flags = (args.lambda_min, args.lambda_max, args.lambda_points)
-    if any(v is not None for v in lam_flags):
-        lmin = args.lambda_min if args.lambda_min is not None else cfg.lambda_grid[0]
-        lmax = args.lambda_max if args.lambda_max is not None else cfg.lambda_grid[-1]
-        lnum = args.lambda_points if args.lambda_points is not None else len(cfg.lambda_grid)
-        if lmin <= 0.0 or lmax <= lmin or lnum < 2:
-            raise ConfigError("lambda sweep needs 0 < lambda-min < lambda-max and >= 2 points")
-        lambda_grid = tuple(float(v) for v in np.linspace(lmin, lmax, lnum))
-    else:
-        lambda_grid = cfg.lambda_grid
-    return beta_grid, lambda_grid
+def _sweep_grid(args, name: str, grid: tuple, spacing) -> tuple:
+    """The grid of one figures sweep (``name`` is beta or lambda).
+
+    The config grid, unless a --<name>-min/-max/-points flag is given: then
+    ``spacing(min, max, points)``, each missing flag taken from the config
+    grid's ends and length.
+    """
+    flags = [getattr(args, f"{name}_{end}") for end in ("min", "max", "points")]
+    if flags == [None, None, None]:
+        return grid
+    lo, hi, num = (given if given is not None else default
+                   for given, default in zip(flags, (grid[0], grid[-1], len(grid))))
+    if lo <= 0.0 or hi <= lo or num < 2:
+        raise ConfigError(f"{name} sweep needs 0 < {name}-min < {name}-max and >= 2 points")
+    return tuple(float(v) for v in spacing(lo, hi, num))
 
 
 _FIGURE_QUANTITIES = ("z", "u", "s", "c", "f")
 _THERMO_HEADER = ["beta", "lambda", "Z", "U", "S", "F", "C"]
 
 
-def cmd_figures(cfg: RunConfig, args) -> int:
-    beta_grid, lambda_grid = _figures_grids(cfg, args)
+def cmd_figures(cfg, args) -> int:
+    beta_grid = _sweep_grid(args, "beta", cfg.beta_grid, np.geomspace)
+    lambda_grid = _sweep_grid(args, "lambda", cfg.lambda_grid, np.linspace)
     coeffs = spectral_coefficients(cfg.potential, cfg.constants, l=0)
     if cfg.lambda_fixed is not None:
         lam_fixed = cfg.lambda_fixed
@@ -382,32 +335,19 @@ def cmd_figures(cfg: RunConfig, args) -> int:
                 "set lambda_fixed explicitly"
             )
     k = cfg.constants.k_boltzmann
-    beta_curve = thermo_curve(
-        coeffs, "beta", beta_grid, fixed_lambda=lam_fixed, k=k
+    curves = (
+        thermo_curve(coeffs, "beta", beta_grid, fixed_lambda=lam_fixed, k=k),
+        thermo_curve(coeffs, "lambda", lambda_grid, fixed_beta=beta_grid[0], k=k),
     )
-    lambda_curve = thermo_curve(
-        coeffs, "lambda", lambda_grid, fixed_beta=beta_grid[0], k=k
-    )
-
-    def curve_rows(curve):
-        rows = []
-        for i, g in enumerate(curve.grid):
-            beta = g if curve.sweep == "beta" else curve.fixed_beta
-            lam = g if curve.sweep == "lambda" else curve.fixed_lambda
-            rows.append(
-                (beta, lam, curve.z[i], curve.u[i], curve.s[i], curve.f[i], curve.c[i])
-            )
-        return rows
-
-    written = []
-    for index, quantity in enumerate(_FIGURE_QUANTITIES, start=1):
-        path = _out_path(cfg, f"fig{index:02d}_{quantity}_vs_beta")
-        write_output(_THERMO_HEADER, curve_rows(beta_curve), cfg.format, path)
-        written.append(path)
-    for index, quantity in enumerate(_FIGURE_QUANTITIES, start=6):
-        path = _out_path(cfg, f"fig{index:02d}_{quantity}_vs_lambda")
-        write_output(_THERMO_HEADER, curve_rows(lambda_curve), cfg.format, path)
-        written.append(path)
+    files = []
+    for first, curve in zip((1, 6), curves):
+        size = len(curve.grid)
+        betas = curve.grid if curve.sweep == "beta" else [curve.fixed_beta] * size
+        lams = curve.grid if curve.sweep == "lambda" else [curve.fixed_lambda] * size
+        rows = list(zip(betas, lams, curve.z, curve.u, curve.s, curve.f, curve.c))
+        for index, quantity in enumerate(_FIGURE_QUANTITIES, start=first):
+            stem = f"fig{index:02d}_{quantity}_vs_{curve.sweep}"
+            files.append(os.path.basename(write_output(cfg, stem, _THERMO_HEADER, rows)))
 
     sidecar = {
         "constants": {
@@ -427,15 +367,10 @@ def cmd_figures(cfg: RunConfig, args) -> int:
         "lambda_fixed": lam_fixed,
         "lambda_sweep_beta": beta_grid[0],
         "format": cfg.format,
-        "files": [os.path.basename(p) for p in written],
+        "files": files,
     }
-    sidecar_path = os.path.join(cfg.output_dir, "figures_config.json")
-    with open(sidecar_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
-    written.append(sidecar_path)
-    for path in written:
-        print(path)
+    _write_text(os.path.join(cfg.output_dir, "figures_config.json"),
+                json.dumps(sidecar, indent=2) + "\n")
     return 0
 
 
@@ -465,7 +400,7 @@ def _read_table_csv(path: str):
     return rows
 
 
-def cmd_recover(cfg: RunConfig, args) -> int:
+def cmd_recover(cfg, args) -> int:
     rows = _read_table_csv(args.input)
     report = fit_couplings(rows, cfg.potential.alpha, cfg.constants)
     p = report.params
@@ -476,21 +411,17 @@ def cmd_recover(cfg: RunConfig, args) -> int:
     print(f"rms residual = {report.rms:.6g}, max |residual| = "
           f"{report.max_abs_residual:.6g}")
     print(f"verdict: {report.verdict}")
-    path = _out_path(cfg, "recovery")
     write_output(
-        ["n", "l", "E", "E_fit", "residual"],
+        cfg, "recovery", ["n", "l", "E", "E_fit", "residual"],
         [
             (row.n, row.l, row.energy, fit, res)
             for row, fit, res in zip(report.rows, report.fitted, report.residuals)
         ],
-        cfg.format,
-        path,
     )
-    print(path)
     return 0
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
+def cmd_verify(cfg, args) -> int:
     from .verification import run_all
 
     results = run_all()
@@ -502,90 +433,68 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--format", choices=("csv", "json"))
-    for name in ("hbar", "mu", "k", "a1", "a2", "a3"):
-        parser.add_argument(f"--{name}", type=float, dest=name)
+_COMMANDS = (
+    ("table", cmd_table, "energy tables over screening values"),
+    ("spectrum", cmd_spectrum, "single level or full range"),
+    ("wavefunction", cmd_wavefunction, "(r, psi) dump for one level"),
+    ("figures", cmd_figures, "all ten thermodynamic curve files"),
+    ("recover-params", cmd_recover, "fit couplings to an energy table"),
+    ("verify", cmd_verify, "run the acceptance checks"),
+)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="mrey", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    commands = {}
+    for name, func, help_text in _COMMANDS:
+        commands[name] = command = sub.add_parser(name, help=help_text)
+        command.set_defaults(func=func)
+        if name == "verify":
+            continue
+        command.add_argument("--config", help="path to a key = value config file")
+        command.add_argument("--output-dir")
+        command.add_argument("--format", choices=("csv", "json"))
+        for key in ("hbar", "mu", "k", "a1", "a2", "a3"):
+            command.add_argument(f"--{key}", type=float)
+        if name == "table":  # one table per repeated value
+            command.add_argument("--alpha", type=float, action="append", dest="alphas",
+                                 metavar="ALPHA",
+                                 help="screening value; repeat for several tables")
+        else:
+            command.add_argument("--alpha", type=float)
+        if name in ("spectrum", "wavefunction"):
+            command.add_argument("--n", type=int)
+            command.add_argument("--l", type=int)
+        if name in ("table", "spectrum"):
+            command.add_argument("--n-max", type=int)
+            command.add_argument("--l-max", type=int)
 
-    p_table = sub.add_parser("table", help="energy tables over screening values")
-    _add_common(p_table)
-    p_table.add_argument("--alpha", type=float, action="append",
-                         help="screening value; repeat for several tables")
-    p_table.add_argument("--n-max", type=int, dest="n_max")
-    p_table.add_argument("--l-max", type=int, dest="l_max")
-    p_table.add_argument("--wide", action="store_true",
-                         help="one row per n with an energy column per l")
-    p_table.set_defaults(func=cmd_table)
-
-    p_spec = sub.add_parser("spectrum", help="single level or full range")
-    _add_common(p_spec)
-    p_spec.add_argument("--alpha", type=float)
-    p_spec.add_argument("--n", type=int)
-    p_spec.add_argument("--l", type=int)
-    p_spec.add_argument("--n-max", type=int, dest="n_max")
-    p_spec.add_argument("--l-max", type=int, dest="l_max")
-    p_spec.set_defaults(func=cmd_spectrum)
-
-    p_wave = sub.add_parser("wavefunction", help="(r, psi) dump for one level")
-    _add_common(p_wave)
-    p_wave.add_argument("--alpha", type=float)
-    p_wave.add_argument("--n", type=int)
-    p_wave.add_argument("--l", type=int)
-    p_wave.add_argument("--r-max", type=float, dest="r_max")
-    p_wave.add_argument("--points", type=int)
-    p_wave.set_defaults(func=cmd_wavefunction)
-
-    p_fig = sub.add_parser("figures", help="all ten thermodynamic curve files")
-    _add_common(p_fig)
-    p_fig.add_argument("--alpha", type=float)
-    p_fig.add_argument("--beta-min", type=float, dest="beta_min")
-    p_fig.add_argument("--beta-max", type=float, dest="beta_max")
-    p_fig.add_argument("--beta-points", type=int, dest="beta_points")
-    p_fig.add_argument("--lambda-min", type=float, dest="lambda_min")
-    p_fig.add_argument("--lambda-max", type=float, dest="lambda_max")
-    p_fig.add_argument("--lambda-points", type=int, dest="lambda_points")
-    p_fig.add_argument("--lambda-fixed", type=float, dest="lambda_fixed")
-    p_fig.set_defaults(func=cmd_figures)
-
-    p_rec = sub.add_parser("recover-params", help="fit couplings to an energy table")
-    _add_common(p_rec)
-    p_rec.add_argument("--alpha", type=float)
-    p_rec.add_argument("--input", required=True, help="CSV with header n,l,E")
-    p_rec.set_defaults(func=cmd_recover)
-
-    p_ver = sub.add_parser("verify", help="run the acceptance checks")
-    _add_common(p_ver)
-    p_ver.add_argument("--alpha", type=float)
-    p_ver.set_defaults(func=cmd_verify)
-
+    commands["table"].add_argument("--wide", action="store_true",
+                                   help="one row per n with an energy column per l")
+    commands["wavefunction"].add_argument("--r-max", type=float)
+    commands["wavefunction"].add_argument("--points", type=int)
+    for name in ("beta", "lambda"):
+        for end, kind in (("min", float), ("max", float), ("points", int)):
+            commands["figures"].add_argument(f"--{name}-{end}", type=kind)
+    commands["figures"].add_argument("--lambda-fixed", type=float)
+    commands["recover-params"].add_argument("--input", required=True,
+                                            help="CSV with header n,l,E")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) is None:
+    if args.command is None:
         parser.print_usage(sys.stderr)
         print("mrey: error: a subcommand is required", file=sys.stderr)
         return 64
     try:
-        file_values = load_config(args.config) if args.config else {}
-        flag_values = {}
-        for key in _DEFAULTS:
-            # grid keys have no flag, so getattr yields None for them
-            value = getattr(args, key, None)
-            if key == "alpha" and isinstance(value, list):
-                # table collects repeated alphas itself
-                value = None
-            flag_values[key] = value
-        cfg = build_config(file_values, flag_values)
+        # verify has no flags: it gets the defaults and ignores them
+        config = getattr(args, "config", None)
+        flags = {key: getattr(args, key, None) for key in _KEYS}
+        cfg = build_config(load_config(config) if config else {}, flags)
         return args.func(cfg, args)
     except _UsageError as exc:
         print(f"mrey: error: {exc}", file=sys.stderr)
@@ -593,10 +502,7 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"mrey: error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, MreyError) as exc:
-        print(f"mrey: error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (MreyError, OSError) as exc:
         print(f"mrey: error: {exc}", file=sys.stderr)
         return 3
 

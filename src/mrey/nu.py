@@ -32,6 +32,8 @@ from .potential import (
 )
 
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps
+_BRENTQ_XTOL = 1e-14
+_BRENTQ_MAXITER = 200
 
 
 @dataclass(frozen=True)
@@ -180,8 +182,6 @@ def solve_bound_state(
     consts: PhysicalConstants,
     n: int,
     l: int,
-    xtol: float = 1e-14,
-    maxiter: int = 200,
 ) -> float:
     """Bracket and solve the quantization condition for level (n, l).
 
@@ -212,6 +212,7 @@ def solve_bound_state(
     else:
         raise NoRootError(f"residual never changes sign up to xi^2 = {hi:g}")
     xi_sq_root = brentq(
-        residual_of_xi_sq, 0.0, hi, xtol=xtol, rtol=_BRENTQ_RTOL, maxiter=maxiter
+        residual_of_xi_sq, 0.0, hi,
+        xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL, maxiter=_BRENTQ_MAXITER,
     )
     return -float(xi_sq_root) * e_scale

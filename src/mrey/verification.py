@@ -65,6 +65,13 @@ _TABLE_FIXTURE = (0.109375, 0.046875, -0.078125, -0.265625, -0.515625, -0.828125
 _IDENTITY_BETAS = tuple(np.geomspace(0.1, 100.0, 20))
 _IDENTITY_LAMBDAS = (1.0, 5.0, 20.0, 100.0, 700.0)
 
+# Sample sizes of the three random-point checks, and the working precision
+# of the high-precision thermodynamic reference.
+_ORACLE_LEVELS = 100
+_FORM_POINTS = 1000
+_SPECIAL_POINTS = 100
+_MP_DPS = 40
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -96,19 +103,19 @@ def _random_params(rng) -> PotentialParams:
     )
 
 
-def check_oracle_equivalence(count: int = 100) -> CheckResult:
+def check_oracle_equivalence() -> CheckResult:
     """Closed-form energies against independent numerical quantization roots."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED)
     worst = 0.0
     accepted = 0
     attempts = 0
-    while accepted < count:
+    while accepted < _ORACLE_LEVELS:
         attempts += 1
-        if attempts > 200 * count:
+        if attempts > 200 * _ORACLE_LEVELS:
             return _result(
                 "oracle-equivalence", t0, False,
-                f"could not sample {count} valid levels in {attempts} attempts",
+                f"could not sample {_ORACLE_LEVELS} valid levels in {attempts} attempts",
             )
         params = _random_params(rng)
         n = int(rng.integers(0, 6))
@@ -129,12 +136,12 @@ def check_oracle_equivalence(count: int = 100) -> CheckResult:
     )
 
 
-def check_form_equivalence(count: int = 1000) -> CheckResult:
+def check_form_equivalence() -> CheckResult:
     """Compact and long-form level expressions on random points."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED + 1)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(_FORM_POINTS):
         params = _random_params(rng)
         n = int(rng.integers(0, 6))
         l = int(rng.integers(0, 4))
@@ -144,17 +151,17 @@ def check_form_equivalence(count: int = 1000) -> CheckResult:
         worst = max(worst, rel)
     return _result(
         "form-equivalence", t0, worst <= 1e-12,
-        f"{count} points, worst relative gap {worst:.2e} (limit 1e-12)",
+        f"{_FORM_POINTS} points, worst relative gap {worst:.2e} (limit 1e-12)",
     )
 
 
-def check_special_cases(count: int = 100) -> CheckResult:
+def check_special_cases() -> CheckResult:
     """Reductions onto the two single-family closed forms."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED + 2)
     worst_mr = 0.0
     worst_yuk = 0.0
-    for _ in range(count):
+    for _ in range(_SPECIAL_POINTS):
         params = _random_params(rng)
         n = int(rng.integers(0, 6))
         l = int(rng.integers(0, 4))
@@ -171,7 +178,7 @@ def check_special_cases(count: int = 100) -> CheckResult:
     passed = worst_mr <= 1e-12 and worst_yuk <= 1e-12
     return _result(
         "special-case-reductions", t0, passed,
-        f"{count} points each; worst gaps {worst_mr:.2e} (Manning-Rosen), "
+        f"{_SPECIAL_POINTS} points each; worst gaps {worst_mr:.2e} (Manning-Rosen), "
         f"{worst_yuk:.2e} (Yukawa); limit 1e-12",
     )
 
@@ -318,11 +325,11 @@ def check_thermo_identities() -> CheckResult:
     return _result("thermo-identities", t0, not problems, detail)
 
 
-def _mp_route_gap(coeffs, lam, beta, dps=40):
+def _mp_route_gap(coeffs, lam, beta):
     """(ln Z gap between routes, reference ln Z) in high precision."""
     from mpmath import exp, log, mp, mpf
 
-    with mp.workdps(dps):
+    with mp.workdps(_MP_DPS):
         q1, q2, q3 = mpf(coeffs.q1), mpf(coeffs.q2), mpf(coeffs.q3)
         delta = mpf(coeffs.delta)
         b = mpf(beta)
@@ -376,7 +383,7 @@ def check_quadrature_routes() -> CheckResult:
                     f"high-precision route gap {mp_gap:.2e} at "
                     f"lambda={lam:g} beta={beta:g}"
                 )
-            with mp.workdps(40):
+            with mp.workdps(_MP_DPS):
                 for value in (ln24, ln23):
                     drift = abs(float(mpf(value) - mp_ref))
                     if drift > 2.0 * floor:

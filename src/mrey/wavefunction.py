@@ -37,8 +37,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .errors import DomainError, NumericalError, ResolutionError
 from .nu import derive_constants, mrey_mapping, wave_shape
@@ -54,6 +52,8 @@ _TAIL_EXTRA_NODES = 16
 # count_nodes evaluates psi on at most this many grid points at a time, so
 # its memory does not grow with the grid.
 _NODE_CHUNK = 65536
+# ode_residual samples the equation at this many log-spaced radii.
+_ODE_SAMPLES = 150
 
 
 @dataclass(frozen=True)
@@ -188,12 +188,12 @@ _STIRLING = (1.0 / 156.0, -691.0 / 360360.0, 1.0 / 1188.0, -1.0 / 1680.0,
 def _log_gamma_ratio(z: float, d: float) -> float:
     """ln Gamma(z + d) - ln Gamma(z) for z > 0, d >= 0.
 
-    Two gammaln calls cancel once z >> d: at z = 4e5 their difference is off
+    Two lgamma calls cancel once z >> d: at z = 4e5 their difference is off
     by ~5e-10.  For z >= 10 the Stirling series (DLMF 5.11.1) written as a
     difference keeps full precision.
     """
     if z < 10.0:
-        return float(gammaln(z + d) - gammaln(z))
+        return math.lgamma(z + d) - math.lgamma(z)
 
     def remainder(x):  # ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi) / 2
         y = 1.0 / (x * x)
@@ -271,7 +271,8 @@ def _gauss_jacobi(m: int, a: float, b: float):
     off = np.sqrt(
         4.0 * k * (k + a) * (k + b) * (k + ab) / (t * t * (t + 1.0) * (t - 1.0))
     )
-    x = eigh_tridiagonal(diag, off, eigvals_only=True)
+    # the matrix is m-square with m <= n + 16, so a dense solve costs little
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     near = x >= 0.0
     sigma = 0.5 - 0.5 * np.abs(x)
     a_el, b_el = np.where(near, a, b), np.where(near, b, a)
@@ -453,7 +454,7 @@ def _stiffness(wave: RadialWave, r, screened: bool):
     return two_mu * (wave.level.energy + well + yukawa) - centrifugal
 
 
-def ode_residual(wave: RadialWave, num_points: int = 150, screened: bool = True) -> float:
+def ode_residual(wave: RadialWave, screened: bool = True) -> float:
     """Normalized residual of the radial equation at sampled radii.
 
     Differentiates psi with a five-point central stencil of step
@@ -465,14 +466,12 @@ def ode_residual(wave: RadialWave, num_points: int = 150, screened: bool = True)
     1/r and 1/r^2 appear and the residual is dominated by the O(alpha^2 r^2)
     approximation error instead.
     """
-    if num_points < 100:
-        raise DomainError("need at least 100 sample points")
     alpha = wave.params.alpha
     r_hi = min(
         wave.r_tail if math.isfinite(wave.r_tail) else np.inf,
         30.0 / (alpha * max(wave.beta_exp, 0.5)) + 10.0 / alpha,
     )
-    r = np.geomspace(0.02 / alpha, r_hi, num_points)
+    r = np.geomspace(0.02 / alpha, r_hi, _ODE_SAMPLES)
     h = np.minimum(1e-4 / alpha, r / 10.0)
     psi_m2 = wave.psi(r - 2.0 * h)
     psi_m1 = wave.psi(r - h)

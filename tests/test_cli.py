@@ -9,6 +9,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 CMD = [sys.executable, "-m", "mrey"]
@@ -241,3 +242,49 @@ def test_recover_rejects_malformed_table(tmp_path):
     table.write_text("a,b,c\n1,2,3\n")
     proc = run_cli("recover-params", "--input", str(table), "--alpha", "0.4")
     assert proc.returncode == 2
+
+
+def test_figures_sweep_flags_fill_missing_ends_from_config(tmp_path):
+    out = tmp_path / "out"
+    proc = run_cli(
+        "figures", "--lambda-fixed", "0.9", "--beta-min", "0.5", "--beta-points", "3",
+        "--lambda-max", "10", "--lambda-points", "4", "--output-dir", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    sidecar = json.loads((out / "figures_config.json").read_text())
+    # the default config grids run beta over [0.1, 100] and lambda over [1, 100]
+    assert sidecar["beta_grid"] == list(np.geomspace(0.5, 100.0, 3))
+    assert sidecar["lambda_grid"] == list(np.linspace(1.0, 10.0, 4))
+    assert sidecar["lambda_sweep_beta"] == 0.5
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--beta-min", "0"), "beta sweep needs"),
+    (("--lambda-points", "1"), "lambda sweep needs"),
+])
+def test_figures_sweep_flag_errors(tmp_path, flags, message):
+    proc = run_cli("figures", *flags, "--output-dir", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_table_alpha_from_config_file(tmp_path):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("alpha = 0.2\n")
+    out = tmp_path / "out"
+    proc = run_cli("table", "--config", str(cfg), "--output-dir", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["table_alpha0.2.csv"]
+
+    flagged = tmp_path / "flagged"
+    proc = run_cli("table", "--config", str(cfg), "--alpha", "0.4", "--output-dir", str(flagged))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in flagged.iterdir()) == ["table_alpha0.4.csv"]
+
+
+def test_verify_takes_no_flags():
+    # verify runs on fixed inputs; a configuration flag is a usage error
+    proc = run_cli("verify", "--a1", "1")
+    assert proc.returncode == 64
+    assert "unrecognized arguments" in proc.stderr

@@ -261,6 +261,12 @@ def cmd_table(cfg, args) -> int:
         alphas = (cfg.potential.alpha,)
     else:
         alphas = _TABLE_ALPHAS
+    named = {}
+    for alpha in alphas:
+        other = named.setdefault(f"{alpha:g}", alpha)
+        if other != alpha:
+            raise ConfigError(f"alphas {other!r} and {alpha!r} would share the file name "
+                              f"table_alpha{alpha:g}: they agree to 6 significant digits")
     for alpha in alphas:
         _write_levels(cfg, replace(cfg.potential, alpha=alpha), f"table_alpha{alpha:g}",
                       args.wide)

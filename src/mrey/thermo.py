@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, RangeError
 from .potential import SpectralCoefficients
-from .spectrum import compact_energy
+from .spectrum import compact_energy, lambda_max
 
 _LOG_MAX = math.log(np.finfo(float).max)
 # e^{-x} is negligible against 1e-13 tolerances once x > 60
@@ -108,7 +108,7 @@ def _split_points(coeffs: SpectralCoefficients, lam: float, beta: float) -> list
     geometric cuts resolving the Boltzmann boundary layers at each endpoint."""
     points = {0.0, lam}
     if coeffs.q3 != 0.0 and coeffs.q2 != 0.0:
-        n_star = math.sqrt(abs(coeffs.q3)) - coeffs.delta
+        n_star = lambda_max(coeffs)
         if 0.0 < n_star < lam:
             points.add(n_star)
     if beta > 0.0:
@@ -130,7 +130,7 @@ def _reference_energy(coeffs: SpectralCoefficients, lam: float):
     e1 = compact_energy(coeffs, lam)
     candidates = [e0, e1]
     if coeffs.q3 != 0.0:
-        n_star = math.sqrt(abs(coeffs.q3)) - coeffs.delta
+        n_star = lambda_max(coeffs)
         if 0.0 < n_star < lam:
             candidates.append(compact_energy(coeffs, n_star))
     return min(candidates), max(candidates)

@@ -9,7 +9,9 @@ where beta = sqrt(xi^2 + l(l+1)) equals the closed-form u of the level and
 zeta = 1/2 + sqrt(1/4 + l(l+1) - x1 - x2) equals the spectral delta.  The
 exponents and Jacobi indices are taken from the generic NU shape (nu.wave_shape)
 rather than re-derived here, so the zeta = delta identity is a genuine
-cross-module check.
+cross-module check.  N is the wave's only scale, and one three-term
+recurrence for P_n, written in s rather than in x = 1 - 2 s, serves psi, the
+norm, the overlaps and the tail.
 
 Normalization is exact.  With s = e^{-alpha r} the norm integral is
 
@@ -73,41 +75,13 @@ class JacobiParams:
                 raise DomainError(f"{name} must be finite and > -1, got {value!r}")
 
 
-def jacobi_eval(params: JacobiParams, x):
-    """P_n^{(a,b)}(x) by the standard three-term recurrence.
-
-    P_0 = 1, P_1 = (a - b)/2 + (a + b + 2) x / 2, and for k >= 2
-
-      2k (k+a+b) (2k+a+b-2) P_k
-        = (2k+a+b-1) [ (2k+a+b) (2k+a+b-2) x + a^2 - b^2 ] P_{k-1}
-          - 2 (k+a-1) (k+b-1) (2k+a+b) P_{k-2}.
-
-    Exact at the right endpoint: P_n(1) = binom(n + a, n).
-    """
-    x_arr = np.asarray(x, dtype=float)
-    n, a, b = params.n, params.a, params.b
-    p_prev = np.ones_like(x_arr)
-    if n == 0:
-        return float(p_prev) if np.ndim(x) == 0 else p_prev
-    p_curr = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x_arr
-    for k in range(2, n + 1):
-        s = 2.0 * k + a + b
-        lead = 2.0 * k * (k + a + b) * (s - 2.0)
-        mid = (s - 1.0) * (s * (s - 2.0) * x_arr + a * a - b * b)
-        trail = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
-        p_curr, p_prev = (mid * p_curr - trail * p_prev) / lead, p_curr
-    if np.ndim(x) == 0:
-        return float(p_curr)
-    return p_curr
-
-
 @dataclass(frozen=True)
 class RadialWave:
-    """A bound-state radial wavefunction psi(r) = norm * profile(r).
+    """A normalized bound-state radial wavefunction.
 
-    profile() is the raw (amplitude-scaled) shape; norm is the computed
-    normalization constant; r_tail is the radius beyond which the tail of
-    psi^2 was found negligible during normalization.
+    psi(r) = norm * s^beta (1 - s)^zeta P_n(1 - 2 s) with s = e^{-alpha r};
+    r_tail is the radius beyond which the tail of psi^2 was found negligible
+    during normalization.
     """
 
     params: PotentialParams
@@ -116,32 +90,22 @@ class RadialWave:
     beta_exp: float
     zeta_exp: float
     jacobi: JacobiParams
-    amplitude: float = 1.0
-    norm: float = 1.0
-    r_tail: float = math.nan
+    norm: float
+    r_tail: float
 
-    def profile(self, r):
+    def psi(self, r):
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr <= 0.0):
             raise DomainError("r must be > 0")
         s = np.exp(-self.params.alpha * r_arr)
         one_minus = -np.expm1(-self.params.alpha * r_arr)
-        value = (
-            self.amplitude
-            * s**self.beta_exp
-            * one_minus**self.zeta_exp
-            * jacobi_eval(self.jacobi, 1.0 - 2.0 * s)
+        p, _, log_scale = _jacobi_scaled(self.jacobi.n, self.jacobi.a, self.jacobi.b, s)
+        value = self.norm * (
+            s**self.beta_exp * one_minus**self.zeta_exp * (p * np.exp(log_scale))
         )
         if np.ndim(r) == 0:
             return float(value)
         return value
-
-    def psi(self, r):
-        return self.norm * self.profile(r)
-
-    def normalized(self) -> "RadialWave":
-        """Fold the computed norm into the amplitude (norm becomes 1)."""
-        return replace(self, amplitude=self.amplitude * self.norm, norm=1.0)
 
 
 def build_wave(
@@ -158,8 +122,9 @@ def build_wave(
             f"level (n={level.n}, l={level.l}) is not a strictly valid bound "
             f"state (u = {level.u_value:g}, xi^2 = {level.xi_sq:g})"
         )
-    mapping = mrey_mapping(params, consts, level.l)
-    shape = wave_shape(mapping(level.energy), derive_constants(mapping(level.energy)))
+    nu_coeffs = mrey_mapping(params, consts, level.l)(level.energy)
+    shape = wave_shape(nu_coeffs, derive_constants(nu_coeffs))
+    # the unit-scale wave (norm 1) that the norm integral is taken over
     wave = RadialWave(
         params=params,
         consts=consts,
@@ -167,6 +132,8 @@ def build_wave(
         beta_exp=shape.s_exponent,
         zeta_exp=shape.one_minus_s_exponent,
         jacobi=JacobiParams(n=level.n, a=shape.jacobi_a, b=shape.jacobi_b),
+        norm=1.0,
+        r_tail=math.nan,
     )
     log_total, _ = _log_overlap(wave, wave)
     if not abs(log_total) < 1400.0:  # N = e^{-log_total / 2} must be a double
@@ -207,30 +174,42 @@ def _log_gamma_ratio(z: float, d: float) -> float:
     )
 
 
+def _recurrence_step(k, a, b):
+    """(c0, c1, c2) with P_k = (c0 - c1 sigma) P_{k-1} - c2 P_{k-2}."""
+    t = 2.0 * k + a + b
+    lead = 2.0 * k * (k + a + b) * (t - 2.0)
+    return (
+        (t - 1.0) * (2.0 * (a + b) * (a + 2.0 * k - 1.0) + 4.0 * k * (k - 1.0)) / lead,
+        2.0 * (t - 1.0) * t * (t - 2.0) / lead,
+        2.0 * (k + a - 1.0) * (k + b - 1.0) * t / lead,
+    )
+
+
 def _jacobi_scaled(n: int, a, b, sigma):
-    """P_n^{(a,b)}(1 - 2 sigma) and P_{n-1}^{(a,b)}(1 - 2 sigma), n >= 1.
+    """P_n^{(a,b)}(1 - 2 sigma) and P_{n-1}^{(a,b)}(1 - 2 sigma), P_{-1} = 0.
 
     Returns (p_n, p_n_minus_1, log_scale) with both values = mantissa *
-    e^{log_scale}; a and b may be arrays broadcasting against sigma.  This
-    is the recurrence of jacobi_eval with x = 1 - 2 sigma substituted and its
-    constant term expanded, so nothing cancels near sigma = 0 and small
-    sigma keeps its relative precision.  Where P_n(1) = binom(n + a, n)
+    e^{log_scale}; a and b are scalars, or 1-D arrays shaped like sigma.  This is
+    the three-term recurrence (DLMF 18.9.2) with x = 1 - 2 sigma substituted
+    and its constant term expanded, so nothing cancels near sigma = 0 and
+    small sigma keeps its relative precision.  Where P_n(1) = binom(n + a, n)
     could overflow (deep wells) the mantissas are rescaled as they grow.
     """
-    p_prev = np.ones_like(sigma)
-    p_curr = (a + 1.0) - (a + b + 2.0) * sigma
-    log_scale = np.zeros_like(p_curr)
+    p_prev, p_curr = np.zeros_like(sigma), np.ones_like(sigma)
+    if n > 0:
+        p_prev, p_curr = p_curr, (a + 1.0) - (a + b + 2.0) * sigma
+    if isinstance(a, np.ndarray):  # one coefficient per point, every step at once
+        top = max(np.max(a), np.max(b))
+        steps = zip(*_recurrence_step(np.arange(2.0, n + 1.0)[:, None], a, b))
+    else:  # one scalar coefficient per step
+        a, b = float(a), float(b)
+        top = max(a, b)
+        steps = [_recurrence_step(k, a, b) for k in range(2, n + 1)]
     # on [-1, 1], |P_n| <= binom(n + max(a, b), n) < (n + max(a, b) + 2)^n
-    rescale = n * math.log(n + max(np.max(a), np.max(b), 0.0) + 2.0) > 300.0
-    # P_k = (c0 - c1 sigma) P_{k-1} - c2 P_{k-2}, all coefficients at once
-    k = np.arange(2.0, n + 1.0).reshape((-1,) + (1,) * np.ndim(p_curr))
-    s = 2.0 * k + a + b
-    lead = 2.0 * k * (k + a + b) * (s - 2.0)
-    c0 = (s - 1.0) * (2.0 * (a + b) * (a + 2.0 * k - 1.0) + 4.0 * k * (k - 1.0)) / lead
-    c1 = 2.0 * (s - 1.0) * s * (s - 2.0) / lead
-    c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s / lead
-    for i in range(n - 1):
-        p_curr, p_prev = (c0[i] - c1[i] * sigma) * p_curr - c2[i] * p_prev, p_curr
+    rescale = n * math.log(n + max(top, 0.0) + 2.0) > 300.0
+    log_scale = 0.0
+    for c0, c1, c2 in steps:
+        p_curr, p_prev = (c0 - c1 * sigma) * p_curr - c2 * p_prev, p_curr
         if rescale:
             factor = np.maximum(np.abs(p_curr), 1.0)
             p_curr, p_prev = p_curr / factor, p_prev / factor
@@ -302,8 +281,6 @@ def _log_jacobi(jacobi: JacobiParams, s, v):
     """(ln |P_n^{(a,b)}(1 - 2s)|, sign) at points given as (s, v = 1 - s),
     the recurrence running in the smaller of s and v."""
     n, a, b = jacobi.n, jacobi.a, jacobi.b
-    if n == 0:
-        return np.zeros_like(s), np.ones_like(s)
     near = s <= 0.5
     p, _, log_scale = _jacobi_scaled(
         n, np.where(near, a, b), np.where(near, b, a), np.where(near, s, v)
@@ -314,11 +291,12 @@ def _log_jacobi(jacobi: JacobiParams, s, v):
 
 
 def _log_overlap(first: RadialWave, second: RadialWave):
-    """(ln |I|, sign of I) for I = integral of profile_1 profile_2 over (0, inf).
+    """(ln |I|, sign of I) for I = integral of psi_1 psi_2 / (norm_1 norm_2)
+    over (0, inf).
 
     In s = e^{-alpha r} the integral is
 
-      amp_1 amp_2 / alpha * integral over (0, 1) of
+      1 / alpha * integral over (0, 1) of
           s^{beta_1 + beta_2 - 1} (1 - s)^{zeta_1 + zeta_2}
           * P^{(1)}(1 - 2s) P^{(2)}(1 - 2s) ds,
 
@@ -339,21 +317,17 @@ def _log_overlap(first: RadialWave, second: RadialWave):
     log_p1, sign1 = _log_jacobi(first.jacobi, s, v)
     log_p2, sign2 = _log_jacobi(second.jacobi, s, v)
     log_sum, sign = _log_sum_exp(log_w + log_p1 + log_p2, sign1 * sign2)
-    amp = first.amplitude * second.amplitude
-    return (
-        float(log_sum) + math.log(abs(amp)) - math.log(alpha),
-        float(sign) * math.copysign(1.0, amp),
-    )
+    return float(log_sum) - math.log(alpha), float(sign)
 
 
 def _tail_radius(wave: RadialWave, log_total: float) -> float:
-    """R past which the tail of profile^2 is negligible.
+    """R past which the tail of (psi / norm)^2 is negligible.
 
     R starts at max(2, 10/alpha) and doubles until the doubling adds at most
     _TAIL_FRACTION of the running total.  The piece over [R, 2R] is
     T(R) - T(2R), with s_R = e^{-alpha R}, t = s / s_R and
 
-      T(R) = amp^2 / alpha * s_R^{2 beta} * integral over (0, 1) of
+      T(R) = 1 / alpha * s_R^{2 beta} * integral over (0, 1) of
              t^{2 beta - 1} (1 - s_R t)^{2 zeta} P_n(1 - 2 s_R t)^2 dt.
 
     One Gauss-Jacobi rule in t serves every R.
@@ -364,14 +338,9 @@ def _tail_radius(wave: RadialWave, log_total: float) -> float:
     uppers = max(2.0, 10.0 / alpha) * 2.0 ** np.arange(_TAIL_DOUBLINGS + 1)
     log_s = -alpha * uppers
     sigma = np.exp(log_s)[:, None] * t
-    terms = log_w + two_zeta * np.log1p(-sigma)
-    if jac.n > 0:
-        p, _, log_scale = _jacobi_scaled(jac.n, jac.a, jac.b, sigma)
-        terms = terms + 2.0 * (np.log(np.abs(p)) + log_scale)
-    log_tail = (
-        two_beta * log_s + _log_sum_exp(terms, axis=1)[0]
-        + 2.0 * math.log(abs(wave.amplitude)) - math.log(alpha)
-    )
+    p, _, log_scale = _jacobi_scaled(jac.n, jac.a, jac.b, sigma)
+    terms = log_w + two_zeta * np.log1p(-sigma) + 2.0 * (np.log(np.abs(p)) + log_scale)
+    log_tail = two_beta * log_s + _log_sum_exp(terms, axis=1)[0] - math.log(alpha)
     log_piece = log_tail[:-1] + np.log(-np.expm1(log_tail[1:] - log_tail[:-1]))
     log_running = log_total + np.log1p(-np.exp(log_tail[1:] - log_total))
     done = np.nonzero(log_piece <= math.log(_TAIL_FRACTION) + log_running)[0]
@@ -382,19 +351,9 @@ def _tail_radius(wave: RadialWave, log_total: float) -> float:
     return float(uppers[done[0] + 1])
 
 
-def normalize(wave: RadialWave) -> float:
-    """Constant N with integral of (N * profile)^2 equal to one.
-
-    Scales inversely with the wave's amplitude; applied to an
-    already-normalized() wave it returns 1.
-    """
-    log_total, _ = _log_overlap(wave, wave)
-    return math.exp(-0.5 * log_total)
-
-
 def default_node_grid(wave: RadialWave) -> np.ndarray:
     """A grid over (0, r_tail] dense enough for count_nodes."""
-    upper = wave.r_tail if math.isfinite(wave.r_tail) else 40.0 / wave.params.alpha
+    upper = wave.r_tail
     count = int(math.ceil(1000.0 * wave.params.alpha * upper)) + 1
     return np.linspace(upper / count, upper, count)
 
@@ -467,10 +426,7 @@ def ode_residual(wave: RadialWave, screened: bool = True) -> float:
     approximation error instead.
     """
     alpha = wave.params.alpha
-    r_hi = min(
-        wave.r_tail if math.isfinite(wave.r_tail) else np.inf,
-        30.0 / (alpha * max(wave.beta_exp, 0.5)) + 10.0 / alpha,
-    )
+    r_hi = min(wave.r_tail, 30.0 / (alpha * max(wave.beta_exp, 0.5)) + 10.0 / alpha)
     r = np.geomspace(0.02 / alpha, r_hi, _ODE_SAMPLES)
     h = np.minimum(1e-4 / alpha, r / 10.0)
     psi_m2 = wave.psi(r - 2.0 * h)
@@ -494,10 +450,10 @@ def overlap_matrix(waves: list[RadialWave]) -> np.ndarray:
     Exact by Gauss-Jacobi quadrature; all waves must share one alpha.
     """
     size = len(waves)
-    normalized = [wave.normalized() for wave in waves]
+    log_norms = [math.log(wave.norm) for wave in waves]
     out = np.eye(size)
     for i in range(size):
         for j in range(i + 1, size):
-            log_value, sign = _log_overlap(normalized[i], normalized[j])
-            out[i, j] = out[j, i] = sign * math.exp(log_value)
+            log_value, sign = _log_overlap(waves[i], waves[j])
+            out[i, j] = out[j, i] = sign * math.exp(log_value + log_norms[i] + log_norms[j])
     return out

@@ -283,6 +283,17 @@ def test_table_alpha_from_config_file(tmp_path):
     assert sorted(p.name for p in flagged.iterdir()) == ["table_alpha0.4.csv"]
 
 
+def test_table_alphas_sharing_a_file_name(tmp_path):
+    # file names carry 6 significant digits of alpha; two alphas that agree
+    # to 6 digits must not overwrite one another
+    out = tmp_path / "out"
+    proc = run_cli("table", "--alpha", "0.123456789", "--alpha", "0.1234568",
+                   "--output-dir", str(out))
+    assert proc.returncode == 2
+    assert "0.123456789" in proc.stderr and "0.1234568" in proc.stderr
+    assert not out.exists()
+
+
 def test_verify_takes_no_flags():
     # verify runs on fixed inputs; a configuration flag is a usage error
     proc = run_cli("verify", "--a1", "1")

@@ -1,4 +1,4 @@
-"""`import mrey` loads numpy but no part of scipy.
+"""`import mrey` and `mrey spectrum --n 0 --l 0` load numpy but no part of scipy.
 
 scipy is imported where it is called (the NU root oracle, the coupling fit
 and the thermodynamic quadrature), so a session that never calls them does
@@ -8,10 +8,28 @@ not pay for loading it.
 import subprocess
 import sys
 
-CHECK = "import sys, mrey; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+SPECTRUM = """
+import runpy, sys
+sys.argv = ["mrey", "spectrum", "--n", "0", "--l", "0"]
+try:
+    runpy.run_module("mrey", run_name="__main__")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+"""
+
+
+def _scipy_modules_after(code):
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\n" + SCIPY_MODULES], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
 
 
 def test_import_loads_no_scipy():
-    proc = subprocess.run([sys.executable, "-c", CHECK], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _scipy_modules_after("import sys, mrey") == "[]"
+
+
+def test_spectrum_command_loads_no_scipy():
+    assert _scipy_modules_after(SPECTRUM) == "[]"

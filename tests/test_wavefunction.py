@@ -25,13 +25,19 @@ from mrey import (
 )
 from mrey import wavefunction
 from mrey.verification import _recheck_norm
-from mrey.wavefunction import JacobiParams, jacobi_eval, normalize, ode_residual, overlap_matrix
+from mrey.wavefunction import JacobiParams, ode_residual, overlap_matrix
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 UNIT_YUKAWA = PotentialParams(0.0, 0.0, 1.0, 0.5)
 DEEP_YUKAWA = PotentialParams(0.0, 0.0, 5.0, 0.5)
 # 2 beta reaches 4e5 at n = 0
 DEEPEST_WELL = PotentialParams(0.0, 0.0, 2000.0, 0.01)
+
+
+def _jacobi_at(params, x):
+    """P_n^{(a,b)}(x) from the library's recurrence in sigma = (1 - x) / 2."""
+    p, _, log_scale = wavefunction._jacobi_scaled(params.n, params.a, params.b, (1.0 - x) / 2.0)
+    return float(p * np.exp(log_scale))
 
 
 def _jacobi_by_summation(n, a, b, x):
@@ -55,16 +61,16 @@ def _simpson_log_r(wave, f, points=4001):
 
 
 def test_jacobi_low_degrees():
-    assert jacobi_eval(JacobiParams(0, 2.3, -0.4), 0.77) == 1.0
-    assert jacobi_eval(JacobiParams(1, 2.0, 1.0), 0.5) == pytest.approx(1.75, rel=1e-15)
+    assert _jacobi_at(JacobiParams(0, 2.3, -0.4), 0.77) == 1.0
+    assert _jacobi_at(JacobiParams(1, 2.0, 1.0), 0.5) == pytest.approx(1.75, rel=1e-15)
     # (a, b) = (0, 0) reduces to Legendre, P1(x) = x
-    assert jacobi_eval(JacobiParams(1, 0.0, 0.0), 0.3) == pytest.approx(0.3, rel=1e-15)
+    assert _jacobi_at(JacobiParams(1, 0.0, 0.0), 0.3) == pytest.approx(0.3, rel=1e-15)
 
 
 def test_jacobi_endpoint_identity():
     for n in range(6):
         for a, b in ((0.0, 0.0), (1.5, -0.2), (3.0, 1.0)):
-            value = jacobi_eval(JacobiParams(n, a, b), 1.0)
+            value = _jacobi_at(JacobiParams(n, a, b), 1.0)
             assert value == pytest.approx(binom(n + a, n), rel=1e-13)
 
 
@@ -75,7 +81,7 @@ def test_jacobi_matches_explicit_summation():
         a = rng.uniform(-0.9, 5.0)
         b = rng.uniform(-0.9, 5.0)
         for x in rng.uniform(-1.0, 1.0, size=5):
-            fast = jacobi_eval(JacobiParams(n, a, b), x)
+            fast = _jacobi_at(JacobiParams(n, a, b), x)
             slow = _jacobi_by_summation(n, a, b, x)
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
 
@@ -123,15 +129,6 @@ def test_normalization_self_consistent():
     r = np.linspace(wave.r_tail * 1.5 / 200000, wave.r_tail * 1.5, 200001)
     total = simpson(wave.psi(r) ** 2, x=r)
     assert total == pytest.approx(1.0, abs=1e-8)
-
-
-def test_normalize_scaling_and_idempotence():
-    level = energy(UNIT_YUKAWA, CONSTS, 0, 0)
-    wave = build_wave(UNIT_YUKAWA, CONSTS, level)
-    doubled = dataclasses.replace(wave, amplitude=2.0 * wave.amplitude)
-    assert normalize(doubled) == pytest.approx(wave.norm / 2.0, rel=1e-10)
-    folded = wave.normalized()
-    assert normalize(folded) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_wave_vanishes_at_boundaries():
@@ -185,6 +182,33 @@ def test_node_count_is_independent_of_chunking(monkeypatch, chunk):
         counts.append(whole)
     # the probes' faults are reproduced, not mended
     assert counts == [0, 2, 5, 3, 2, ResolutionError, 0]
+
+
+@pytest.mark.parametrize(
+    "params, n",
+    [
+        (DEEPEST_WELL, 50),
+        NODE_PROBES[0][:2],
+        (UNIT_YUKAWA, 0),
+    ],
+)
+def test_psi_matches_mpmath(params, n):
+    # the closed form at 40 digits, with the wave's own exponents and norm
+    wave = build_wave(params, CONSTS, energy(params, CONSTS, n, 0))
+    r = np.geomspace(1e-6 / params.alpha, wave.r_tail, 400)
+    psi = wave.psi(r)
+    jac = wave.jacobi
+    with mpmath.workdps(40):
+        ref = np.array([
+            float(
+                wave.norm * s**wave.beta_exp * (1 - s) ** wave.zeta_exp
+                * mpmath.jacobi(jac.n, jac.a, jac.b, 1 - 2 * s)
+            )
+            for s in (mpmath.exp(-params.alpha * mpmath.mpf(x)) for x in r)
+        ])
+    shown = np.abs(ref) >= 1e-3 * np.max(np.abs(ref))
+    assert np.count_nonzero(shown) > 20
+    assert np.max(np.abs(psi[shown] / ref[shown] - 1.0)) < 1e-9
 
 
 class _SignPattern:

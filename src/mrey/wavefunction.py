@@ -174,42 +174,31 @@ def _log_gamma_ratio(z: float, d: float) -> float:
     )
 
 
-def _recurrence_step(k, a, b):
-    """(c0, c1, c2) with P_k = (c0 - c1 sigma) P_{k-1} - c2 P_{k-2}."""
-    t = 2.0 * k + a + b
-    lead = 2.0 * k * (k + a + b) * (t - 2.0)
-    return (
-        (t - 1.0) * (2.0 * (a + b) * (a + 2.0 * k - 1.0) + 4.0 * k * (k - 1.0)) / lead,
-        2.0 * (t - 1.0) * t * (t - 2.0) / lead,
-        2.0 * (k + a - 1.0) * (k + b - 1.0) * t / lead,
-    )
-
-
 def _jacobi_scaled(n: int, a, b, sigma):
     """P_n^{(a,b)}(1 - 2 sigma) and P_{n-1}^{(a,b)}(1 - 2 sigma), P_{-1} = 0.
 
     Returns (p_n, p_n_minus_1, log_scale) with both values = mantissa *
-    e^{log_scale}; a and b are scalars, or 1-D arrays shaped like sigma.  This is
-    the three-term recurrence (DLMF 18.9.2) with x = 1 - 2 sigma substituted
-    and its constant term expanded, so nothing cancels near sigma = 0 and
-    small sigma keeps its relative precision.  Where P_n(1) = binom(n + a, n)
+    e^{log_scale}; a and b may be arrays broadcasting against sigma.  This
+    is the three-term recurrence (DLMF 18.9.2) with x = 1 - 2 sigma substituted
+    and its constant term expanded, so nothing cancels near sigma = 0 and small
+    sigma keeps its relative precision.  Where P_n(1) = binom(n + a, n)
     could overflow (deep wells) the mantissas are rescaled as they grow.
     """
     p_prev, p_curr = np.zeros_like(sigma), np.ones_like(sigma)
     if n > 0:
         p_prev, p_curr = p_curr, (a + 1.0) - (a + b + 2.0) * sigma
-    if isinstance(a, np.ndarray):  # one coefficient per point, every step at once
-        top = max(np.max(a), np.max(b))
-        steps = zip(*_recurrence_step(np.arange(2.0, n + 1.0)[:, None], a, b))
-    else:  # one scalar coefficient per step
-        a, b = float(a), float(b)
-        top = max(a, b)
-        steps = [_recurrence_step(k, a, b) for k in range(2, n + 1)]
-    # on [-1, 1], |P_n| <= binom(n + max(a, b), n) < (n + max(a, b) + 2)^n
-    rescale = n * math.log(n + max(top, 0.0) + 2.0) > 300.0
     log_scale = 0.0
-    for c0, c1, c2 in steps:
-        p_curr, p_prev = (c0 - c1 * sigma) * p_curr - c2 * p_prev, p_curr
+    # on [-1, 1], |P_n| <= binom(n + max(a, b), n) < (n + max(a, b) + 2)^n
+    rescale = n * math.log(n + max(np.max(a), np.max(b), 0.0) + 2.0) > 300.0
+    # P_k = (c0 - c1 sigma) P_{k-1} - c2 P_{k-2}, all coefficients at once
+    k = np.arange(2.0, n + 1.0).reshape((-1,) + (1,) * np.ndim(p_curr))
+    s = 2.0 * k + a + b
+    lead = 2.0 * k * (k + a + b) * (s - 2.0)
+    c0 = (s - 1.0) * (2.0 * (a + b) * (a + 2.0 * k - 1.0) + 4.0 * k * (k - 1.0)) / lead
+    c1 = 2.0 * (s - 1.0) * s * (s - 2.0) / lead
+    c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s / lead
+    for i in range(n - 1):
+        p_curr, p_prev = (c0[i] - c1[i] * sigma) * p_curr - c2[i] * p_prev, p_curr
         if rescale:
             factor = np.maximum(np.abs(p_curr), 1.0)
             p_curr, p_prev = p_curr / factor, p_prev / factor
@@ -429,11 +418,8 @@ def ode_residual(wave: RadialWave, screened: bool = True) -> float:
     r_hi = min(wave.r_tail, 30.0 / (alpha * max(wave.beta_exp, 0.5)) + 10.0 / alpha)
     r = np.geomspace(0.02 / alpha, r_hi, _ODE_SAMPLES)
     h = np.minimum(1e-4 / alpha, r / 10.0)
-    psi_m2 = wave.psi(r - 2.0 * h)
-    psi_m1 = wave.psi(r - h)
-    psi_0 = wave.psi(r)
-    psi_p1 = wave.psi(r + h)
-    psi_p2 = wave.psi(r + 2.0 * h)
+    stencil = r + np.arange(-2.0, 3.0)[:, None] * h  # r - 2h .. r + 2h, one psi call
+    psi_m2, psi_m1, psi_0, psi_p1, psi_p2 = wave.psi(stencil)
     second = (-psi_m2 + 16.0 * psi_m1 - 30.0 * psi_0 + 16.0 * psi_p1 - psi_p2) / (
         12.0 * h**2
     )

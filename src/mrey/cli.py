@@ -262,12 +262,12 @@ def cmd_table(cfg, args) -> int:
     else:
         alphas = _TABLE_ALPHAS
     named = {}
-    for alpha in alphas:
+    for alpha in dict.fromkeys(alphas):  # each distinct alpha once, in request order
         other = named.setdefault(f"{alpha:g}", alpha)
         if other != alpha:
             raise ConfigError(f"alphas {other!r} and {alpha!r} would share the file name "
                               f"table_alpha{alpha:g}: they agree to 6 significant digits")
-    for alpha in alphas:
+    for alpha in named.values():
         _write_levels(cfg, replace(cfg.potential, alpha=alpha), f"table_alpha{alpha:g}",
                       args.wide)
     return 0

@@ -17,18 +17,18 @@ class DomainError(MreyError, ValueError):
 class NoRealDeltaError(DomainError):
     """The delta radicand 1 + 4 l(l+1) - 4 x1 - 4 x2 is negative."""
 
-    def __init__(self, radicand, message=None):
+    def __init__(self, radicand):
         self.radicand = radicand
-        super().__init__(message or f"no real delta: radicand = {radicand!r} < 0")
+        super().__init__(f"no real delta: radicand = {radicand!r} < 0")
 
 
 class ComplexBranchError(DomainError):
     """c8 or c9 is negative, so c10..c13 would be complex."""
 
-    def __init__(self, c8, c9, message=None):
+    def __init__(self, c8, c9):
         self.c8 = c8
         self.c9 = c9
-        super().__init__(message or f"complex branch: c8 = {c8!r}, c9 = {c9!r}")
+        super().__init__(f"complex branch: c8 = {c8!r}, c9 = {c9!r}")
 
 
 class NoRootError(MreyError):

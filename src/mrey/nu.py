@@ -109,7 +109,7 @@ def derive_constants(coeffs: NuCoefficients) -> NuDerived:
     )
 
 
-def quantization_residual(coeffs: NuCoefficients, n: int, derived: NuDerived = None) -> float:
+def quantization_residual(coeffs: NuCoefficients, n: int) -> float:
     """Left-hand side of the NU quantization condition at radial number n.
 
     Zero exactly at a bound-state energy.  For the screened radial mapping
@@ -117,8 +117,7 @@ def quantization_residual(coeffs: NuCoefficients, n: int, derived: NuDerived = N
     root.
     """
     QuantumNumbers(int(n), 0)
-    if derived is None:
-        derived = derive_constants(coeffs)
+    derived = derive_constants(coeffs)
     c2, c3 = coeffs.c2, coeffs.c3
     sqrt_c8 = math.sqrt(derived.c8)
     sqrt_c9 = math.sqrt(derived.c9)
@@ -133,12 +132,11 @@ def quantization_residual(coeffs: NuCoefficients, n: int, derived: NuDerived = N
     )
 
 
-def wave_shape(coeffs: NuCoefficients, derived: NuDerived = None) -> WaveShape:
+def wave_shape(coeffs: NuCoefficients) -> WaveShape:
     """Eigenfunction exponents and Jacobi indices from the derived constants."""
     if coeffs.c3 == 0.0:
         raise DomainError("wave shape requires c3 != 0 (the 1 - c3 s factor degenerates)")
-    if derived is None:
-        derived = derive_constants(coeffs)
+    derived = derive_constants(coeffs)
     return WaveShape(
         s_exponent=derived.c12,
         one_minus_s_exponent=-derived.c12 - derived.c13 / coeffs.c3,

@@ -238,19 +238,19 @@ def thermo_state(inp: ThermoInput, k: float = 1.0) -> ThermoState:
 
 
 def log_partition_integral(inp: ThermoInput) -> float:
-    """ln Z via the completed-square rho-space form."""
+    """ln Z via the completed-square rho-space form, integrated over n in
+    [0, lambda] with rho = n + delta formed in the integrand: the ends delta
+    and lambda + delta would lose lambda's digits when lambda << delta."""
     coeffs, lam, beta = inp.coeffs, inp.lam, inp.beta
     prefactor = beta * (2.0 * coeffs.q2 * coeffs.q3 - coeffs.q1)
 
-    def g(rho):
+    def g(n):
+        rho = n + coeffs.delta
         return beta * coeffs.q2 * (rho * rho + coeffs.q3**2 / rho**2)
 
-    lo = coeffs.delta
-    hi = lam + coeffs.delta
-    g_max = max(g(lo), g(hi))
-    # panel boundaries mirror the n-space landmarks shifted by delta
-    points = [p + coeffs.delta for p in _split_points(coeffs, lam, beta)]
-    log_i = _shifted_log_integral(lambda rho: math.exp(g(rho) - g_max), points)
+    g_max = max(g(0.0), g(lam))
+    points = _split_points(coeffs, lam, beta)
+    log_i = _shifted_log_integral(lambda n: math.exp(g(n) - g_max), points)
     return prefactor + g_max + log_i
 
 

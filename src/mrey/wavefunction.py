@@ -23,9 +23,10 @@ Gauss-Jacobi rule integrates exactly (Golub & Welsch, Math. Comp. 23, 1969).
 The rule is built in log space, so deep wells (2 beta up to ~4e5) neither
 overflow nor lose the tiny weights that carry the mass.  The same rule on
 the tail of the integral fixes r_tail, the radius past which doubling R
-adds under 1e-13 of the norm; node grids, ode_residual and the CLI's r
-range use it.  verification.check_wavefunctions rechecks every norm on an
-independent Simpson grid.
+adds under 1e-13 of the norm; ode_residual and the CLI's r range use it,
+not the node grid, which is fixed in theta = arccos(1 - 2 s).
+verification.check_wavefunctions rechecks every norm on an independent
+Simpson grid.
 
 No orthogonality is asserted between different n at fixed l: each level
 carries its own beta exponent (energy enters the weight), so the Jacobi
@@ -41,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResolutionError
-from .nu import derive_constants, mrey_mapping, wave_shape
+from .nu import mrey_mapping, wave_shape
 from .potential import PhysicalConstants, PotentialParams
 from .spectrum import EnergyLevel
 
@@ -51,9 +52,11 @@ _TAIL_DOUBLINGS = 64
 # with s <= e^{-10} its Taylor terms past the 32nd are below double precision
 # for zeta up to ~4e4.
 _TAIL_EXTRA_NODES = 16
-# count_nodes evaluates psi on at most this many grid points at a time, so
-# its memory does not grow with the grid.
-_NODE_CHUNK = 65536
+# default_node_grid times alpha: -ln s at s = sin^2(theta_k / 2), taken as
+# -ln(1 - cos^2) where s is near 1, theta_k = pi k / 20002, k = 20001 .. 1
+_NODE_HALF = np.pi * np.arange(20001, 0, -1) / 40004  # theta_k / 2
+_NODE_ALPHA_R = np.where(_NODE_HALF > 0.25 * np.pi, -np.log1p(-np.cos(_NODE_HALF) ** 2),
+                         -np.log(np.sin(_NODE_HALF) ** 2))
 # ode_residual samples the equation at this many log-spaced radii.
 _ODE_SAMPLES = 150
 
@@ -123,7 +126,7 @@ def build_wave(
             f"state (u = {level.u_value:g}, xi^2 = {level.xi_sq:g})"
         )
     nu_coeffs = mrey_mapping(params, consts, level.l)(level.energy)
-    shape = wave_shape(nu_coeffs, derive_constants(nu_coeffs))
+    shape = wave_shape(nu_coeffs)
     # the unit-scale wave (norm 1) that the norm integral is taken over
     wave = RadialWave(
         params=params,
@@ -341,10 +344,17 @@ def _tail_radius(wave: RadialWave, log_total: float) -> float:
 
 
 def default_node_grid(wave: RadialWave) -> np.ndarray:
-    """A grid over (0, r_tail] dense enough for count_nodes."""
-    upper = wave.r_tail
-    count = int(math.ceil(1000.0 * wave.params.alpha * upper)) + 1
-    return np.linspace(upper / count, upper, count)
+    """20001 points uniform in theta, x = 1 - 2 s = cos(theta), where the
+    zeros of P_n^{(2 beta, 2 zeta - 1)}(x) spread out: theta_k = pi k / 20002,
+    alpha*r from 6.2e-9 to 18.9 (1058 points per unit).
+
+    Both Jacobi indices are >= 0, so every zero has s and 1 - s >= c / N^2,
+    N = n + beta + zeta, c from 1.1 at n = 1 to j_{0,1}^2 / 4 = 1.45 for large
+    n (Bessel-zero asymptotics, DLMF 18.16); the grid's ends, s and 1 - s =
+    6.2e-9, miss a node only past N = 1.3e4.  Nodes within three theta-steps
+    make count_nodes raise ResolutionError, which takes 2 beta n >~ 5e7.
+    """
+    return _NODE_ALPHA_R / wave.params.alpha
 
 
 def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
@@ -365,24 +375,12 @@ def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
             f"{grid.size} points over alpha*r span {span:g} is under "
             "1000 points per unit"
         )
-    # psi is evaluated chunk by chunk; the last nonzero sample and the last
-    # change carry over, so the count and the gap test see the whole grid.
-    carried_idx, carried_sign = np.empty(0, dtype=np.intp), np.empty(0)
-    last_change = np.empty(0, dtype=np.intp)
-    changes = 0
-    for start in range(0, grid.size, _NODE_CHUNK):
-        signs = np.sign(wave.psi(grid[start:start + _NODE_CHUNK]))
-        nonzero = np.nonzero(signs)[0]
-        idx = np.concatenate([carried_idx, nonzero + start])
-        sign = np.concatenate([carried_sign, signs[nonzero]])
-        before_change = idx[:-1][sign[1:] != sign[:-1]]  # nonzero sample before it
-        changed = np.concatenate([last_change, before_change])
-        if np.any(np.diff(changed) < 3):
-            raise ResolutionError("two sign changes within three samples; refine the grid")
-        changes += before_change.size
-        last_change = changed[-1:]
-        carried_idx, carried_sign = idx[-1:], sign[-1:]
-    return changes
+    signs = np.sign(wave.psi(grid))
+    idx = np.nonzero(signs)[0]
+    before_change = idx[:-1][np.diff(signs[idx]) != 0]  # nonzero sample before it
+    if np.any(np.diff(before_change) < 3):
+        raise ResolutionError("two sign changes within three samples; refine the grid")
+    return before_change.size
 
 
 def _stiffness(wave: RadialWave, r, screened: bool):

@@ -294,6 +294,16 @@ def test_table_alphas_sharing_a_file_name(tmp_path):
     assert not out.exists()
 
 
+def test_table_repeated_alpha_is_written_once(tmp_path):
+    out = tmp_path / "out"
+    proc = run_cli("table", "--alpha", "0.3", "--alpha", "0.2", "--alpha", "0.3",
+                   "--output-dir", str(out))
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [
+        str(out / "table_alpha0.3.csv"), str(out / "table_alpha0.2.csv")
+    ]
+
+
 def test_verify_takes_no_flags():
     # verify runs on fixed inputs; a configuration flag is a usage error
     proc = run_cli("verify", "--a1", "1")

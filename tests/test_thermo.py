@@ -8,6 +8,7 @@ integrations and finite differences.
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -102,6 +103,18 @@ def test_integral_against_plain_quadrature():
     assert err < 1e-12
     assert math.exp(log_partition_integral(inp)) == pytest.approx(reference, rel=1e-11)
     assert math.exp(log_partition_direct(inp)) == pytest.approx(reference, rel=1e-11)
+
+
+@pytest.mark.parametrize("lam", [1e-9, 1e-6])
+def test_integral_keeps_small_lambda(lam):
+    # a rho-space interval [delta, lambda + delta] rounds off lambda's digits
+    with mpmath.workdps(50):
+        q1, q2, q3, delta = (mpmath.mpf(v) for v in (COEFFS.q1, COEFFS.q2, COEFFS.q3,
+                                                     COEFFS.delta))
+        z = mpmath.quad(lambda n: mpmath.exp(-(q1 - q2 * (n + delta + q3 / (n + delta)) ** 2)),
+                        [0, mpmath.mpf(lam)])
+        reference = float(mpmath.log(z))
+    assert abs(log_partition_integral(ThermoInput(COEFFS, lam, 1.0)) - reference) <= 1e-10
 
 
 def test_mean_energy_constant_and_bounds():

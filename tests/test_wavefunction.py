@@ -150,8 +150,8 @@ def test_node_counts_match_quantum_number():
         assert count_nodes(wave, default_node_grid(wave)) == n
 
 
-# count_nodes probes: the first raises ResolutionError on its default grid,
-# the second counts 0 nodes at n = 1
+# count_nodes probes: on the former grid, uniform in r up to r_tail, the
+# first raised ResolutionError and the second counted 0 nodes at n = 1
 NODE_PROBES = (
     (PotentialParams(9.841691298364683e-08, -2.2338228310324652e-07,
                      91.79960954609237, 0.011497931669835109), 4, 0),
@@ -160,28 +160,41 @@ NODE_PROBES = (
 )
 
 
-def _nodes_or_error(wave, grid):
-    try:
-        return count_nodes(wave, grid)
-    except ResolutionError:
-        return ResolutionError
+@pytest.mark.parametrize("params, n, l", NODE_PROBES)
+def test_node_probes_count_n(params, n, l):
+    wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
+    assert count_nodes(wave, default_node_grid(wave)) == n
 
 
-@pytest.mark.parametrize("chunk", [5, 64])
-def test_node_count_is_independent_of_chunking(monkeypatch, chunk):
-    well = PotentialParams(0.0, 0.0, 20.0, 0.5)
-    cases = [(well, n, l) for n, l in ((0, 0), (2, 0), (5, 0), (3, 1), (2, 2))]
-    counts = []
-    for params, n, l in cases + list(NODE_PROBES):
-        wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
-        grid = default_node_grid(wave)
-        monkeypatch.setattr(wavefunction, "_NODE_CHUNK", grid.size)
-        whole = _nodes_or_error(wave, grid)
-        monkeypatch.setattr(wavefunction, "_NODE_CHUNK", chunk)
-        assert _nodes_or_error(wave, grid) == whole
-        counts.append(whole)
-    # the probes' faults are reproduced, not mended
-    assert counts == [0, 2, 5, 3, 2, ResolutionError, 0]
+def test_node_count_sweep():
+    # x1 = 2 a1 / alpha^2 and x2 = 2 a2 / alpha^2 within 0.05 of zero; the
+    # grid uniform in r up to r_tail missed or merged nodes on ~3% of these
+    rng = np.random.default_rng(12)
+    checked = 0
+    while checked < 200:
+        alpha = math.exp(rng.uniform(math.log(0.01), math.log(0.5)))
+        a1, a2 = rng.uniform(-0.05, 0.05, 2) * alpha**2 / 2.0
+        params = PotentialParams(a1, a2, math.exp(rng.uniform(0.0, math.log(100.0))), alpha)
+        n, l = int(rng.integers(0, 6)), int(rng.integers(0, 4))
+        try:
+            level = energy(params, CONSTS, n, l)
+        except NoRealDeltaError:
+            continue
+        if not level.valid_bound_state:
+            continue
+        wave = build_wave(params, CONSTS, level)
+        assert count_nodes(wave, default_node_grid(wave)) == n, (params, n, l)
+        checked += 1
+
+
+def test_node_grid_is_fixed_in_theta():
+    # s = e^{-alpha r} = sin^2(theta / 2) on theta_k = pi k / 20002, whatever
+    # r_tail is; 1 - s = cos^2(theta / 2) keeps its digits where alpha r is small
+    wave = build_wave(UNIT_YUKAWA, CONSTS, energy(UNIT_YUKAWA, CONSTS, 0, 0))
+    alpha_r = default_node_grid(wave) * UNIT_YUKAWA.alpha
+    half = np.pi * np.arange(20001, 0, -1) / 40004
+    np.testing.assert_allclose(np.exp(-alpha_r), np.sin(half) ** 2, rtol=1e-12)
+    np.testing.assert_allclose(-np.expm1(-alpha_r), np.cos(half) ** 2, rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -212,28 +225,31 @@ def test_psi_matches_mpmath(params, n):
 
 
 class _SignPattern:
-    """Stands in for a wave whose psi takes the given values on GRID."""
+    """Stands in for a wave whose psi takes the given values on its grid,
+    after `lead` samples of the first value."""
 
-    GRID = np.arange(1, 13) * 1e-4
     params = PotentialParams(0.0, 0.0, 1.0, 1.0)
 
-    def __init__(self, values):
-        self.values = np.array(values, dtype=float)
+    def __init__(self, values, lead=0):
+        self.values = np.array([values[0]] * lead + list(values), dtype=float)
+        self.grid = np.arange(1, self.values.size + 1) * 1e-4
 
     def psi(self, r):
         return self.values[np.rint(r * 1e4).astype(int) - 1]
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 64])
-def test_chunks_carry_the_last_sign_and_change(monkeypatch, chunk):
-    monkeypatch.setattr(wavefunction, "_NODE_CHUNK", chunk)
+@pytest.mark.parametrize("lead", [1, 2, 3, 5, 64])
+def test_chunks_carry_the_last_sign_and_change(lead):
+    # psi is read over the whole grid in one pass, so the last nonzero sign
+    # and the last change carry to every later sample: both patterns give
+    # the same result wherever they start in the grid
     # changes after samples 3 and 4 are within three samples
-    close = _SignPattern([1, 1, 1, 1, -1, 1, 1, 1, 1, 1, 1, 1])
+    close = _SignPattern([1, 1, 1, 1, -1, 1, 1, 1, 1, 1, 1, 1], lead)
     with pytest.raises(ResolutionError):
-        count_nodes(close, close.GRID)
+        count_nodes(close, close.grid)
     # zero samples do not count as a change and do not hide one
-    spaced = _SignPattern([1, 1, 1, -1, 0, 0, -1, -1, 0, 1, 1, 1])
-    assert count_nodes(spaced, spaced.GRID) == 2
+    spaced = _SignPattern([1, 1, 1, -1, 0, 0, -1, -1, 0, 1, 1, 1], lead)
+    assert count_nodes(spaced, spaced.grid) == 2
 
 
 def test_node_grid_validation():
@@ -329,15 +345,14 @@ def test_gauss_jacobi_rule_matches_mpmath(m, a, b):
 
 def test_deepest_well_builds():
     # r_tail as the adaptive-quadrature route found it; n = 0 used to raise
-    # ZeroDivisionError.  The default node grid resolves only n = 0 here.
+    # ZeroDivisionError.
     for n in (0, 50, 100, 150):
         wave = build_wave(DEEPEST_WELL, CONSTS, energy(DEEPEST_WELL, CONSTS, n, 0))
         assert wave.r_tail == 2000.0
         assert _simpson_log_r(wave, lambda r: wave.psi(r) ** 2) == pytest.approx(
             1.0, abs=1e-8
         )
-        if n == 0:
-            assert count_nodes(wave, default_node_grid(wave)) == 0
+        assert count_nodes(wave, default_node_grid(wave)) == n
 
 
 def test_norm_outside_double_range_is_typed():

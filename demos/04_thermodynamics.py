@@ -1,9 +1,10 @@
 """Partition function and derived quantities over temperature and level cap.
 
-Z is an integral over the continuous level index n in [0, lambda]; U, S, F
-and C come from Boltzmann-weighted moments on the same mesh, so the usual
-identities hold to near machine precision and survive to extreme arguments
-(the integrand spans ~1.5 million e-folds at lambda = 700, beta = 100).
+Z is an integral over the continuous level index n in [0, lambda] with an
+exact form through Dawson's integral; U, S, F and C come from the same form
+and its derivatives, so the usual identities hold to near machine precision
+and survive to extreme arguments (the integrand spans ~1.5 million e-folds
+at lambda = 700, beta = 100).  The direct quadrature route checks ln Z.
 
 Run:  python3 demos/04_thermodynamics.py
 """
@@ -32,8 +33,8 @@ consts = PhysicalConstants()
 params = PotentialParams(0.0, 0.0, 1.0, 0.5)
 coeffs = spectral_coefficients(params, consts, l=0)
 
-print("== two codings of the same integral ==")
-print("completed-square route vs direct e^{-beta E(n)} route:")
+print("== closed form against quadrature ==")
+print("Dawson closed form vs direct e^{-beta E(n)} quadrature:")
 for lam, beta in ((1.0, 1.0), (20.0, 1.0), (700.0, 10.0), (700.0, 100.0)):
     inp = ThermoInput(coeffs, lam, beta)
     a = log_partition_integral(inp)

@@ -6,29 +6,41 @@ lambda (normally spectrum.lambda_max):
     Z(beta, lambda) = integral_0^lambda e^{-beta E(n)} dn,
     E(n) = Q1 - Q2 (rho + Q3/rho)^2,  rho = n + delta.
 
-Completing the square in the exponent gives the equivalent form implemented
-by log_partition_integral,
+Completing the square gives E = Q1 - 2 Q2 Q3 - Q2 phi with
+phi = rho^2 + b^2/rho^2 and b = |Q3|, so with a = beta Q2 >= 0 everything
+follows from
 
-    Z = e^{beta (2 Q2 Q3 - Q1)}
-        * integral_delta^{lambda+delta} e^{beta Q2 (rho^2 + Q3^2 / rho^2)} d rho,
+    S_m = d^m/da^m integral e^{a (phi - phi_p)} d rho,   m = 0, 1, 2,
 
-while log_partition_direct codes the n-space integrand literally; the two
-routes agreeing is one of the package's acceptance checks.  thermo_state
-derives every property at a point from one set of moments:
+phi_p being phi at the end of [delta, lambda + delta] where it peaks (phi is
+convex, so the weight peaks at an end, and e^{a (phi - phi_p)} <= 1):
 
-    U = -d ln Z / d beta          S = k ln Z + k beta U
-    F = -(1/beta) ln Z            C = k beta^2 (<E^2> - <E>^2)
+    ln Z = -beta E_p + ln S0          U = E_p - Q2 S1/S0
+    C = k a^2 (S2/S0 - (S1/S0)^2)     S = k ln Z + k beta U,  F = -ln Z / beta
 
-and mean_energy_fd / heat_capacity_fd are the independent finite-difference
-oracles for U and C.
+with E_p the energy at that end.  S_m is exact through Dawson's integral
+dawsn(z) = e^{-z^2} integral_0^z e^{u^2} du (DLMF 7.2.5): with
+x = rho + b/rho and y = rho - b/rho, phi = x^2 - 2b = y^2 + 2b and
+d rho = (dx + dy)/2, so
 
-Overflow policy: every exponential is evaluated against a subtracted
-reference exponent, so ln Z, U, S, F, C stay finite even when Z itself
-overflows the double range (Z is then +inf).  Moments are computed on one
-shared adaptive mesh (scipy quad_vec over analytically chosen panels) and
-the variance from centered moments with a beta-adaptive energy scale, which
-keeps C accurate when the Boltzmann weight concentrates in a boundary layer
-many orders of magnitude narrower than the full [0, lambda] window.
+    integral f(phi) d rho = 1/2 integral f(x^2 - 2b) dx + 1/2 integral f(y^2 + 2b) dy,
+
+and integral e^{a t^2} dt = e^{a t^2} h(a, t), h = dawsn(sqrt(a) t)/sqrt(a).  Each
+S_m is then a signed sum over the two ends and over t in {x, y} of
+e^{-a D} {h, h' - D h, h'' - 2 D h' + D^2 h}, D = phi_p - phi at that end and
+' = d/da.  h and its a-derivatives come from the power series for
+z = sqrt(a)|t| < 1, scipy's dawsn for 1 <= z < 9 and the asymptotic series
+for z >= 9, each with a fixed number of terms.  A window lambda <= delta/4
+over which the weight changes by at most two e-folds, where the two ends'
+terms nearly cancel, is integrated by a fixed 16-point Gauss-Legendre rule
+instead.  Every exponential is taken against the peak, so ln Z, U, S, F and
+C stay finite even when Z itself overflows the double range (Z is then
++inf).
+
+Adaptive quadrature is the oracle only: log_partition_direct integrates the
+literal n-space integrand with QUADPACK on panels split at the stationary
+point of E and through the Boltzmann boundary layers, and mean_energy_fd /
+heat_capacity_fd difference that route in beta for U and C.
 """
 
 from __future__ import annotations
@@ -98,6 +110,170 @@ class ThermoCurve:
     errors: list = field(default_factory=list)
 
 
+# h(a, t) = dawsn(sqrt(a) t)/sqrt(a) = integral_0^t e^{a (s^2 - t^2)} ds.  The
+# branch follows z^2 = a t^2.  Below _Z2_SERIES, h = t sum_k c_k (a t^2)^k
+# with c_k = (-2)^k/(2k+1)!!; 22 terms leave under 1e-18 of h, h' and h'' at
+# z = 1.  From _Z2_ASYMPTOTIC on, h = sum_k (2k-1)!!/(2^{k+1} t^{2k+1} a^{k+1});
+# 18 terms leave under 1e-17 at z = 9, far before the smallest term (k ~ 81).
+# Rows run from the highest power down, for Horner's rule, and hold the
+# coefficients of h, h' and h''.
+_Z2_SERIES = 1.0
+_Z2_ASYMPTOTIC = 81.0
+_C = [(-2) ** k / math.prod(range(2 * k + 1, 0, -2)) for k in range(22)] + [0.0, 0.0]
+_SERIES = tuple(
+    (_C[j], (j + 1) * _C[j + 1], (j + 2) * (j + 1) * _C[j + 2]) for j in reversed(range(22))
+)
+_D = [float(math.prod(range(2 * k - 1, 0, -2))) for k in range(18)]
+_ASYMPTOTIC = tuple(
+    (_D[k], (k + 1) * _D[k], (k + 1) * (k + 2) * _D[k]) for k in reversed(range(18))
+)
+
+# A window lambda <= _SMALL_WINDOW delta over which the weight changes by at
+# most _SMALL_WINDOW_EFOLDS e-folds: the ends' terms of the closed form cancel
+# there (its error grows like (rho + b/rho)/lambda), while the integrand is
+# within rounding of a polynomial of degree 31, which this rule integrates.
+_SMALL_WINDOW = 0.25
+_SMALL_WINDOW_EFOLDS = 2.0
+
+
+def _gauss_legendre(m: int):
+    """(s, 1 - s, weight) of the m-point Gauss-Legendre rule on (0, 1), by
+    Newton's method on P_m from Tricomi's first guesses: pure math, so that
+    import mrey does not load LAPACK and its buffers."""
+    rule = []
+    for i in range(1, m + 1):
+        x = math.cos(math.pi * (i - 0.25) / (m + 0.5))
+        for _ in range(8):
+            p_prev, p = 1.0, x
+            for k in range(2, m + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            slope = m * (p_prev - x * p) / (1.0 - x * x)
+            x -= p / slope
+        rule.append((0.5 - 0.5 * x, 0.5 + 0.5 * x, 1.0 / ((1.0 - x * x) * slope * slope)))
+    return tuple(rule)
+
+
+_GL_RULE = _gauss_legendre(16)
+
+
+def _h(a: float, t: float):
+    """(h, dh/da, d^2h/da^2) of h(a, t) = dawsn(sqrt(a) t)/sqrt(a), a >= 0."""
+    w = a * t * t
+    if w < _Z2_SERIES:
+        p0 = p1 = p2 = 0.0
+        for c0, c1, c2 in _SERIES:
+            p0 = p0 * w + c0
+            p1 = p1 * w + c1
+            p2 = p2 * w + c2
+        t2 = t * t
+        return t * p0, t * t2 * p1, t * t2 * t2 * p2
+    if w < _Z2_ASYMPTOTIC:
+        from scipy.special import dawsn  # deferred: keeps it out of import mrey
+
+        root = math.sqrt(a)
+        z = root * t
+        f = float(dawsn(z))
+        return (
+            f / root,
+            (z - (2.0 * w + 1.0) * f) / (2.0 * a * root),
+            (f * (4.0 * w * w + 4.0 * w + 3.0) - z * (2.0 * w + 3.0)) / (4.0 * a * a * root),
+        )
+    v = 0.5 / w
+    p0 = p1 = p2 = 0.0
+    for d0, d1, d2 in _ASYMPTOTIC:
+        p0 = p0 * v + d0
+        p1 = p1 * v + d1
+        p2 = p2 * v + d2
+    g = 0.5 / (a * t)
+    return g * p0, -g * p1 / a, g * p2 / (a * a)
+
+
+def _phi_rise(r0: float, r1: float, gap: float, b: float) -> float:
+    """phi(r1) - phi(r0) for phi = rho^2 + b^2/rho^2, given gap = r1 - r0,
+    factored so that nearby ends do not cancel."""
+    p = r0 * r1
+    return gap * (r0 + r1) * (p - b) * (p + b) / (p * p)
+
+
+def _window_sums(r0: float, lam: float, a: float, b: float, r_p: float, drop: float):
+    """(S0, S1, S2) over rho in [r0, r0 + lambda]; r_p is the end where phi
+    peaks and drop = phi_p - phi at the other end."""
+    r1 = r0 + lam
+    peak_upper = r_p > r0
+    # phi_p less phi's minimum over the window: 2b at rho = sqrt(b) if inside
+    depth = (r_p - b / r_p) ** 2 if r0 * r0 < b < r1 * r1 else drop
+    if lam <= _SMALL_WINDOW * r0 and a * depth <= _SMALL_WINDOW_EFOLDS:
+        s0 = s1 = s2 = 0.0
+        for s, v, weight in _GL_RULE:
+            n = lam * s
+            if peak_upper:
+                g = -_phi_rise(r0 + n, r1, lam * v, b)
+            else:
+                g = _phi_rise(r0, r0 + n, n, b)
+            e = weight * math.exp(a * g)
+            s0 += e
+            s1 += e * g
+            s2 += e * g * g
+        return lam * s0, lam * s1, lam * s2
+    s0 = s1 = s2 = 0.0
+    d1, d0 = (0.0, drop) if peak_upper else (drop, 0.0)
+    for r, sign, d in ((r1, 1.0, d1), (r0, -1.0, d0)):
+        scale = sign * math.exp(-a * d)
+        for t in (r + b / r, r - b / r):
+            h0, h1, h2 = _h(a, t)
+            s0 += scale * h0
+            s1 += scale * (h1 - d * h0)
+            s2 += scale * (h2 - d * (2.0 * h1 - d * h0))
+    return 0.5 * s0, 0.5 * s1, 0.5 * s2
+
+
+def _closed_form(coeffs: SpectralCoefficients, lam: float, beta: float):
+    """(ln Z, U, Var(E)) at one point from the exact S0, S1, S2."""
+    q2 = coeffs.q2
+    if q2 < 0.0:
+        raise DomainError(f"closed-form thermodynamics needs q2 >= 0, got {q2!r}")
+    a = beta * q2
+    b = abs(coeffs.q3)
+    r0 = coeffs.delta
+    rise = _phi_rise(r0, r0 + lam, lam, b)
+    r_p = r0 + lam if rise >= 0.0 else r0
+    e_p = coeffs.q1 - q2 * (r_p + coeffs.q3 / r_p) ** 2
+    s0, s1, s2 = _window_sums(r0, lam, a, b, r_p, abs(rise))
+    if a == 0.0:
+        s0 = lam  # a flat weight: the exact integral, free of the ends' rounding
+    if not s0 > 0.0:
+        raise NumericalError(f"closed-form partition integral came out {s0!r}")
+    m1 = s1 / s0
+    m2 = s2 / s0
+    var = m2 - m1 * m1
+    if var < 0.0:
+        if var < -1e-10 * m2:
+            raise NumericalError(f"variance came out negative: {var:.3e}")
+        var = 0.0
+    return -beta * e_p + math.log(s0), e_p - q2 * m1, q2 * q2 * var
+
+
+def thermo_state(inp: ThermoInput, k: float = 1.0) -> ThermoState:
+    """Z, U, S, F and C at one point from the closed-form S0, S1, S2."""
+    beta = inp.beta
+    ln_z, u, var = _closed_form(inp.coeffs, inp.lam, beta)
+    return ThermoState(
+        ln_z=ln_z,
+        u=u,
+        s=k * (ln_z + beta * u),
+        c=k * beta**2 * var,
+        f=-ln_z / beta if beta > 0.0 else None,
+    )
+
+
+def log_partition_integral(inp: ThermoInput) -> float:
+    """ln Z from the closed form (Dawson's integral); thermo_state's ln Z."""
+    return _closed_form(inp.coeffs, inp.lam, inp.beta)[0]
+
+
+# ------------------------------------------------------------------ oracles
+
+
 def _energy_slope(coeffs: SpectralCoefficients, n: float) -> float:
     rho = n + coeffs.delta
     return -2.0 * coeffs.q2 * (rho + coeffs.q3 / rho) * (1.0 - coeffs.q3 / rho**2)
@@ -126,143 +302,73 @@ def _split_points(coeffs: SpectralCoefficients, lam: float, beta: float) -> list
 def _reference_energy(coeffs: SpectralCoefficients, lam: float):
     """min and max of E over [0, lambda] (extrema sit at endpoints or the
     single interior stationary point)."""
-    e0 = compact_energy(coeffs, 0.0)
-    e1 = compact_energy(coeffs, lam)
-    candidates = [e0, e1]
+    ends = [0.0, lam]
     if coeffs.q3 != 0.0:
         n_star = lambda_max(coeffs)
         if 0.0 < n_star < lam:
-            candidates.append(compact_energy(coeffs, n_star))
+            ends.append(n_star)
+    rhos = [n + coeffs.delta for n in ends]
+    candidates = [coeffs.q1 - coeffs.q2 * (rho + coeffs.q3 / rho) ** 2 for rho in rhos]
     return min(candidates), max(candidates)
 
 
 # Panels whose endpoint values sit below this are bounded, not integrated:
-# the exponent of both partition integrands is convex between the chosen
+# the exponent of the partition integrand is convex between the chosen
 # panel boundaries, so the panel maximum is at an endpoint, and a panel this
 # small contributes < 1e-20 relative to the layer panel (whose peak is 1).
 _PANEL_SKIP = 1e-25
 
 
-def _panel_integrate(f, points):
-    """Sum of integrals of (scalar or vector) f over consecutive panels.
+def _panel_integrate(f, points) -> float:
+    """Sum of integrals of the scalar f over consecutive panels, each by
+    QUADPACK's adaptive Gauss-Kronrod rule (scipy.integrate.quad).
 
     Individual panels are allowed to miss their relative target (a boundary
-    layer spanning ~60 e-folds bottoms out near quad_vec's round-off floor);
+    layer spanning ~60 e-folds bottoms out near the rule's round-off floor);
     what must hold is that the accumulated error estimate stays small against
     the assembled total.
     """
-    from scipy.integrate import quad_vec  # deferred: keeps it out of import mrey
+    from scipy.integrate import quad  # deferred: keeps it out of import mrey
 
-    total = None
+    total = 0.0
     err_sum = 0.0
     for a, b in zip(points[:-1], points[1:]):
-        f_a = np.asarray(f(a), dtype=float)
-        f_b = np.asarray(f(b), dtype=float)
-        bound = np.maximum(np.abs(f_a), np.abs(f_b))
-        if np.max(bound) < _PANEL_SKIP:
-            piece = bound * (b - a)
-            err = float(np.max(piece))
+        bound = max(abs(f(a)), abs(f(b)))
+        if bound < _PANEL_SKIP:
+            piece = err = bound * (b - a)
         else:
-            piece, err, _ = quad_vec(
-                f, a, b, epsabs=1e-280, epsrel=1e-12, limit=2000,
-                norm="max", full_output=True,
-            )
-        err_sum += float(err)
-        total = piece if total is None else total + piece
-    scale = float(np.max(np.abs(total)))
-    if err_sum > 1e-10 * max(scale, 1e-300):
+            # full_output keeps a missed panel target a number, not a warning
+            piece, err = quad(f, a, b, epsabs=1e-280, epsrel=1e-12, limit=2000,
+                              full_output=1)[:2]
+        err_sum += err
+        total += piece
+    if err_sum > 1e-10 * max(abs(total), 1e-300):
         raise NumericalError(
-            f"quadrature error {err_sum:.2e} too large for integral {scale:.2e}"
+            f"quadrature error {err_sum:.2e} too large for integral {abs(total):.2e}"
         )
     return total
 
 
-def _shifted_log_integral(f, points) -> float:
-    """log of integral of f over the panels, f expected in [0, ~1]."""
-    total = float(_panel_integrate(f, points))
-    if total <= 0.0:
-        raise NumericalError("shifted integrand summed to zero")
-    return math.log(total)
-
-
-def _moments(coeffs: SpectralCoefficients, lam: float, beta: float):
-    """(ln Z, U, Var(E)) from one shared adaptive mesh.
-
-    The integrand vector is [w, w t, w t^2] with w = e^{-beta (E - E_ref)}
-    and t = (E - E_ref)/scale, E_ref the minimum of E over the window and
-    scale ~ min(energy range, 3/beta): all three components are O(1), so a
-    single relative tolerance controls them jointly and their quadrature
-    errors cancel in the ratios.
-    """
-    e_ref, e_top = _reference_energy(coeffs, lam)
-    e_range = e_top - e_ref
-    if e_range == 0.0:
-        scale = 1.0
-    elif beta == 0.0:
-        scale = e_range
-    else:
-        scale = min(e_range, 3.0 / beta)
-
-    def integrand(n):
-        de = compact_energy(coeffs, n) - e_ref
-        t = de / scale
-        w = math.exp(-beta * de)
-        return np.array([w, w * t, w * t * t])
-
-    points = _split_points(coeffs, lam, beta)
-    s0, s1, s2 = _panel_integrate(integrand, points)
-    if s0 <= 0.0:
-        raise NumericalError("partition integrand summed to zero")
-    m1 = s1 / s0
-    m2 = s2 / s0
-    var = (m2 - m1 * m1) * scale**2
-    if var < 0.0:
-        if var < -1e-10 * max(m2, 1.0) * scale**2:
-            raise NumericalError(f"variance came out negative: {var:.3e}")
-        var = 0.0
-    ln_z = -beta * e_ref + math.log(s0)
-    return ln_z, e_ref + scale * m1, var
-
-
-def thermo_state(inp: ThermoInput, k: float = 1.0) -> ThermoState:
-    """Z, U, S, F and C at one point from a single pass of the moments."""
-    beta = inp.beta
-    ln_z, u, var = _moments(inp.coeffs, inp.lam, beta)
-    return ThermoState(
-        ln_z=ln_z,
-        u=u,
-        s=k * (ln_z + beta * u),
-        c=k * beta**2 * var,
-        f=-ln_z / beta if beta > 0.0 else None,
-    )
-
-
-def log_partition_integral(inp: ThermoInput) -> float:
-    """ln Z via the completed-square rho-space form, integrated over n in
-    [0, lambda] with rho = n + delta formed in the integrand: the ends delta
-    and lambda + delta would lose lambda's digits when lambda << delta."""
-    coeffs, lam, beta = inp.coeffs, inp.lam, inp.beta
-    prefactor = beta * (2.0 * coeffs.q2 * coeffs.q3 - coeffs.q1)
-
-    def g(n):
-        rho = n + coeffs.delta
-        return beta * coeffs.q2 * (rho * rho + coeffs.q3**2 / rho**2)
-
-    g_max = max(g(0.0), g(lam))
-    points = _split_points(coeffs, lam, beta)
-    log_i = _shifted_log_integral(lambda n: math.exp(g(n) - g_max), points)
-    return prefactor + g_max + log_i
-
-
 def _log_s0(coeffs, lam, beta, e_ref, points=None) -> float:
     """ln integral e^{-beta (E - e_ref)} dn with a caller-fixed reference."""
+    q2, q3, delta = coeffs.q2, coeffs.q3, coeffs.delta
+    # E - e_ref = c - Q2 (rho + Q3/rho)^2 in a few float operations (the
+    # integrand is most of the oracle's cost); beta stays a factor outside,
+    # so the rounding does not change along a finite-difference stencil
+    c = coeffs.q1 - e_ref
+    minus_beta = -beta
 
-    def f(n):
-        return math.exp(-beta * (compact_energy(coeffs, n) - e_ref))
+    def f(n, exp=math.exp):
+        rho = n + delta
+        t = rho + q3 / rho
+        return exp(minus_beta * (c - q2 * t * t))
 
     if points is None:
         points = _split_points(coeffs, lam, beta)
-    return _shifted_log_integral(f, points)
+    total = _panel_integrate(f, points)
+    if total <= 0.0:
+        raise NumericalError("shifted integrand summed to zero")
+    return math.log(total)
 
 
 def log_partition_direct(inp: ThermoInput) -> float:

@@ -4,7 +4,7 @@ Each check returns a CheckResult instead of asserting, so the CLI can print
 a report and the tests can both print and assert.  The checks are the
 load-bearing validation of the package: closed forms against an independent
 root solver, independently coded formula variants against each other,
-quadrature routes against each other (escalating to high-precision
+closed-form thermodynamics against quadrature (escalating to high-precision
 arithmetic where double precision provably cannot resolve the comparison),
 and structural contracts of the command-line artifacts.
 """
@@ -351,7 +351,7 @@ def _mp_route_gap(coeffs, lam, beta):
 
 
 def check_quadrature_routes() -> CheckResult:
-    """Completed-square and direct partition integrals agree on the grid.
+    """The closed-form (completed-square) ln Z and the direct quadrature agree.
 
     Where double precision cannot resolve 1e-10 on Z (eps |ln Z| exceeds the
     target), the comparison escalates: both routes are recomputed in 40-digit

@@ -100,12 +100,16 @@ class RadialWave:
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr <= 0.0):
             raise DomainError("r must be > 0")
-        s = np.exp(-self.params.alpha * r_arr)
-        one_minus = -np.expm1(-self.params.alpha * r_arr)
-        p, _, log_scale = _jacobi_scaled(self.jacobi.n, self.jacobi.a, self.jacobi.b, s)
-        value = self.norm * (
-            s**self.beta_exp * one_minus**self.zeta_exp * (p * np.exp(log_scale))
-        )
+        alpha_r = self.params.alpha * r_arr
+        p, _, log_scale = _jacobi_scaled(self.jacobi.n, self.jacobi.a, self.jacobi.b,
+                                         np.exp(-alpha_r))
+        # s^beta (1 - s)^zeta e^{log_scale} in one exponent: the factors
+        # apart can underflow and overflow at the same r
+        value = self.norm * (p * np.exp(
+            self.beta_exp * -alpha_r
+            + self.zeta_exp * np.log(-np.expm1(-alpha_r))
+            + log_scale
+        ))
         if np.ndim(r) == 0:
             return float(value)
         return value

@@ -185,6 +185,16 @@ def test_wavefunction_output(tmp_path):
     assert max(abs(v) for v in values) > 0.1  # normalized profile, not zeros
 
 
+
+def test_deep_well_wavefunction_has_no_nan(tmp_path):
+    proc = run_cli("wavefunction", "--a3", "5000", "--alpha", "0.01", "--n", "150", "--l", "0",
+                   "--output-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "wavefunction_n150_l0.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 1001
+    assert all(np.isfinite(float(v)) for row in rows for v in row)
+
 def test_wavefunction_rejects_unbound_level(tmp_path):
     proc = run_cli("wavefunction", "--n", "1", "--l", "0", "--output-dir", str(tmp_path))
     assert proc.returncode == 2  # marginal level, no normalizable wave

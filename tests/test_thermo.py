@@ -24,6 +24,7 @@ from mrey import (
     thermo_curve,
     thermo_state,
 )
+from mrey import thermo
 from mrey.thermo import (
     heat_capacity_fd,
     level_energies,
@@ -269,3 +270,172 @@ def test_curve_columns_equal_thermo_state():
     curve = thermo_curve(COEFFS, "lambda", lams, fixed_beta=2.0)
     _assert_columns_match_states(curve, [ThermoInput(COEFFS, lam, 2.0) for lam in lams])
     assert curve.errors == []
+
+
+# ---------------------------------------------------- closed form against mpmath
+
+# (lambda, beta) on UNIT_YUKAWA where the former moment quadrature raised
+# NumericalError, and the point it took ~3 s on
+FORMER_FAILURES = ((1e-9, 1.0), (700.0, 1e4), (5000.0, 100.0), (700.0, 1000.0))
+FORMER_SLOW = (700.0, 69.5)
+
+
+def _mp_cuts(coeffs, lam, beta):
+    """Endpoints, the stationary point of E and cuts at 4^k Boltzmann
+    widths from each end, for mpmath's tanh-sinh panels."""
+    cuts = {0.0, lam}
+    n_star = math.sqrt(abs(coeffs.q3)) - coeffs.delta
+    if 0.0 < n_star < lam:
+        cuts.add(n_star)
+    for end, sign in ((0.0, 1.0), (lam, -1.0)):
+        rho = end + coeffs.delta
+        rate = beta * abs(2.0 * coeffs.q2 * (rho + coeffs.q3 / rho) * (1.0 - coeffs.q3 / rho**2))
+        width = 1.0 / rate if rate * lam > 1.0 else lam
+        while width < lam:
+            cuts.add(end + sign * width)
+            width *= 4.0
+    return sorted(cuts)
+
+
+def _mp_thermo(coeffs, lam, beta):
+    """(ln Z, U, C) at k = 1 from 40-digit quadrature of the n-space moments."""
+    with mpmath.workdps(40):
+        q1, q2, q3, delta, b = (mpmath.mpf(v) for v in (coeffs.q1, coeffs.q2, coeffs.q3,
+                                                        coeffs.delta, beta))
+        cuts = [mpmath.mpf(p) for p in _mp_cuts(coeffs, lam, beta)]
+
+        def energy(n):
+            return q1 - q2 * (n + delta + q3 / (n + delta)) ** 2
+
+        e_ref = min(energy(p) for p in cuts)
+        s0, s1, s2 = (
+            mpmath.quad(lambda n: (energy(n) - e_ref) ** m * mpmath.exp(-b * (energy(n) - e_ref)),
+                        cuts)
+            for m in range(3)
+        )
+        return (float(-b * e_ref + mpmath.log(s0)), float(e_ref + s1 / s0),
+                float(b * b * (s2 / s0 - (s1 / s0) ** 2)))
+
+
+def _domain_coeffs(rng, l, q3):
+    """Coefficients at angular momentum l and the given Q3, with alpha
+    log-uniform in [0.01, 0.25] and |x1|, |x2| <= 0.05."""
+    alpha = math.exp(rng.uniform(math.log(0.01), math.log(0.25)))
+    x1, x2 = rng.uniform(-0.05, 0.05, 2)
+    x3 = x2 + l * (l + 1) - q3
+    params = PotentialParams(x1 * alpha**2 / 2, x2 * alpha**2 / 2, x3 * alpha / 2, alpha)
+    return spectral_coefficients(params, CONSTS, l)
+
+
+def _switch_points():
+    """Seeded (coeffs, lambda, beta) just below and just above each switch:
+    z^2 = a t^2 at 1 and 81 for t = x or y at the peak end, lambda at delta/4,
+    and the window's depth at two e-folds, the last two also on windows
+    around phi's minimum at rho = sqrt(b).  "deep" windows hold that minimum
+    40 e-folds down, with both ends at the same height."""
+    rng = np.random.default_rng(11)
+    points = []
+    for switch, around_min in (("z=1", False), ("z=9", False), ("window", False),
+                               ("window", True), ("efolds", False), ("efolds", True),
+                               ("deep", True)):
+        for side in (-1e-9, 1e-9):
+            coeffs = _domain_coeffs(rng, int(rng.integers(0, 4)), rng.uniform(-100.0, 20.0))
+            r0 = coeffs.delta
+            if switch.startswith("z="):
+                lam = float(rng.choice([1.0, 20.0, 100.0]))
+            else:
+                lam = 0.25 * r0 * (1.0 + side if switch == "window" else rng.uniform(0.01, 1.0))
+            if around_min:
+                # phi(r0) = phi(r1) where r0 r1 = b
+                centre = (math.sqrt(r0 * (r0 + lam)) if switch == "deep"
+                          else r0 + rng.uniform(0.05, 0.95) * lam)
+                coeffs = replace(coeffs, q3=-centre * centre)
+            b, r1 = abs(coeffs.q3), r0 + lam
+            r = r1 if r0 * r1 >= b else r0  # the end where phi peaks
+            if switch.startswith("z="):
+                t = r + b / r if rng.uniform() < 0.5 else r - b / r
+                z2 = 1.0 if switch == "z=1" else 81.0
+                beta = z2 * (1.0 + side) / (t * t * coeffs.q2)
+            else:
+                drop = abs((r1 * r1 - r0 * r0) * (1.0 - b * b / (r0 * r1) ** 2))
+                depth = (r - b / r) ** 2 if around_min else drop
+                efolds = {"window": rng.uniform(0.1, 2.0), "efolds": 2.0 * (1.0 + side),
+                          "deep": 40.0}[switch]
+                beta = efolds / (depth * coeffs.q2)
+            name = switch + ("-around-min" if around_min else "")
+            points.append(pytest.param(coeffs, lam, beta, id=f"{name}{side:+.0e}"))
+    return points
+
+
+@pytest.mark.parametrize(
+    "coeffs, lam, beta",
+    [pytest.param(COEFFS, lam, beta, id=f"lam{lam:g}-beta{beta:g}")
+     for lam, beta in FORMER_FAILURES + (FORMER_SLOW,)]
+    + [pytest.param(COEFFS, 1.0, 0.0, id="beta0"), pytest.param(COEFFS, 7.5, 0.0, id="beta0-7.5"),
+       pytest.param(replace(COEFFS, q2=0.0), 3.0, 0.8, id="q2=0")]
+    + _switch_points(),
+)
+def test_closed_form_matches_mpmath(coeffs, lam, beta):
+    state = thermo_state(ThermoInput(coeffs, lam, beta))
+    ln_z, u, c = _mp_thermo(coeffs, lam, beta)
+    assert abs(state.ln_z - ln_z) <= 1e-13 * max(1.0, abs(ln_z))
+    assert abs(state.u - u) <= 1e-12 * abs(u)
+    if c == 0.0:
+        assert state.c == 0.0
+    else:
+        assert abs(state.c - c) <= 1e-9 * c
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-4, 0.3, 50.0])
+@pytest.mark.parametrize("z", [0.5, 1.0 - 1e-12, 1.0 + 1e-12, 7.0, 9.0 - 1e-12, 9.0 + 1e-12, 40.0])
+def test_dawson_branches_match_mpmath(a, z):
+    # h(a, t) = int_0^t e^{a (s^2 - t^2)} ds and its a-derivatives; the
+    # closed-form derivatives through dawsn cancel z^2 and z^4 times near z = 9
+    t = z / math.sqrt(a) if a > 0.0 else z
+    with mpmath.workdps(40):
+        am, tm = mpmath.mpf(a), mpmath.mpf(t)
+        split = tm * (1 - 1 / (4 * am * tm * tm + 1))  # start of the layer at t
+        want = [mpmath.quad(lambda s: (s * s - tm * tm) ** m * mpmath.exp(am * (s * s - tm * tm)),
+                            [0, split, tm]) for m in range(3)]
+    got = thermo._h(a, t)
+    for value, ref, tol in zip(got, want, (1e-15, 2e-13, 1e-11)):
+        assert abs(value - float(ref)) <= tol * abs(float(ref))
+    assert thermo._h(a, -t) == tuple(-v for v in got)
+
+
+def _benchmark_domain_points(seed, potentials):
+    """(coeffs, lambda, beta) over the thermo-sweep benchmark's domain: alpha
+    log-uniform in [0.01, 0.25], |x1|, |x2| <= 0.05, l <= 3, Q3 log-uniform
+    in [-100, -0.1] or [0.1, 20] by turns, and per potential one of five beta
+    sweeps at fixed lambda or four lambda sweeps at fixed beta."""
+    betas = np.geomspace(0.1, 100.0, 20)
+    lams = np.linspace(1.0, 100.0, 34)
+    sweeps = ([(lam, betas) for lam in (1.0, 5.0, 20.0, 100.0, 700.0)]
+              + [(lams, beta) for beta in (0.1, 1.0, 10.0, 100.0)])
+    rng = np.random.default_rng(seed)
+    for i in range(potentials):
+        if i // 4 % 2 == 0:
+            q3 = -math.exp(rng.uniform(math.log(0.1), math.log(100.0)))
+        else:
+            q3 = math.exp(rng.uniform(math.log(0.1), math.log(20.0)))
+        coeffs = _domain_coeffs(rng, i % 4, q3)
+        lam_grid, beta_grid = sweeps[i % len(sweeps)]
+        for lam, beta in np.broadcast(lam_grid, beta_grid):
+            yield coeffs, float(lam), float(beta)
+
+
+def test_closed_form_agrees_with_direct_route_on_benchmark_domain():
+    # the thermo-sweep benchmark compares ln Z with log_partition_direct at
+    # 1e-10 and recomputes every miss in 40-digit arithmetic; a miss here is
+    # a slow and failed benchmark point
+    points = list(_benchmark_domain_points(2, 81))
+    assert len(points) >= 2000
+    misses = []
+    for coeffs, lam, beta in points:
+        inp = ThermoInput(coeffs, lam, beta)
+        state = thermo_state(inp)
+        assert state.c >= 0.0, (coeffs, lam, beta)
+        gap = state.ln_z - log_partition_direct(inp)
+        if not abs(math.expm1(gap)) <= 1e-10:
+            misses.append((coeffs, lam, beta, gap))
+    assert misses == []

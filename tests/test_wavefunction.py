@@ -197,6 +197,16 @@ def test_node_grid_is_fixed_in_theta():
     np.testing.assert_allclose(-np.expm1(-alpha_r), np.cos(half) ** 2, rtol=1e-12)
 
 
+
+def test_deep_well_psi_stays_finite():
+    # s^beta underflows to 0 where P_n's scale e^{log_scale} overflows; psi
+    # takes them in one exponent, so the product is never 0 * inf
+    params = PotentialParams(0.0, 0.0, 5000.0, 0.01)
+    wave = build_wave(params, CONSTS, energy(params, CONSTS, 150, 0))
+    grid = default_node_grid(wave)
+    assert np.all(np.isfinite(wave.psi(grid)))
+    assert count_nodes(wave, grid) == 150
+
 @pytest.mark.parametrize(
     "params, n",
     [

@@ -34,7 +34,7 @@ for n in range(4):
 print()
 print("the (1 - e^-ar) exponent zeta equals delta from the level algebra;")
 print("node counts equal n; the residual of the screened radial equation")
-print("sits at the finite-difference noise floor.")
+print("sits at the rounding floor.")
 
 print()
 print("== a rough picture of psi_0 and psi_2 ==")

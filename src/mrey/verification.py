@@ -420,20 +420,21 @@ def check_quadrature_routes() -> CheckResult:
 
 
 def _recheck_norm(wave) -> float:
-    """Normalization integral on an independent fixed Simpson grid."""
+    """Norm integral by Simpson in ln r from alpha r = 1e-12 (psi^2 holds under
+    (1e-12 beta)^{2 zeta + 1} below, zeta >= 1/2) to 1.5 r_tail; no Gauss-Jacobi."""
     from scipy.integrate import simpson
 
-    r_hi = 1.5 * wave.r_tail
-    grid = np.linspace(r_hi / 400000, r_hi, 400001)
-    psi = wave.psi(grid)
-    return float(simpson(psi * psi, x=grid))
+    u = np.linspace(math.log(1e-12 / wave.params.alpha), math.log(1.5 * wave.r_tail), 4001)
+    r = np.exp(u)
+    return float(simpson(wave.psi(r) ** 2 * r, x=u))
 
 
 def check_wavefunctions() -> CheckResult:
     """Normalization, node counts, ODE residual, exponent identity."""
     t0 = time.perf_counter()
     problems = []
-    cases = [(_DEFAULT_POTENTIAL, (0,)), (_DEEP_POTENTIAL, (0, 1, 2, 3))]
+    cases = [(_DEFAULT_POTENTIAL, (0,)), (_DEEP_POTENTIAL, (0, 1, 2, 3)),
+             (PotentialParams(0.0, 0.0, 2000.0, 0.01), (0, 50, 100, 150))]
     checked = 0
     for params, ns in cases:
         coeffs = spectral_coefficients(params, _CONSTS, 0)
@@ -452,7 +453,7 @@ def check_wavefunctions() -> CheckResult:
                 problems.append(f"{nodes} nodes at n={n}, a3={params.a3:g}")
             residual = ode_residual(wave)
             if residual >= 1e-6:
-                problems.append(f"ODE residual {residual:.2e} at n={n}")
+                problems.append(f"ODE residual {residual:.2e} at n={n}, a3={params.a3:g}")
             if abs(wave.zeta_exp - coeffs.delta) > 1e-12:
                 problems.append(
                     f"zeta {wave.zeta_exp!r} != delta {coeffs.delta!r} at n={n}"

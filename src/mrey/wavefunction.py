@@ -23,10 +23,10 @@ Gauss-Jacobi rule integrates exactly (Golub & Welsch, Math. Comp. 23, 1969).
 The rule is built in log space, so deep wells (2 beta up to ~4e5) neither
 overflow nor lose the tiny weights that carry the mass.  The same rule on
 the tail of the integral fixes r_tail, the radius past which doubling R
-adds under 1e-13 of the norm; ode_residual and the CLI's r range use it,
-not the node grid, which is fixed in theta = arccos(1 - 2 s).
-verification.check_wavefunctions rechecks every norm on an independent
-Simpson grid.
+adds under 1e-13 of the norm.  The CLI's r range and both checks end there
+(the node grid is fixed in theta = arccos(1 - 2 s)): ode_residual takes psi''
+exactly, and verification.check_wavefunctions rechecks every norm by Simpson's
+rule in ln r, both log-spaced in r from alpha r = 1e-12 however narrow the wave.
 
 No orthogonality is asserted between different n at fixed l: each level
 carries its own beta exponent (energy enters the weight), so the Jacobi
@@ -407,29 +407,31 @@ def _stiffness(wave: RadialWave, r, screened: bool):
 def ode_residual(wave: RadialWave, screened: bool = True) -> float:
     """Normalized residual of the radial equation at sampled radii.
 
-    Differentiates psi with a five-point central stencil of step
-    h = min(1e-4/alpha, r/10) and returns
-    max |psi'' + k psi| / max(|psi''|, |k psi|).  With screened=True the
-    equation is the one the closed form solves exactly (Yukawa and
-    centrifugal terms replaced by their screened stand-ins), so the residual
-    is at the finite-difference noise floor; with screened=False the exact
-    1/r and 1/r^2 appear and the residual is dominated by the O(alpha^2 r^2)
-    approximation error instead.
+    psi'' = alpha^2 norm w [(A^2 + s A_s) P + (2 A + 1) s P_s + s^2 P_ss]
+    exactly, with w = s^beta v^zeta, v = 1 - s, A = beta - zeta s / v and P's
+    derivatives from DLMF 18.9.15.  At radii log-spaced from alpha r = 1e-12
+    to r_tail, on one scale and times v^2 (its 1/v^2 terms cancel as r -> 0),
+    it returns max |psi'' + k psi| / max(|psi''|, |k psi|): the rounding floor
+    for the screened equation the closed form solves, and the O(alpha^2 r^2)
+    error of the screened stand-ins with screened=False (exact 1/r, 1/r^2).
     """
-    alpha = wave.params.alpha
-    r_hi = min(wave.r_tail, 30.0 / (alpha * max(wave.beta_exp, 0.5)) + 10.0 / alpha)
-    r = np.geomspace(0.02 / alpha, r_hi, _ODE_SAMPLES)
-    h = np.minimum(1e-4 / alpha, r / 10.0)
-    stencil = r + np.arange(-2.0, 3.0)[:, None] * h  # r - 2h .. r + 2h, one psi call
-    psi_m2, psi_m1, psi_0, psi_p1, psi_p2 = wave.psi(stencil)
-    second = (-psi_m2 + 16.0 * psi_m1 - 30.0 * psi_0 + 16.0 * psi_p1 - psi_p2) / (
-        12.0 * h**2
-    )
-    k_psi = _stiffness(wave, r, screened) * psi_0
-    scale = max(np.max(np.abs(second)), np.max(np.abs(k_psi)))
-    if scale == 0.0:
-        raise NumericalError("degenerate sample: psi vanished at all points")
-    return float(np.max(np.abs(second + k_psi)) / scale)
+    alpha, beta, zeta = wave.params.alpha, wave.beta_exp, wave.zeta_exp
+    n, a, b = wave.jacobi.n, wave.jacobi.a, wave.jacobi.b
+    r = np.geomspace(1e-12 / alpha, wave.r_tail, _ODE_SAMPLES)
+    s, v = np.exp(-alpha * r), -np.expm1(-alpha * r)
+    p, _, log_scale = _jacobi_scaled(n, a, b, s)
+    # s^k d^k P / ds^k = s^k c_k P_{n-k}^{(a+k,b+k)}, on the scale of P
+    c, s_derivs = np.cumprod([-(n + a + b + 1.0), -(n + a + b + 2.0)]), [0.0, 0.0]
+    for k in range(1, min(n, 2) + 1):
+        q, _, log_q = _jacobi_scaled(n - k, a + k, b + k, s)
+        s_derivs[k - 1] = c[k - 1] * q * np.exp(log_q - log_scale) * s**k
+    log_w = beta * -alpha * r + zeta * np.log(v) + log_scale
+    weight = np.exp(log_w - np.max(log_w))  # w e^{log_scale}, one scale for all r
+    va = beta * v - zeta * s  # v A
+    second = alpha**2 * weight * ((va**2 - zeta * s) * p + v * (2.0 * va + v) * s_derivs[0]
+                                  + v**2 * s_derivs[1])
+    k_psi = _stiffness(wave, r, screened) * v**2 * weight * p
+    return float(np.max(np.abs(second + k_psi)) / np.max(np.abs([second, k_psi])))
 
 
 def overlap_matrix(waves: list[RadialWave]) -> np.ndarray:

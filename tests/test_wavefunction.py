@@ -168,7 +168,9 @@ def test_node_probes_count_n(params, n, l):
 
 def test_node_count_sweep():
     # x1 = 2 a1 / alpha^2 and x2 = 2 a2 / alpha^2 within 0.05 of zero; the
-    # grid uniform in r up to r_tail missed or merged nodes on ~3% of these
+    # grid uniform in r up to r_tail missed or merged nodes on ~3% of these.
+    # Check 06's other two limits hold on every level too: a finite-difference
+    # ODE residual failed 4 of them and a norm recheck uniform in r 53.
     rng = np.random.default_rng(12)
     checked = 0
     while checked < 200:
@@ -184,6 +186,8 @@ def test_node_count_sweep():
             continue
         wave = build_wave(params, CONSTS, level)
         assert count_nodes(wave, default_node_grid(wave)) == n, (params, n, l)
+        assert ode_residual(wave) < 1e-6, (params, n, l)
+        assert _recheck_norm(wave) == pytest.approx(1.0, abs=1e-8), (params, n, l)
         checked += 1
 
 
@@ -284,6 +288,14 @@ def test_ode_residual_negative_control():
     wave = build_wave(UNIT_YUKAWA, CONSTS, level)
     spoiled = dataclasses.replace(wave, beta_exp=wave.beta_exp + 0.1)
     assert ode_residual(spoiled) > 1e-2
+    # a relative 1e-5 off the exponent or the energy must show, in deep
+    # wells too: the exact residual leaves no noise floor to hide it under
+    for params, n in ((UNIT_YUKAWA, 0), (DEEPEST_WELL, 0), (DEEPEST_WELL, 150)):
+        wave = build_wave(params, CONSTS, energy(params, CONSTS, n, 0))
+        spoiled = dataclasses.replace(wave, beta_exp=wave.beta_exp * (1.0 + 1e-5))
+        assert ode_residual(spoiled) > 1e-6, (params, n)
+        level = dataclasses.replace(wave.level, energy=wave.level.energy * (1.0 + 1e-5))
+        assert ode_residual(dataclasses.replace(wave, level=level)) > 1e-6, (params, n)
 
 
 def test_ode_residual_against_unscreened_equation():

@@ -175,6 +175,9 @@ def build_config(file_values: dict, flag_values: dict) -> SimpleNamespace:
         raise ConfigError("beta_grid values must be >= 0")
     if any(lam <= 0.0 for lam in merged["lambda_grid"]):
         raise ConfigError("lambda_grid values must be > 0")
+    lam_fixed = merged["lambda_fixed"]
+    if lam_fixed is not None and not (math.isfinite(lam_fixed) and lam_fixed > 0.0):
+        raise ConfigError(f"lambda_fixed must be finite and > 0, got {lam_fixed!r}")
     return SimpleNamespace(
         **merged,
         constants=PhysicalConstants(

@@ -187,6 +187,12 @@ def solve_bound_state(
     increasing: a bound state exists iff the residual is negative at xi^2 = 0,
     and the upper bracket edge is found by doubling.  Raises NoRootError when
     the level is unbound.  This never consults the closed-form spectrum.
+
+    Precision limit: with c1 = c2 = c3 = 1, c9 = radicand/4 is formed from
+    xi1, xi2 and xi3, each of size xi^2, so the root's relative error grows
+    with xi^2: it is 8.6e-9 against 50 digits (the closed form's: 8.5e-18)
+    at n = l = 0 of (a1, a2, a3, alpha) = (1.3038747019433676e-06,
+    -2.993045207634939e-07, 76.21960089335214, 0.01370259605402353).
     """
     from scipy.optimize import brentq  # deferred: keeps it out of import mrey
 

@@ -266,11 +266,6 @@ def thermo_state(inp: ThermoInput, k: float = 1.0) -> ThermoState:
     )
 
 
-def log_partition_integral(inp: ThermoInput) -> float:
-    """ln Z from the closed form (Dawson's integral); thermo_state's ln Z."""
-    return _closed_form(inp.coeffs, inp.lam, inp.beta)[0]
-
-
 # ------------------------------------------------------------------ oracles
 
 

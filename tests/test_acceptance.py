@@ -55,8 +55,9 @@ def test_07_thermodynamic_identities():
 
 
 def test_08_quadrature_routes():
-    # completed-square and direct integrand routes agree to 1e-10;
-    # constant-spectrum closed forms reproduced
+    # Dawson closed form and direct quadrature agree to 1e-10 on Z; where
+    # double precision cannot resolve that, each sits within 2x its round-off
+    # floor of the 40-digit reference; constant-spectrum closed forms reproduced
     _drive(verification.check_quadrature_routes)
 
 

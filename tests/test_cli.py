@@ -163,6 +163,19 @@ def test_config_decreasing_grid_rejected(tmp_path):
     assert "increasing" in proc.stderr
 
 
+@pytest.mark.parametrize("config, flags", [
+    ("", ("--lambda-fixed", "-1")), ("", ("--lambda-fixed", "nan")),
+    ("", ("--lambda-fixed", "inf")), ("lambda_fixed = -2\n", ()), ("lambda_fixed = 0\n", ()),
+])
+def test_figures_rejects_bad_lambda_fixed(tmp_path, config, flags):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(config)
+    proc = run_cli("figures", "--config", str(cfg), *flags, "--output-dir", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "lambda_fixed must be finite and > 0" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_unwritable_output_dir_is_runtime_error(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")

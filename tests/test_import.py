@@ -1,14 +1,14 @@
-"""`import mrey` and `mrey spectrum --n 0 --l 0` load numpy but no part of scipy.
+"""`import mrey` and `mrey spectrum --n 0 --l 0` load numpy only: no scipy, no mpmath.
 
 scipy is imported where it is called (the NU root oracle, the coupling fit
-and the thermodynamic quadrature), so a session that never calls them does
-not pay for loading it.
+and the thermodynamic quadrature), mpmath where the 40-digit reference is,
+so a session that never calls them does not pay for loading them.
 """
 
 import subprocess
 import sys
 
-SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+HEAVY = "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
 SPECTRUM = """
 import runpy, sys
 sys.argv = ["mrey", "spectrum", "--n", "0", "--l", "0"]
@@ -19,17 +19,17 @@ except SystemExit as exc:
 """
 
 
-def _scipy_modules_after(code):
+def _heavy_modules_after(code):
     proc = subprocess.run(
-        [sys.executable, "-c", code + "\n" + SCIPY_MODULES], capture_output=True, text=True
+        [sys.executable, "-c", code + "\n" + HEAVY], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
 
 
 def test_import_loads_no_scipy():
-    assert _scipy_modules_after("import sys, mrey") == "[]"
+    assert _heavy_modules_after("import sys, mrey") == "[]"
 
 
 def test_spectrum_command_loads_no_scipy():
-    assert _scipy_modules_after(SPECTRUM) == "[]"
+    assert _heavy_modules_after(SPECTRUM) == "[]"

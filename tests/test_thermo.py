@@ -1,8 +1,9 @@
 """Partition function routes, derived properties, and their cross-checks.
 
 Constant-spectrum cases (q2 = 0) have closed forms and pin the plumbing;
-the screened-well cases exercise the panel quadrature against independent
-integrations and finite differences.
+the screened-well cases hold the Dawson closed form against the direct
+quadrature route, finite differences and the 40-digit reference in
+mrey.verification.
 """
 
 import math
@@ -29,10 +30,10 @@ from mrey.thermo import (
     heat_capacity_fd,
     level_energies,
     log_partition_direct,
-    log_partition_integral,
     mean_energy_fd,
     partition_discrete,
 )
+from mrey.verification import _mp_thermo, check_quadrature_routes
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 UNIT_YUKAWA = PotentialParams(0.0, 0.0, 1.0, 0.5)
@@ -76,23 +77,21 @@ def test_discrete_sum_overflow_policy():
 
 
 def test_integral_constant_spectrum():
-    z = math.exp(log_partition_integral(ThermoInput(FLAT, 5.0, 1.0)))
+    z = thermo_state(ThermoInput(FLAT, 5.0, 1.0)).z
     assert z == pytest.approx(5.0 * math.e, rel=1e-12)
-    z0 = math.exp(log_partition_integral(ThermoInput(FLAT, 5.0, 0.0)))
-    assert z0 == pytest.approx(5.0, rel=1e-14)
 
 
 def test_integral_beta_zero_is_lambda():
     for lam in (1.0, 7.5, 100.0):
-        z0 = math.exp(log_partition_integral(ThermoInput(COEFFS, lam, 0.0)))
+        z0 = thermo_state(ThermoInput(COEFFS, lam, 0.0)).z
         assert z0 == pytest.approx(lam, rel=1e-12)
 
 
 def test_integral_routes_agree():
-    # completed-square route vs direct e^{-beta E(n)} coding
+    # Dawson closed form vs direct e^{-beta E(n)} quadrature
     for lam, beta in ((1.0, 1.0), (20.0, 0.3), (100.0, 2.0), (700.0, 10.0)):
         inp = ThermoInput(COEFFS, lam, beta)
-        gap = abs(log_partition_integral(inp) - log_partition_direct(inp))
+        gap = abs(thermo_state(inp).ln_z - log_partition_direct(inp))
         assert gap <= 1e-10 * max(1.0, abs(log_partition_direct(inp)))
 
 
@@ -102,20 +101,15 @@ def test_integral_against_plain_quadrature():
     reference, err = quad(lambda n: math.exp(-compact_energy(COEFFS, n)), 0.0, 1.0,
                           epsabs=1e-14, epsrel=1e-12)
     assert err < 1e-12
-    assert math.exp(log_partition_integral(inp)) == pytest.approx(reference, rel=1e-11)
+    assert thermo_state(inp).z == pytest.approx(reference, rel=1e-11)
     assert math.exp(log_partition_direct(inp)) == pytest.approx(reference, rel=1e-11)
 
 
 @pytest.mark.parametrize("lam", [1e-9, 1e-6])
 def test_integral_keeps_small_lambda(lam):
     # a rho-space interval [delta, lambda + delta] rounds off lambda's digits
-    with mpmath.workdps(50):
-        q1, q2, q3, delta = (mpmath.mpf(v) for v in (COEFFS.q1, COEFFS.q2, COEFFS.q3,
-                                                     COEFFS.delta))
-        z = mpmath.quad(lambda n: mpmath.exp(-(q1 - q2 * (n + delta + q3 / (n + delta)) ** 2)),
-                        [0, mpmath.mpf(lam)])
-        reference = float(mpmath.log(z))
-    assert abs(log_partition_integral(ThermoInput(COEFFS, lam, 1.0)) - reference) <= 1e-10
+    reference = _mp_thermo(COEFFS, lam, 1.0)[0]
+    assert abs(thermo_state(ThermoInput(COEFFS, lam, 1.0)).ln_z - reference) <= 1e-10
 
 
 def test_mean_energy_constant_and_bounds():
@@ -187,7 +181,7 @@ def test_discrete_approaches_integral_when_smooth():
     # Euler-Maclaurin-scale agreement; the loose 0.5/lambda bound holds on
     # half-integer lambda (end half-cells cancel) at small beta
     for lam, beta in ((20.5, 0.01), (50.5, 0.005), (100.5, 0.001)):
-        zi = math.exp(log_partition_integral(ThermoInput(COEFFS, lam, beta)))
+        zi = thermo_state(ThermoInput(COEFFS, lam, beta)).z
         zd = partition_discrete(level_energies(COEFFS, lam), beta)
         assert abs(zd - zi) / zi <= 0.5 / lam
 
@@ -195,8 +189,7 @@ def test_discrete_approaches_integral_when_smooth():
 def test_extreme_corner_stays_finite():
     # lambda = 700, beta = 100 drives ln Z to ~1.5e6; both routes must hold
     inp = ThermoInput(COEFFS, 700.0, 100.0)
-    ln_z = log_partition_integral(inp)
-    assert math.isfinite(ln_z) and ln_z > 1e5
+    ln_z = thermo_state(inp).ln_z
     assert abs(ln_z - log_partition_direct(inp)) <= 1e-9 * ln_z
 
 
@@ -278,43 +271,6 @@ def test_curve_columns_equal_thermo_state():
 # NumericalError, and the point it took ~3 s on
 FORMER_FAILURES = ((1e-9, 1.0), (700.0, 1e4), (5000.0, 100.0), (700.0, 1000.0))
 FORMER_SLOW = (700.0, 69.5)
-
-
-def _mp_cuts(coeffs, lam, beta):
-    """Endpoints, the stationary point of E and cuts at 4^k Boltzmann
-    widths from each end, for mpmath's tanh-sinh panels."""
-    cuts = {0.0, lam}
-    n_star = math.sqrt(abs(coeffs.q3)) - coeffs.delta
-    if 0.0 < n_star < lam:
-        cuts.add(n_star)
-    for end, sign in ((0.0, 1.0), (lam, -1.0)):
-        rho = end + coeffs.delta
-        rate = beta * abs(2.0 * coeffs.q2 * (rho + coeffs.q3 / rho) * (1.0 - coeffs.q3 / rho**2))
-        width = 1.0 / rate if rate * lam > 1.0 else lam
-        while width < lam:
-            cuts.add(end + sign * width)
-            width *= 4.0
-    return sorted(cuts)
-
-
-def _mp_thermo(coeffs, lam, beta):
-    """(ln Z, U, C) at k = 1 from 40-digit quadrature of the n-space moments."""
-    with mpmath.workdps(40):
-        q1, q2, q3, delta, b = (mpmath.mpf(v) for v in (coeffs.q1, coeffs.q2, coeffs.q3,
-                                                        coeffs.delta, beta))
-        cuts = [mpmath.mpf(p) for p in _mp_cuts(coeffs, lam, beta)]
-
-        def energy(n):
-            return q1 - q2 * (n + delta + q3 / (n + delta)) ** 2
-
-        e_ref = min(energy(p) for p in cuts)
-        s0, s1, s2 = (
-            mpmath.quad(lambda n: (energy(n) - e_ref) ** m * mpmath.exp(-b * (energy(n) - e_ref)),
-                        cuts)
-            for m in range(3)
-        )
-        return (float(-b * e_ref + mpmath.log(s0)), float(e_ref + s1 / s0),
-                float(b * b * (s2 / s0 - (s1 / s0) ** 2)))
 
 
 def _domain_coeffs(rng, l, q3):
@@ -422,6 +378,23 @@ def _benchmark_domain_points(seed, potentials):
         lam_grid, beta_grid = sweeps[i % len(sweeps)]
         for lam, beta in np.broadcast(lam_grid, beta_grid):
             yield coeffs, float(lam), float(beta)
+
+
+def test_quadrature_routes_check_flags_closed_form_off_its_reference(monkeypatch):
+    # check 08's escalated branch, where 4 eps |ln Z| > 1e-10: a closed-form
+    # ln Z off by a relative 1e-13 there must fail against the 40-digit reference
+    real = thermo.thermo_state
+
+    def skewed(inp, k=1.0):
+        state = real(inp, k)
+        if 4.0 * np.finfo(float).eps * abs(state.ln_z) > 1e-10:
+            state = replace(state, ln_z=state.ln_z * (1.0 + 1e-13))
+        return state
+
+    monkeypatch.setattr(thermo, "thermo_state", skewed)
+    result = check_quadrature_routes()
+    assert not result.passed
+    assert "from reference" in result.detail
 
 
 def test_closed_form_agrees_with_direct_route_on_benchmark_domain():

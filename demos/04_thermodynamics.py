@@ -4,7 +4,9 @@ Z is an integral over the continuous level index n in [0, lambda] with an
 exact form through Dawson's integral; U, S, F and C come from the same form
 and its derivatives, so the usual identities hold to near machine precision
 and survive to extreme arguments (the integrand spans ~1.5 million e-folds
-at lambda = 700, beta = 100).  The direct quadrature route checks ln Z.
+at lambda = 700, beta = 100).  Direct quadrature of the moments
+integral g^m e^{-beta g} dn, g = E - min E and m = 0, 1, 2, checks ln Z, U
+and C.
 
 Run:  python3 demos/04_thermodynamics.py
 """
@@ -22,10 +24,10 @@ from mrey import (
     thermo_state,
 )
 from mrey.thermo import (
-    heat_capacity_fd,
     level_energies,
     log_partition_direct,
     partition_discrete,
+    thermo_direct,
 )
 
 consts = PhysicalConstants()
@@ -63,12 +65,13 @@ for beta in (0.1, 0.5, 1.0, 5.0, 20.0, 100.0):
 print("  (F = U - TS checked at every row)")
 
 print()
-print("== analytic heat capacity vs finite differences of ln Z ==")
+print("== closed-form U and C vs direct quadrature of the moments ==")
 for beta in (0.5, 5.0, 50.0):
-    c = thermo_state(ThermoInput(coeffs, 5.0, beta)).c
-    c_fd = heat_capacity_fd(coeffs, 5.0, beta)
-    print(f"  beta={beta:5g}  C={c:.10f}  FD={c_fd:.10f}  "
-          f"gap {abs(c - c_fd):.1e}")
+    inp = ThermoInput(coeffs, 5.0, beta)
+    st = thermo_state(inp)
+    _, u_q, c_q = thermo_direct(inp)
+    print(f"  beta={beta:5g}  U={st.u:.10f}  C={st.c:.10f}  "
+          f"gaps {abs(st.u - u_q):.1e}, {abs(st.c - c_q):.1e}")
 
 print()
 print("== sweeps for the figure analogs ==")

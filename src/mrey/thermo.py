@@ -37,10 +37,11 @@ instead.  Every exponential is taken against the peak, so ln Z, U, S, F and
 C stay finite even when Z itself overflows the double range (Z is then
 +inf).
 
-Adaptive quadrature is the oracle only: log_partition_direct integrates the
-literal n-space integrand with QUADPACK on panels split at the stationary
-point of E and through the Boltzmann boundary layers, and mean_energy_fd /
-heat_capacity_fd difference that route in beta for U and C.
+Adaptive quadrature is the oracle only: thermo_direct integrates the literal
+n-space moments integral (E - e_ref)^m e^{-beta (E - e_ref)} dn, m = 0, 1, 2,
+with QUADPACK on panels split at the stationary point of E and through the
+Boltzmann boundary layers, e_ref being the minimum of E, and returns ln Z, U
+and C from them; log_partition_direct is its m = 0 integral alone.
 """
 
 from __future__ import annotations
@@ -294,82 +295,101 @@ def _split_points(coeffs: SpectralCoefficients, lam: float, beta: float) -> list
     return sorted(points)
 
 
-def _reference_energy(coeffs: SpectralCoefficients, lam: float):
-    """min and max of E over [0, lambda] (extrema sit at endpoints or the
-    single interior stationary point)."""
+def _reference_energy(coeffs: SpectralCoefficients, lam: float) -> float:
+    """min of E over [0, lambda] (extrema sit at endpoints or the single
+    interior stationary point)."""
     ends = [0.0, lam]
     if coeffs.q3 != 0.0:
         n_star = lambda_max(coeffs)
         if 0.0 < n_star < lam:
             ends.append(n_star)
     rhos = [n + coeffs.delta for n in ends]
-    candidates = [coeffs.q1 - coeffs.q2 * (rho + coeffs.q3 / rho) ** 2 for rho in rhos]
-    return min(candidates), max(candidates)
+    return min(coeffs.q1 - coeffs.q2 * (rho + coeffs.q3 / rho) ** 2 for rho in rhos)
 
 
-# Panels whose endpoint values sit below this are bounded, not integrated:
-# the exponent of the partition integrand is convex between the chosen
-# panel boundaries, so the panel maximum is at an endpoint, and a panel this
-# small contributes < 1e-20 relative to the layer panel (whose peak is 1).
+# Panels whose end weights sit below this are bounded, not integrated: g is
+# monotone between the chosen panel boundaries, so e^{-beta g} peaks at one
+# end and g^m at one end, and such a panel contributes < 1e-20 of S0
+# relative to the layer panel (whose peak weight is 1).
 _PANEL_SKIP = 1e-25
 
 
-def _panel_integrate(f, points) -> float:
-    """Sum of integrals of the scalar f over consecutive panels, each by
-    QUADPACK's adaptive Gauss-Kronrod rule (scipy.integrate.quad).
+def _direct_moments(inp: ThermoInput, count: int):
+    """(e_ref, [S_0 .. S_{count-1}]) with S_m = integral g^m e^{-beta g} dn,
+    g = E(n) - e_ref, each by QUADPACK's adaptive Gauss-Kronrod rule
+    (scipy.integrate.quad) on the _split_points panels.
 
     Individual panels are allowed to miss their relative target (a boundary
     layer spanning ~60 e-folds bottoms out near the rule's round-off floor);
-    what must hold is that the accumulated error estimate stays small against
-    the assembled total.
+    what must hold, for each moment, is that the accumulated error estimate
+    stays small against the assembled total.
     """
     from scipy.integrate import quad  # deferred: keeps it out of import mrey
 
-    total = 0.0
-    err_sum = 0.0
-    for a, b in zip(points[:-1], points[1:]):
-        bound = max(abs(f(a)), abs(f(b)))
-        if bound < _PANEL_SKIP:
-            piece = err = bound * (b - a)
-        else:
-            # full_output keeps a missed panel target a number, not a warning
-            piece, err = quad(f, a, b, epsabs=1e-280, epsrel=1e-12, limit=2000,
-                              full_output=1)[:2]
-        err_sum += err
-        total += piece
-    if err_sum > 1e-10 * max(abs(total), 1e-300):
-        raise NumericalError(
-            f"quadrature error {err_sum:.2e} too large for integral {abs(total):.2e}"
-        )
-    return total
-
-
-def _log_s0(coeffs, lam, beta, e_ref, points=None) -> float:
-    """ln integral e^{-beta (E - e_ref)} dn with a caller-fixed reference."""
+    coeffs, lam, beta = inp.coeffs, inp.lam, inp.beta
+    e_ref = _reference_energy(coeffs, lam)
     q2, q3, delta = coeffs.q2, coeffs.q3, coeffs.delta
-    # E - e_ref = c - Q2 (rho + Q3/rho)^2 in a few float operations (the
-    # integrand is most of the oracle's cost); beta stays a factor outside,
-    # so the rounding does not change along a finite-difference stencil
+    # g in a few float operations, repeated inline in weight: the integrand
+    # is most of the oracle's cost, and a call to gap there costs ~35%
     c = coeffs.q1 - e_ref
     minus_beta = -beta
 
-    def f(n, exp=math.exp):
+    def gap(n):
+        rho = n + delta
+        t = rho + q3 / rho
+        return c - q2 * t * t
+
+    def weight(n, exp=math.exp):
         rho = n + delta
         t = rho + q3 / rho
         return exp(minus_beta * (c - q2 * t * t))
 
-    if points is None:
-        points = _split_points(coeffs, lam, beta)
-    total = _panel_integrate(f, points)
-    if total <= 0.0:
+    def moment(m):
+        def f(n, exp=math.exp):
+            g = gap(n)
+            return g**m * exp(minus_beta * g)
+        return f
+
+    integrands = [weight] + [moment(m) for m in range(1, count)]
+    totals = [0.0] * count
+    err_sums = [0.0] * count
+    points = _split_points(coeffs, lam, beta)
+    for a, b in zip(points[:-1], points[1:]):
+        bound = max(weight(a), weight(b))
+        if bound < _PANEL_SKIP:
+            g_top = max(abs(gap(a)), abs(gap(b)))
+            bounds = [bound * g_top**m * (b - a) for m in range(count)]
+            pieces = zip(bounds, bounds)  # each bound is its own error
+        else:
+            # full_output keeps a missed panel target a number, not a warning
+            pieces = [quad(f, a, b, epsabs=1e-280, epsrel=1e-12, limit=2000,
+                           full_output=1)[:2] for f in integrands]
+        for m, (piece, err) in enumerate(pieces):
+            totals[m] += piece
+            err_sums[m] += err
+    for total, err_sum in zip(totals, err_sums):
+        if err_sum > 1e-10 * max(abs(total), 1e-300):
+            raise NumericalError(
+                f"quadrature error {err_sum:.2e} too large for integral {abs(total):.2e}"
+            )
+    if totals[0] <= 0.0:
         raise NumericalError("shifted integrand summed to zero")
-    return math.log(total)
+    return e_ref, totals
 
 
 def log_partition_direct(inp: ThermoInput) -> float:
     """ln Z via the literal n-space integrand (independent cross-check route)."""
-    e_ref, _ = _reference_energy(inp.coeffs, inp.lam)
-    return -inp.beta * e_ref + _log_s0(inp.coeffs, inp.lam, inp.beta, e_ref)
+    e_ref, (s0,) = _direct_moments(inp, 1)
+    return -inp.beta * e_ref + math.log(s0)
+
+
+def thermo_direct(inp: ThermoInput):
+    """(ln Z, U, C) at k = 1 from the direct moments S0, S1, S2 (independent
+    cross-check route for thermo_state)."""
+    e_ref, (s0, s1, s2) = _direct_moments(inp, 3)
+    m1 = s1 / s0
+    return (-inp.beta * e_ref + math.log(s0), e_ref + m1,
+            inp.beta**2 * (s2 / s0 - m1 * m1))
 
 
 def level_energies(coeffs: SpectralCoefficients, lam: float) -> np.ndarray:
@@ -393,50 +413,6 @@ def partition_discrete(energies, beta: float) -> float:
     if log_z > _LOG_MAX:
         raise RangeError(f"discrete partition sum overflows: ln Z = {log_z:.6g}")
     return math.exp(log_z)
-
-
-def mean_energy_fd(coeffs: SpectralCoefficients, lam: float, beta: float) -> float:
-    """U = -d ln Z / d beta by central differencing at h = 1e-4 beta (independent oracle).
-
-    The reference energy and the panel mesh are held fixed across the
-    stencil, so the huge linear part of ln Z drops out analytically and the
-    quadrature error varies smoothly with beta instead of jumping with each
-    re-meshing; both would otherwise swamp the difference.
-    """
-    if beta <= 0.0:
-        raise DomainError("finite-difference U requires beta > 0")
-    h = 1e-4 * beta
-    e_ref, _ = _reference_energy(coeffs, lam)
-    points = _split_points(coeffs, lam, beta)
-    g_plus = _log_s0(coeffs, lam, beta + h, e_ref, points)
-    g_minus = _log_s0(coeffs, lam, beta - h, e_ref, points)
-    return e_ref - (g_plus - g_minus) / (2.0 * h)
-
-
-def heat_capacity_fd(
-    coeffs: SpectralCoefficients, lam: float, beta: float, k: float = 1.0
-) -> float:
-    """C = k beta^2 d^2 ln Z / d beta^2 by finite differences (independent oracle).
-
-    Five-point stencil at step h = 5e-3 beta: its O(h^4) truncation error
-    allows a step large enough that the quadrature noise in ln Z, amplified
-    by 1/h^2, stays small.  The reference energy and the panel mesh are held
-    fixed as in mean_energy_fd.
-    """
-    if beta <= 0.0:
-        raise DomainError("finite-difference C requires beta > 0")
-    h = 5e-3 * beta
-    e_ref, _ = _reference_energy(coeffs, lam)
-    points = _split_points(coeffs, lam, beta)
-    g = lambda b: _log_s0(coeffs, lam, b, e_ref, points)
-    d2 = (
-        -g(beta - 2.0 * h)
-        + 16.0 * g(beta - h)
-        - 30.0 * g(beta)
-        + 16.0 * g(beta + h)
-        - g(beta + 2.0 * h)
-    ) / (12.0 * h**2)
-    return k * beta**2 * d2
 
 
 def thermo_curve(

@@ -284,20 +284,21 @@ def _identity_grid():
 
 
 def check_thermo_identities() -> CheckResult:
-    """F = U - TS, analytic C against finite differences, C >= 0, Z(0) = lambda."""
+    """F = U - TS, U and C against the direct moment quadrature, C >= 0, Z(0) = lambda."""
     t0 = time.perf_counter()
     worst_f = 0.0
+    worst_u = 0.0
     worst_c = 0.0
     min_c = math.inf
     problems = []
     for coeffs, lam, beta in _identity_grid():
-        state = thermo.thermo_state(
-            thermo.ThermoInput(coeffs=coeffs, lam=lam, beta=beta)
-        )
+        inp = thermo.ThermoInput(coeffs=coeffs, lam=lam, beta=beta)
+        state = thermo.thermo_state(inp)
+        _, u_direct, c_direct = thermo.thermo_direct(inp)
         rel_f = abs(state.f - (state.u - state.s / beta)) / max(1.0, abs(state.f))
         worst_f = max(worst_f, rel_f)
-        c_fd = thermo.heat_capacity_fd(coeffs, lam, beta)
-        rel_c = abs(state.c - c_fd) / max(abs(state.c), 1e-300)
+        worst_u = max(worst_u, abs(state.u - u_direct) / max(1.0, abs(state.u)))
+        rel_c = abs(state.c - c_direct) / max(abs(state.c), 1e-300)
         worst_c = max(worst_c, rel_c)
         min_c = min(min_c, state.c)
     coeffs = spectral_coefficients(_DEFAULT_POTENTIAL, _CONSTS, 0)
@@ -308,15 +309,18 @@ def check_thermo_identities() -> CheckResult:
     elapsed = time.perf_counter() - t0
     if worst_f > 1e-9:
         problems.append(f"F identity off by {worst_f:.2e}")
+    if worst_u > 1e-9:
+        problems.append(f"U vs direct quadrature off by {worst_u:.2e}")
     if worst_c > 1e-6:
-        problems.append(f"C vs finite difference off by {worst_c:.2e}")
+        problems.append(f"C vs direct quadrature off by {worst_c:.2e}")
     if min_c < 0.0:
         problems.append(f"negative heat capacity {min_c:.2e}")
     if elapsed >= 60.0:
         problems.append(f"runtime {elapsed:.1f}s over the 60s budget")
     detail = (
-        f"100-point grid: F identity {worst_f:.2e} (limit 1e-9), C gap "
-        f"{worst_c:.2e} (limit 1e-6), min C {min_c:.2e}, Z(0) = lambda, "
+        f"100-point grid: F identity {worst_f:.2e} (limit 1e-9), U gap "
+        f"{worst_u:.2e} (limit 1e-9), C gap {worst_c:.2e} (limit 1e-6), "
+        f"min C {min_c:.2e}, Z(0) = lambda, "
         f"{elapsed:.1f}s (limit 60s)"
     )
     if problems:
@@ -340,28 +344,48 @@ def _mp_cuts(coeffs, lam, beta):
     return sorted(cuts)
 
 
+def _mp_moments(coeffs, lam, beta, count):
+    """(e_ref, [S_0 .. S_{count-1}]) with S_m = integral g^m e^{-beta g} dn,
+    g = E(n) - e_ref, by mpmath quadrature on _mp_cuts; call inside
+    mpmath.workdps(_MP_DPS)."""
+    import mpmath  # deferred: keeps it out of import mrey
+
+    q1, q2, q3, delta, b = (mpmath.mpf(v) for v in (coeffs.q1, coeffs.q2, coeffs.q3,
+                                                    coeffs.delta, beta))
+    cuts = [mpmath.mpf(p) for p in _mp_cuts(coeffs, lam, beta)]
+
+    def energy(n):
+        return q1 - q2 * (n + delta + q3 / (n + delta)) ** 2
+
+    e_ref = min(energy(p) for p in cuts)
+    sums = [
+        mpmath.quad(lambda n: (energy(n) - e_ref) ** m * mpmath.exp(-b * (energy(n) - e_ref)),
+                    cuts)
+        for m in range(count)
+    ]
+    return e_ref, sums
+
+
 def _mp_thermo(coeffs, lam, beta):
     """(ln Z, U, C) at k = 1 from 40-digit quadrature of the n-space moments:
     the package's one high-precision thermodynamic reference, shared by
-    check 08 and the tests."""
-    import mpmath  # deferred: keeps it out of import mrey
+    check 08 (through _mp_log_partition) and the tests."""
+    import mpmath
 
     with mpmath.workdps(_MP_DPS):
-        q1, q2, q3, delta, b = (mpmath.mpf(v) for v in (coeffs.q1, coeffs.q2, coeffs.q3,
-                                                        coeffs.delta, beta))
-        cuts = [mpmath.mpf(p) for p in _mp_cuts(coeffs, lam, beta)]
-
-        def energy(n):
-            return q1 - q2 * (n + delta + q3 / (n + delta)) ** 2
-
-        e_ref = min(energy(p) for p in cuts)
-        s0, s1, s2 = (
-            mpmath.quad(lambda n: (energy(n) - e_ref) ** m * mpmath.exp(-b * (energy(n) - e_ref)),
-                        cuts)
-            for m in range(3)
-        )
+        b = mpmath.mpf(beta)
+        e_ref, (s0, s1, s2) = _mp_moments(coeffs, lam, beta, 3)
         return (float(-b * e_ref + mpmath.log(s0)), float(e_ref + s1 / s0),
                 float(b * b * (s2 / s0 - (s1 / s0) ** 2)))
+
+
+def _mp_log_partition(coeffs, lam, beta):
+    """The reference's ln Z alone, from S0 only (check 08)."""
+    import mpmath
+
+    with mpmath.workdps(_MP_DPS):
+        e_ref, (s0,) = _mp_moments(coeffs, lam, beta, 1)
+        return float(-mpmath.mpf(beta) * e_ref + mpmath.log(s0))
 
 
 def check_quadrature_routes() -> CheckResult:
@@ -390,7 +414,7 @@ def check_quadrature_routes() -> CheckResult:
                 problems.append(f"route gap {gap:.2e} at lambda={lam:g} beta={beta:g}")
         else:
             escalated += 1
-            ln_ref = _mp_thermo(coeffs, lam, beta)[0]
+            ln_ref = _mp_log_partition(coeffs, lam, beta)
             for value in (ln_closed, ln_direct):
                 drift = abs(value - ln_ref)
                 worst_drift = max(worst_drift, drift / (2.0 * floor))

@@ -50,7 +50,7 @@ def test_06_table_diagnostics():
 
 
 def test_07_thermodynamic_identities():
-    # F = U - TS, analytic C vs finite differences, C >= 0, Z(beta->0) -> lambda
+    # F = U - TS, U and C vs the direct moment quadrature, C >= 0, Z(beta->0) -> lambda
     _drive(verification.check_thermo_identities)
 
 

@@ -2,7 +2,8 @@
 
 Constant-spectrum cases (q2 = 0) have closed forms and pin the plumbing;
 the screened-well cases hold the Dawson closed form against the direct
-quadrature route, finite differences and the 40-digit reference in
+moment quadrature (thermo_direct, whose S0 alone is log_partition_direct),
+finite differences of that ln Z in beta, and the 40-digit reference in
 mrey.verification.
 """
 
@@ -27,11 +28,10 @@ from mrey import (
 )
 from mrey import thermo
 from mrey.thermo import (
-    heat_capacity_fd,
     level_energies,
     log_partition_direct,
-    mean_energy_fd,
     partition_discrete,
+    thermo_direct,
 )
 from mrey.verification import _mp_thermo, check_quadrature_routes
 
@@ -169,11 +169,23 @@ def test_heat_capacity_constant_spectrum_and_sign():
 
 
 def test_moment_derivatives_match_finite_differences():
+    # U = -d ln Z / d beta (central, h = 1e-4 beta) and C = beta^2 d^2 ln Z /
+    # d beta^2 (five-point, h = 5e-3 beta) from the quadrature route's ln Z
     for lam, beta in ((5.0, 0.5), (20.0, 2.0), (100.0, 10.0)):
         state = thermo_state(ThermoInput(COEFFS, lam, beta))
-        u_fd = mean_energy_fd(COEFFS, lam, beta)
+        ln_z = lambda b: log_partition_direct(ThermoInput(COEFFS, lam, b))
+        h = 1e-4 * beta
+        u_fd = -(ln_z(beta + h) - ln_z(beta - h)) / (2.0 * h)
         assert abs(state.u - u_fd) <= 1e-6 * max(1.0, abs(state.u))
-        c_fd = heat_capacity_fd(COEFFS, lam, beta)
+        h = 5e-3 * beta
+        d2 = (
+            -ln_z(beta - 2.0 * h)
+            + 16.0 * ln_z(beta - h)
+            - 30.0 * ln_z(beta)
+            + 16.0 * ln_z(beta + h)
+            - ln_z(beta + 2.0 * h)
+        ) / (12.0 * h**2)
+        c_fd = beta**2 * d2
         assert abs(state.c - c_fd) <= 1e-6 * max(1.0, abs(state.c))
 
 
@@ -400,7 +412,8 @@ def test_quadrature_routes_check_flags_closed_form_off_its_reference(monkeypatch
 def test_closed_form_agrees_with_direct_route_on_benchmark_domain():
     # the thermo-sweep benchmark compares ln Z with log_partition_direct at
     # 1e-10 and recomputes every miss in 40-digit arithmetic; a miss here is
-    # a slow and failed benchmark point
+    # a slow and failed benchmark point.  U and C are held against the same
+    # route's first and second moments.
     points = list(_benchmark_domain_points(2, 81))
     assert len(points) >= 2000
     misses = []
@@ -408,7 +421,40 @@ def test_closed_form_agrees_with_direct_route_on_benchmark_domain():
         inp = ThermoInput(coeffs, lam, beta)
         state = thermo_state(inp)
         assert state.c >= 0.0, (coeffs, lam, beta)
-        gap = state.ln_z - log_partition_direct(inp)
+        ln_z, u, c = thermo_direct(inp)
+        assert abs(state.u - u) <= 1e-12 * max(1.0, abs(u)), (coeffs, lam, beta)
+        assert abs(state.c - c) <= 1e-9 * c, (coeffs, lam, beta)
+        gap = state.ln_z - ln_z
         if not abs(math.expm1(gap)) <= 1e-10:
             misses.append((coeffs, lam, beta, gap))
     assert misses == []
+    # the benchmark's oracle is the S0 integral alone, bit for bit
+    for coeffs, lam, beta in points[::500]:
+        inp = ThermoInput(coeffs, lam, beta)
+        assert thermo_direct(inp)[0] == log_partition_direct(inp)
+
+
+def test_thermo_domain_sweep():
+    # seeded sweep over lambda in [1e-9, 1e4] and beta in {0} U [1e-6, 1e4],
+    # alpha in [0.01, 0.5], a3 in [0.1, 100], |x1|, |x2| <= 0.05, l <= 3: no
+    # MreyError, C >= 0, F = U - S/beta, and ln Z non-decreasing in lambda
+    # (not rising: it stays flat in doubles once the added stretch weighs
+    # under an ulp of Z)
+    rng = np.random.default_rng(5)
+    lams = np.geomspace(1e-9, 1e4, 9)
+    for _ in range(20):
+        alpha = math.exp(rng.uniform(math.log(0.01), math.log(0.5)))
+        a3 = math.exp(rng.uniform(math.log(0.1), math.log(100.0)))
+        x1, x2 = rng.uniform(-0.05, 0.05, 2)
+        params = PotentialParams(x1 * alpha**2 / 2, x2 * alpha**2 / 2, a3, alpha)
+        coeffs = spectral_coefficients(params, CONSTS, int(rng.integers(0, 4)))
+        betas = [0.0] + list(np.exp(rng.uniform(math.log(1e-6), math.log(1e4), 5)))
+        for beta in betas:
+            states = [thermo_state(ThermoInput(coeffs, float(lam), beta)) for lam in lams]
+            ln_z = [state.ln_z for state in states]
+            assert all(b >= a for a, b in zip(ln_z, ln_z[1:])), (params, beta, ln_z)
+            for lam, state in zip(lams, states):
+                assert state.c >= 0.0, (params, lam, beta)
+                if beta > 0.0:
+                    gap = abs(state.f - (state.u - state.s / beta))
+                    assert gap <= 1e-9 * max(1.0, abs(state.f)), (params, lam, beta)

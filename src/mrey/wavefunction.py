@@ -11,27 +11,33 @@ exponents and Jacobi indices are taken from the generic NU shape (nu.wave_shape)
 rather than re-derived here, so the zeta = delta identity is a genuine
 cross-module check.  N is the wave's only scale, and one three-term
 recurrence for P_n, written in s rather than in x = 1 - 2 s, serves psi, the
-norm, the overlaps and the tail.
+overlaps and the tail.
 
-Normalization is exact.  With s = e^{-alpha r} the norm integral is
+Normalization is exact.  With s = e^{-alpha r}, a = 2 beta and
+b = 2 zeta - 1 the norm integral is
 
-    (1/alpha) * integral over (0, 1) of
-        s^{2 beta - 1} (1 - s)^{2 zeta} P_n(1 - 2 s)^2 ds,
+    (1/alpha) * integral over (0, 1) of s^{a - 1} (1 - s)^{b + 1} P_n(1 - 2 s)^2 ds
+      = Gamma(n + a + 1) Gamma(n + b + 1) (n + zeta)
+        / (n! Gamma(n + a + b + 1) 2 alpha beta (n + beta + zeta)):
 
-a polynomial of degree 2n against a Jacobi weight, which an (n+1)-node
-Gauss-Jacobi rule integrates exactly (Golub & Welsch, Math. Comp. 23, 1969).
-The rule is built in log space, so deep wells (2 beta up to ~4e5) neither
-overflow nor lose the tiny weights that carry the mass.  The same rule on
-the tail of the integral fixes r_tail, the radius past which doubling R
-adds under 1e-13 of the norm.  The CLI's r range and both checks end there
-(the node grid is fixed in theta = arccos(1 - 2 s)): ode_residual takes psi''
-exactly, and verification.check_wavefunctions rechecks every norm by Simpson's
-rule in ln r, both log-spaced in r from alpha r = 1e-12 however narrow the wave.
+write (1 - s)^{b + 1} = (1 - s)^b - s (1 - s)^b, so the s-integral is the
+one with weight s^{a - 1} (1 - s)^b, Gamma(n + a + 1) Gamma(n + b + 1) /
+(n! a Gamma(n + a + b + 1)), less the Jacobi norm h_n (DLMF Table 18.3.1).
+build_wave takes it in logs through _log_gamma_ratio, which keeps its digits
+in deep wells (2 beta up to ~4e5).  An (n+1)-node Gauss-Jacobi rule (Golub &
+Welsch, Math. Comp. 23, 1969), built in log space so deep wells neither
+overflow nor lose the tiny weights that carry the mass, gives the overlaps
+exactly, and on the tail of the integral fixes r_tail, the radius past which
+doubling R adds under 1e-13 of the norm.  The CLI's r range and both checks
+end there (the node grid is fixed in theta = arccos(1 - 2 s)): ode_residual
+takes psi'' exactly, and verification.check_wavefunctions rechecks every norm
+by Simpson's rule in ln r, both log-spaced in r from alpha r = 1e-12 however
+narrow the wave.
 
 No orthogonality is asserted between different n at fixed l: each level
 carries its own beta exponent (energy enters the weight), so the Jacobi
 orthogonality relation does not apply across levels.  overlap_matrix
-reports the actual overlaps, exact by the same quadrature, as a diagnostic.
+reports the actual overlaps, exact by Gauss-Jacobi quadrature, as a diagnostic.
 """
 
 from __future__ import annotations
@@ -98,21 +104,30 @@ class RadialWave:
 
     def psi(self, r):
         r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr <= 0.0):
-            raise DomainError("r must be > 0")
-        alpha_r = self.params.alpha * r_arr
-        p, _, log_scale = _jacobi_scaled(self.jacobi.n, self.jacobi.a, self.jacobi.b,
-                                         np.exp(-alpha_r))
+        if not np.all(r_arr > 0.0):
+            raise DomainError("r must be > 0 (and not NaN)")
         # s^beta (1 - s)^zeta e^{log_scale} in one exponent: the factors
-        # apart can underflow and overflow at the same r
-        value = self.norm * (p * np.exp(
-            self.beta_exp * -alpha_r
-            + self.zeta_exp * np.log(-np.expm1(-alpha_r))
-            + log_scale
-        ))
+        # apart can underflow and overflow at the same r.  In place, in the
+        # order of norm * (p * exp(beta * -alpha r + zeta ln(-expm1(-alpha r))
+        # + log_scale)), since temporaries cost more than the arithmetic.
+        exponent, spare = np.empty_like(r_arr), np.empty_like(r_arr)
+        np.multiply(self.params.alpha, r_arr, out=exponent)
+        np.negative(exponent, out=exponent)  # -alpha r
+        p, _, log_scale = _jacobi_scaled(self.jacobi.n, self.jacobi.a, self.jacobi.b,
+                                         np.exp(exponent, out=spare))
+        np.expm1(exponent, out=spare)
+        np.negative(spare, out=spare)
+        np.log(spare, out=spare)
+        spare *= self.zeta_exp
+        exponent *= self.beta_exp
+        exponent += spare
+        exponent += log_scale
+        np.exp(exponent, out=exponent)
+        exponent *= p
+        exponent *= self.norm
         if np.ndim(r) == 0:
-            return float(value)
-        return value
+            return float(exponent)
+        return exponent
 
 
 def build_wave(
@@ -122,7 +137,8 @@ def build_wave(
 
     The exponents come from the NU shape evaluated at the level's energy;
     marginal and invalid levels are rejected (u > 0 and xi^2 > 0 are needed
-    for normalizability).
+    for normalizability).  The norm is the closed form of the module
+    docstring, in logs; r_tail comes from a Gauss-Jacobi rule on the tail.
     """
     if not level.valid_bound_state:
         raise DomainError(
@@ -131,18 +147,24 @@ def build_wave(
         )
     nu_coeffs = mrey_mapping(params, consts, level.l)(level.energy)
     shape = wave_shape(nu_coeffs)
+    n, beta, zeta = level.n, shape.s_exponent, shape.one_minus_s_exponent
     # the unit-scale wave (norm 1) that the norm integral is taken over
     wave = RadialWave(
         params=params,
         consts=consts,
         level=level,
-        beta_exp=shape.s_exponent,
-        zeta_exp=shape.one_minus_s_exponent,
-        jacobi=JacobiParams(n=level.n, a=shape.jacobi_a, b=shape.jacobi_b),
+        beta_exp=beta,
+        zeta_exp=zeta,
+        jacobi=JacobiParams(n=n, a=shape.jacobi_a, b=shape.jacobi_b),
         norm=1.0,
         r_tail=math.nan,
     )
-    log_total, _ = _log_overlap(wave, wave)
+    # the norm integral in closed form, with a = 2 beta and b = 2 zeta - 1
+    b = 2.0 * zeta - 1.0
+    log_total = (
+        _log_gamma_ratio(n + 1.0, b) - _log_gamma_ratio(n + 2.0 * beta + 1.0, b)
+        + math.log((n + zeta) / (2.0 * params.alpha * beta * (n + beta + zeta)))
+    )
     if not abs(log_total) < 1400.0:  # N = e^{-log_total / 2} must be a double
         raise NumericalError(
             f"norm integral e^{log_total:.6g} of level (n={level.n}, l={level.l}) "
@@ -191,25 +213,37 @@ def _jacobi_scaled(n: int, a, b, sigma):
     sigma keeps its relative precision.  Where P_n(1) = binom(n + a, n)
     could overflow (deep wells) the mantissas are rescaled as they grow.
     """
-    p_prev, p_curr = np.zeros_like(sigma), np.ones_like(sigma)
+    shape = np.broadcast_shapes(np.shape(sigma), np.shape(a), np.shape(b))
+    # three buffers rotate through the loop, each step written in place: on
+    # node-grid arrays (160 KB) a fresh temporary costs more than its arithmetic
+    p_prev, p_curr, spare = np.zeros(shape), np.ones(shape), np.empty(shape)
     if n > 0:
-        p_prev, p_curr = p_curr, (a + 1.0) - (a + b + 2.0) * sigma
-    log_scale = 0.0
+        np.multiply(a + b + 2.0, sigma, out=p_prev)
+        np.subtract(a + 1.0, p_prev, out=p_prev)
+        p_prev, p_curr = p_curr, p_prev
     # on [-1, 1], |P_n| <= binom(n + max(a, b), n) < (n + max(a, b) + 2)^n
     rescale = n * math.log(n + max(np.max(a), np.max(b), 0.0) + 2.0) > 300.0
+    log_scale = np.zeros(shape) if rescale else 0.0
     # P_k = (c0 - c1 sigma) P_{k-1} - c2 P_{k-2}, all coefficients at once
-    k = np.arange(2.0, n + 1.0).reshape((-1,) + (1,) * np.ndim(p_curr))
+    k = np.arange(2.0, n + 1.0).reshape((-1,) + (1,) * len(shape))
     s = 2.0 * k + a + b
     lead = 2.0 * k * (k + a + b) * (s - 2.0)
     c0 = (s - 1.0) * (2.0 * (a + b) * (a + 2.0 * k - 1.0) + 4.0 * k * (k - 1.0)) / lead
     c1 = 2.0 * (s - 1.0) * s * (s - 2.0) / lead
     c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s / lead
     for i in range(n - 1):
-        p_curr, p_prev = (c0[i] - c1[i] * sigma) * p_curr - c2[i] * p_prev, p_curr
-        if rescale:
-            factor = np.maximum(np.abs(p_curr), 1.0)
-            p_curr, p_prev = p_curr / factor, p_prev / factor
-            log_scale = log_scale + np.log(factor)
+        np.multiply(c1[i], sigma, out=spare)
+        np.subtract(c0[i], spare, out=spare)
+        spare *= p_curr
+        p_prev *= c2[i]
+        spare -= p_prev
+        p_prev, p_curr, spare = p_curr, spare, p_prev
+        if rescale:  # divide both by max(|p_curr|, 1), its log into log_scale
+            np.abs(p_curr, out=spare)
+            np.maximum(spare, 1.0, out=spare)
+            p_curr /= spare
+            p_prev /= spare
+            log_scale += np.log(spare, out=spare)
     return p_curr, p_prev, log_scale
 
 
@@ -371,7 +405,7 @@ def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
         raise DomainError("grid must be strictly increasing with >= 2 points")
-    if np.any(grid <= 0.0):
+    if not np.all(grid > 0.0):
         raise DomainError("grid must lie in (0, R]")
     span = wave.params.alpha * (grid[-1] - grid[0])
     if grid.size / max(span, 1e-300) < 1000.0:
@@ -380,8 +414,9 @@ def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
             "1000 points per unit"
         )
     signs = np.sign(wave.psi(grid))
-    idx = np.nonzero(signs)[0]
-    before_change = idx[:-1][np.diff(signs[idx]) != 0]  # nonzero sample before it
+    idx = np.flatnonzero(signs)
+    nonzero = signs[idx]
+    before_change = idx[:-1][nonzero[:-1] != nonzero[1:]]  # nonzero sample before it
     if np.any(np.diff(before_change) < 3):
         raise ResolutionError("two sign changes within three samples; refine the grid")
     return before_change.size

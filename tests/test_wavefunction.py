@@ -86,6 +86,61 @@ def test_jacobi_matches_explicit_summation():
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
 
 
+def _plain_recurrence(n, a, b, sigma):
+    """_jacobi_scaled written with plain expressions, one new array a step."""
+    shape = np.broadcast_shapes(np.shape(sigma), np.shape(a), np.shape(b))
+    p_prev, p_curr = np.zeros(shape), np.ones(shape)
+    if n > 0:
+        p_prev, p_curr = p_curr, (a + 1.0) - (a + b + 2.0) * sigma
+    log_scale = 0.0
+    rescale = n * math.log(n + max(np.max(a), np.max(b), 0.0) + 2.0) > 300.0
+    for k in range(2, n + 1):
+        s = 2.0 * k + a + b
+        lead = 2.0 * k * (k + a + b) * (s - 2.0)
+        c0 = (s - 1.0) * (2.0 * (a + b) * (a + 2.0 * k - 1.0) + 4.0 * k * (k - 1.0)) / lead
+        c1 = 2.0 * (s - 1.0) * s * (s - 2.0) / lead
+        c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s / lead
+        p_curr, p_prev = (c0 - c1 * sigma) * p_curr - c2 * p_prev, p_curr
+        if rescale:
+            factor = np.maximum(np.abs(p_curr), 1.0)
+            p_curr, p_prev = p_curr / factor, p_prev / factor
+            log_scale = log_scale + np.log(factor)
+    return p_curr, p_prev, log_scale
+
+
+DEEPEST_JACOBI = (150, 4.0e5, 1.0)  # 2 beta of DEEPEST_WELL at n = 0; rescales
+
+
+@pytest.mark.parametrize("n, a, b", [(0, 2.3, 0.4), (1, 2.3, 0.4), (7, 2.3, 0.4),
+                                     DEEPEST_JACOBI])
+@pytest.mark.parametrize("sigma", [np.array(0.3), np.linspace(1e-9, 1.0, 37),
+                                   np.geomspace(1e-12, 1.0, 24).reshape(4, 6)])
+def test_jacobi_buffers_are_private(n, a, b, sigma):
+    # the recurrence runs in place on its own buffers: bit-equal to the plain
+    # expressions, sigma untouched, and p, p_prev sharing memory with nothing
+    before = sigma.copy()
+    per_point = (a + sigma, b + 0.5 * sigma)  # (a, b) varying along sigma
+    for a_in, b_in in ((a, b), per_point):
+        p, p_prev, log_scale = wavefunction._jacobi_scaled(n, a_in, b_in, sigma)
+        ref_p, ref_prev, ref_scale = _plain_recurrence(n, a_in, b_in, sigma)
+        np.testing.assert_array_equal(p, ref_p)
+        np.testing.assert_array_equal(p_prev, ref_prev)
+        np.testing.assert_array_equal(log_scale, ref_scale)
+        assert not np.shares_memory(p, p_prev)
+        assert not np.shares_memory(p, sigma) and not np.shares_memory(p_prev, sigma)
+    np.testing.assert_array_equal(sigma, before)
+    if (n, a, b) == DEEPEST_JACOBI:
+        assert np.max(log_scale) > 0.0  # the rescale path ran
+
+
+def test_psi_leaves_r_unchanged():
+    wave = build_wave(DEEPEST_WELL, CONSTS, energy(DEEPEST_WELL, CONSTS, 50, 0))
+    for r in (default_node_grid(wave), np.array(0.2)):
+        before = r.copy()
+        wave.psi(r)
+        np.testing.assert_array_equal(r, before)
+
+
 def test_jacobi_params_validation():
     with pytest.raises(DomainError):
         JacobiParams(0, -1.0, 0.0)
@@ -277,6 +332,23 @@ def test_node_grid_validation():
         count_nodes(wave, np.array([2.0, 1.0]))  # not increasing
 
 
+def test_psi_rejects_nan():
+    wave = build_wave(UNIT_YUKAWA, CONSTS, energy(UNIT_YUKAWA, CONSTS, 0, 0))
+    for r in (math.nan, np.array([1.0, math.nan, 2.0])):
+        with pytest.raises(DomainError):
+            wave.psi(r)
+    assert wave.psi(math.inf) == 0.0
+
+
+def test_count_nodes_rejects_nan_grid():
+    # a NaN sample once surfaced as "two sign changes within three samples"
+    wave = build_wave(DEEP_YUKAWA, CONSTS, energy(DEEP_YUKAWA, CONSTS, 2, 0))
+    grid = default_node_grid(wave).copy()
+    grid[10000] = math.nan
+    with pytest.raises(DomainError):
+        count_nodes(wave, grid)
+
+
 def test_ode_residual_small_for_true_solution():
     level = energy(UNIT_YUKAWA, CONSTS, 0, 0)
     wave = build_wave(UNIT_YUKAWA, CONSTS, level)
@@ -340,6 +412,28 @@ def test_ground_state_norm_is_a_beta_function(params, l):
             mpmath.mpf(2.0 * wave.beta_exp), mpmath.mpf(2.0 * wave.zeta_exp) + 1
         ) / params.alpha
         assert float(abs(1 / mpmath.mpf(wave.norm) ** 2 / exact - 1)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "params, n, l",
+    [(DEEPEST_WELL, n, 0) for n in (0, 50, 150)]
+    + [(DEEP_YUKAWA, n, l) for n in (0, 1) for l in (0, 1)]
+    + [NODE_PROBES[0]],
+)
+def test_norm_is_the_gamma_closed_form(params, n, l):
+    # ln I = ln[Gamma(n+a+1) Gamma(n+b+1) (n+zeta)
+    #           / (n! Gamma(n+a+b+1) 2 alpha beta (n+beta+zeta))],
+    # a = 2 beta, b = 2 zeta - 1, at 40 digits from the wave's own exponents
+    wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
+    with mpmath.workdps(40):
+        beta, zeta = mpmath.mpf(wave.beta_exp), mpmath.mpf(wave.zeta_exp)
+        a, b = 2 * beta, 2 * zeta - 1
+        exact = (
+            mpmath.loggamma(n + a + 1) + mpmath.loggamma(n + b + 1)
+            - mpmath.loggamma(n + 1) - mpmath.loggamma(n + a + b + 1)
+            + mpmath.log((n + zeta) / (2 * mpmath.mpf(params.alpha) * beta * (n + beta + zeta)))
+        )
+        assert abs(float(-2 * mpmath.log(mpmath.mpf(wave.norm)) - exact)) < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -418,6 +512,12 @@ def test_norm_sweep_against_simpson(a1, a2, log_a3, log_alpha, n, l):
     assert _simpson_log_r(wave, lambda r: wave.psi(r) ** 2) == pytest.approx(
         1.0, abs=1e-8
     )
+    # the closed-form norm rests on a = 2 beta and b = 2 zeta - 1; Gauss-Jacobi
+    # quadrature of psi^2 is its oracle
+    assert wave.jacobi.a == pytest.approx(2.0 * wave.beta_exp, rel=1e-12)
+    assert wave.jacobi.b == pytest.approx(2.0 * wave.zeta_exp - 1.0, rel=1e-12)
+    log_total, _ = wavefunction._log_overlap(wave, wave)
+    assert abs(log_total + 2.0 * math.log(wave.norm)) < 1e-12
 
 
 def test_overlap_matrix_matches_simpson():

@@ -4,6 +4,7 @@ Run:  python3 demos/03_wavefunctions.py
 """
 
 import numpy as np
+from scipy.integrate import simpson
 
 from mrey import (
     PhysicalConstants,
@@ -13,7 +14,7 @@ from mrey import (
     default_node_grid,
     energy,
 )
-from mrey.wavefunction import ode_residual, overlap_matrix
+from mrey.wavefunction import ode_residual
 
 consts = PhysicalConstants()
 deep = PotentialParams(0.0, 0.0, 5.0, 0.5)
@@ -53,9 +54,12 @@ print("== how orthogonal are different n? ==")
 print("each level carries its own decay exponent, so the Jacobi weights of")
 print("different n do not match and the polynomial family alone promises")
 print("nothing; but all levels solve the same self-adjoint screened problem,")
-print("and the measured overlaps vanish accordingly:")
-overlap = overlap_matrix(waves[:3])
-for i, row in enumerate(overlap):
+print("and the overlaps, by Simpson's rule in ln r, vanish accordingly:")
+r_max = 1.5 * max(wave.r_tail for wave in waves[:3])
+u = np.linspace(np.log(1e-9 / deep.alpha), np.log(r_max), 20001)
+psis = [wave.psi(np.exp(u)) for wave in waves[:3]]
+for i, first in enumerate(psis):
+    row = [simpson(first * second * np.exp(u), x=u) for second in psis]
     print(f"  n={i}: " + "  ".join(f"{v:+.2e}" for v in row))
 
 print()

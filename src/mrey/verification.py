@@ -452,7 +452,7 @@ def check_quadrature_routes() -> CheckResult:
 
 def _recheck_norm(wave) -> float:
     """Norm integral by Simpson in ln r from alpha r = 1e-12 (psi^2 holds under
-    (1e-12 beta)^{2 zeta + 1} below, zeta >= 1/2) to 1.5 r_tail; no Gauss-Jacobi."""
+    (1e-12 beta)^{2 zeta + 1} below, zeta >= 1/2) to 1.5 r_tail; no closed form."""
     from scipy.integrate import simpson
 
     u = np.linspace(math.log(1e-12 / wave.params.alpha), math.log(1.5 * wave.r_tail), 4001)

@@ -10,8 +10,8 @@ zeta = 1/2 + sqrt(1/4 + l(l+1) - x1 - x2) equals the spectral delta.  The
 exponents and Jacobi indices are taken from the generic NU shape (nu.wave_shape)
 rather than re-derived here, so the zeta = delta identity is a genuine
 cross-module check.  N is the wave's only scale, and one three-term
-recurrence for P_n, written in s rather than in x = 1 - 2 s, serves psi, the
-overlaps and the tail.
+recurrence for P_n, written in s rather than in x = 1 - 2 s, serves psi and
+ode_residual.
 
 Normalization is exact.  With s = e^{-alpha r}, a = 2 beta and
 b = 2 zeta - 1 the norm integral is
@@ -24,20 +24,21 @@ write (1 - s)^{b + 1} = (1 - s)^b - s (1 - s)^b, so the s-integral is the
 one with weight s^{a - 1} (1 - s)^b, Gamma(n + a + 1) Gamma(n + b + 1) /
 (n! a Gamma(n + a + b + 1)), less the Jacobi norm h_n (DLMF Table 18.3.1).
 build_wave takes it in logs through _log_gamma_ratio, which keeps its digits
-in deep wells (2 beta up to ~4e5).  An (n+1)-node Gauss-Jacobi rule (Golub &
-Welsch, Math. Comp. 23, 1969), built in log space so deep wells neither
-overflow nor lose the tiny weights that carry the mass, gives the overlaps
-exactly, and on the tail of the integral fixes r_tail, the radius past which
-doubling R adds under 1e-13 of the norm.  The CLI's r range and both checks
-end there (the node grid is fixed in theta = arccos(1 - 2 s)): ode_residual
-takes psi'' exactly, and verification.check_wavefunctions rechecks every norm
-by Simpson's rule in ln r, both log-spaced in r from alpha r = 1e-12 however
+in deep wells (2 beta up to ~4e5).  The same integral over (0, s_R),
+s_R = e^{-alpha R} <= e^{-10}, is the tail beyond R, and it is a short power
+series in s_R: P_n(1 - 2 s) is a terminating 2F1, a degree-n polynomial in s
+(DLMF 18.5.7).  From it comes r_tail, the radius past which doubling R adds
+under 1e-13 of the norm.  The CLI's r range and both checks end there (the
+node grid is fixed in theta = arccos(1 - 2 s)): ode_residual takes psi''
+exactly, and verification.check_wavefunctions rechecks every norm by
+Simpson's rule in ln r, both log-spaced in r from alpha r = 1e-12 however
 narrow the wave.
 
-No orthogonality is asserted between different n at fixed l: each level
-carries its own beta exponent (energy enters the weight), so the Jacobi
-orthogonality relation does not apply across levels.  overlap_matrix
-reports the actual overlaps, exact by Gauss-Jacobi quadrature, as a diagnostic.
+Levels of one l are orthogonal, although each has its own Jacobi weight
+(beta depends on the energy): all solve -psi'' + U psi = (2 mu E / hbar^2) psi
+with one screened U(r) that does not depend on E, an operator self-adjoint on
+waves that vanish at 0 and at infinity.  The test
+test_wavefunction.py::test_same_l_levels_are_orthogonal holds that to 1e-10.
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ from .spectrum import EnergyLevel
 
 _TAIL_FRACTION = 1e-13  # stop extending R once a doubling adds less than this
 _TAIL_DOUBLINGS = 64
-# Tail-rule nodes beyond n: (1 - s)^{2 zeta} is not a polynomial in s, but
-# with s <= e^{-10} its Taylor terms past the 32nd are below double precision
-# for zeta up to ~4e4.
-_TAIL_EXTRA_NODES = 16
 # default_node_grid times alpha: -ln s at s = sin^2(theta_k / 2), taken as
 # -ln(1 - cos^2) where s is near 1, theta_k = pi k / 20002, k = 20001 .. 1
 _NODE_HALF = np.pi * np.arange(20001, 0, -1) / 40004  # theta_k / 2
@@ -138,7 +135,7 @@ def build_wave(
     The exponents come from the NU shape evaluated at the level's energy;
     marginal and invalid levels are rejected (u > 0 and xi^2 > 0 are needed
     for normalizability).  The norm is the closed form of the module
-    docstring, in logs; r_tail comes from a Gauss-Jacobi rule on the tail.
+    docstring, in logs; r_tail comes from the tail's power series.
     """
     if not level.valid_bound_state:
         raise DomainError(
@@ -247,138 +244,74 @@ def _jacobi_scaled(n: int, a, b, sigma):
     return p_curr, p_prev, log_scale
 
 
-def _log_sum_exp(terms, signs=1.0, axis=None):
-    """(ln |sum signs * e^terms|, sign of the sum) along axis."""
-    top = np.max(terms, axis=axis, keepdims=True)
-    top[np.isneginf(top)] = 0.0  # every term zero: the sum is zero
-    total = np.sum(signs * np.exp(terms - top), axis=axis)
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(total)) + np.squeeze(top, axis=axis), np.sign(total)
-
-
-def _gauss_jacobi(m: int, a: float, b: float):
-    """m-point Gauss rule for the weight s^a (1 - s)^b on (0, 1), a, b > -1.
-
-    Returns (s, v, log_w): the nodes s, their complements v = 1 - s and the
-    log weights.  In deep wells a passes 1e5, the nodes crowd s = 1 and the
-    weights span hundreds of e-folds, so:
-
-    - nodes start from the eigenvalues of the Jacobi matrix (Golub & Welsch,
-      Math. Comp. 23, 1969) and take one Newton step in sigma, the smaller
-      of s and v, which restores its relative precision; where v < s the
-      polynomial is P_m^{(b,a)}(1 - 2v) = (-1)^m P_m^{(a,b)}(1 - 2s);
-    - weights come from the Christoffel formula in logs,
-        w_i = G (2m+a+b)^2 s_i v_i / ((m+a)^2 (m+b)^2 P_{m-1}(s_i)^2),
-        G = Gamma(m+a+1) Gamma(m+b+1) / (Gamma(m+a+b+1) m!),
-      not from eigenvectors, which lose the e^{-200}-sized weights that
-      carry the mass when the integrand is huge elsewhere.
-    """
-    ab = a + b
-    k = np.arange(1.0, m)
-    t = 2.0 * k + ab
-    diag = np.concatenate(([(b - a) / (ab + 2.0)], (b - a) * ab / (t * (t + 2.0))))
-    off = np.sqrt(
-        4.0 * k * (k + a) * (k + b) * (k + ab) / (t * t * (t + 1.0) * (t - 1.0))
-    )
-    # the matrix is m-square with m <= n + 16, so a dense solve costs little
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    near = x >= 0.0
-    sigma = 0.5 - 0.5 * np.abs(x)
-    a_el, b_el = np.where(near, a, b), np.where(near, b, a)
-    # Newton in sigma from (2m+a+b)(1-x^2) P_m' = m [(a-b) - (2m+a+b) x] P_m
-    # + 2 (m+a) (m+b) P_{m-1}, with dx = -2 dsigma
-    p, p_prev, _ = _jacobi_scaled(m, a_el, b_el, sigma)
-    slope = m * (2.0 * (2.0 * m + ab) * sigma - 2.0 * (m + b_el)) * p + 2.0 * (
-        m + a_el
-    ) * (m + b_el) * p_prev
-    sigma = sigma + 2.0 * (2.0 * m + ab) * sigma * (1.0 - sigma) * p / slope
-    if not np.all(sigma > 0.0):
-        raise NumericalError(
-            f"Gauss-Jacobi nodes for the weight s^{a:g} (1 - s)^{b:g} lie closer "
-            "to an end of (0, 1) than double precision resolves"
-        )
-    _, p_prev, log_scale = _jacobi_scaled(m, a_el, b_el, sigma)
-    s, v = np.where(near, sigma, 1.0 - sigma), np.where(near, 1.0 - sigma, sigma)
-    log_w = (
-        _log_gamma_ratio(m + 1.0, b) - _log_gamma_ratio(m + a + 1.0, b)
-        + 2.0 * math.log((2.0 * m + ab) / ((m + a) * (m + b)))
-        + np.log(s) + np.log(v) - 2.0 * (np.log(np.abs(p_prev)) + log_scale)
-    )
-    return s, v, log_w
-
-
-def _log_jacobi(jacobi: JacobiParams, s, v):
-    """(ln |P_n^{(a,b)}(1 - 2s)|, sign) at points given as (s, v = 1 - s),
-    the recurrence running in the smaller of s and v."""
-    n, a, b = jacobi.n, jacobi.a, jacobi.b
-    near = s <= 0.5
-    p, _, log_scale = _jacobi_scaled(
-        n, np.where(near, a, b), np.where(near, b, a), np.where(near, s, v)
-    )
-    p = np.where(near, p, (-1.0) ** n * p)
-    with np.errstate(divide="ignore"):  # a node on a root of P_n adds nothing
-        return np.log(np.abs(p)) + log_scale, np.sign(p)
-
-
-def _log_overlap(first: RadialWave, second: RadialWave):
-    """(ln |I|, sign of I) for I = integral of psi_1 psi_2 / (norm_1 norm_2)
-    over (0, inf).
-
-    In s = e^{-alpha r} the integral is
-
-      1 / alpha * integral over (0, 1) of
-          s^{beta_1 + beta_2 - 1} (1 - s)^{zeta_1 + zeta_2}
-          * P^{(1)}(1 - 2s) P^{(2)}(1 - 2s) ds,
-
-    a polynomial of degree n_1 + n_2 against a Jacobi weight, which
-    (n_1 + n_2) // 2 + 1 Gauss-Jacobi nodes integrate exactly.
-    """
-    alpha = first.params.alpha
-    if second.params.alpha != alpha:
-        raise DomainError(
-            f"overlap needs one alpha (got {alpha!r} and {second.params.alpha!r}): "
-            "only then do the waves share the variable s = e^{-alpha r}"
-        )
-    s, v, log_w = _gauss_jacobi(
-        (first.jacobi.n + second.jacobi.n) // 2 + 1,
-        first.beta_exp + second.beta_exp - 1.0,
-        first.zeta_exp + second.zeta_exp,
-    )
-    log_p1, sign1 = _log_jacobi(first.jacobi, s, v)
-    log_p2, sign2 = _log_jacobi(second.jacobi, s, v)
-    log_sum, sign = _log_sum_exp(log_w + log_p1 + log_p2, sign1 * sign2)
-    return float(log_sum) - math.log(alpha), float(sign)
-
-
 def _tail_radius(wave: RadialWave, log_total: float) -> float:
     """R past which the tail of (psi / norm)^2 is negligible.
 
     R starts at max(2, 10/alpha) and doubles until the doubling adds at most
     _TAIL_FRACTION of the running total.  The piece over [R, 2R] is
-    T(R) - T(2R), with s_R = e^{-alpha R}, t = s / s_R and
-
-      T(R) = 1 / alpha * s_R^{2 beta} * integral over (0, 1) of
-             t^{2 beta - 1} (1 - s_R t)^{2 zeta} P_n(1 - 2 s_R t)^2 dt.
-
-    One Gauss-Jacobi rule in t serves every R.
+    T(R) - T(2R); it is taken at its largest and the running total at its
+    smallest within _log_tail's error bound, so a rung whose series has lost
+    its digits never passes and R doubles on.
     """
-    alpha, jac = wave.params.alpha, wave.jacobi
-    two_beta, two_zeta = 2.0 * wave.beta_exp, 2.0 * wave.zeta_exp
-    t, _, log_w = _gauss_jacobi(jac.n + _TAIL_EXTRA_NODES, two_beta - 1.0, 0.0)
+    alpha = wave.params.alpha
     uppers = max(2.0, 10.0 / alpha) * 2.0 ** np.arange(_TAIL_DOUBLINGS + 1)
-    log_s = -alpha * uppers
-    sigma = np.exp(log_s)[:, None] * t
-    p, _, log_scale = _jacobi_scaled(jac.n, jac.a, jac.b, sigma)
-    terms = log_w + two_zeta * np.log1p(-sigma) + 2.0 * (np.log(np.abs(p)) + log_scale)
-    log_tail = two_beta * log_s + _log_sum_exp(terms, axis=1)[0] - math.log(alpha)
-    log_piece = log_tail[:-1] + np.log(-np.expm1(log_tail[1:] - log_tail[:-1]))
-    log_running = log_total + np.log1p(-np.exp(log_tail[1:] - log_total))
+    log_tail, rel = _log_tail(wave, -alpha * uppers)
+    step = log_tail[1:] - log_tail[:-1]
+    with np.errstate(invalid="ignore"):  # NaN where the bounds swamp T: the rung fails
+        log_piece = log_tail[:-1] + np.log(-np.expm1(step) + rel[:-1] + rel[1:] * np.exp(step))
+        log_running = log_total + np.log1p(-np.exp(log_tail[1:] - log_total) * (1.0 + rel[1:]))
     done = np.nonzero(log_piece <= math.log(_TAIL_FRACTION) + log_running)[0]
     if done.size == 0:
         raise NumericalError(
             f"normalization tail did not converge within {_TAIL_DOUBLINGS} doublings"
         )
     return float(uppers[done[0] + 1])
+
+
+def _log_tail(wave: RadialWave, log_s: np.ndarray):
+    """(ln T(R), bound on the relative error of T(R)) at s_R = e^{log_s}, for
+    e^{-10} >= s_{R_0} >= s_R with s_{R_0} = e^{log_s[0]}, where
+
+      T(R) = integral from R to inf of (psi / norm)^2 dr
+           = 1 / alpha * integral over (0, s_R) of s^{2 beta - 1} f(s) ds,
+      f(s) = (1 - s)^{2 zeta} P_n(1 - 2 s)^2 = P_n(1)^2 sum_k g_k s^k.
+
+    P_n(1 - 2 s) / P_n(1) = 2F1(-n, n + a + b + 1; a + 1; s) = sum_j q_j s^j
+    terminates (DLMF 18.5.7), (1 - s)^{2 zeta} = sum_m c_m s^m is the binomial
+    series, g = q * q * c, and term by term
+
+      T(R) = s_R^{2 beta} P_n(1)^2 / alpha * S,  S = sum_k g_k s_R^k / (2 beta + k),
+
+    with P_n(1) = (a + 1)_n / n!.  q and c are taken in units of s_{R_0}, so
+    no coefficient overflows.
+
+    - Rounding: in a term of S, q_i q_j takes at most 2n ratio steps of 10
+      roundings (of eps / 2) and c_m 31 steps of 4; its power of s_R takes
+      under 6n + 93 and the products and the three sums 3n + 66.  That is
+      under 32 (n + 10) in all, so S is within 16 (n + 10) eps S_abs, S_abs
+      the same sum over |q| * |q| * |c|.  q_j has the sign (-1)^j, so S
+      alternates: near threshold (small a) S_abs / S grows as
+      e^{4 n sqrt(s_R)}, to 1e13 at n = 1410 of the well a3 = 1e4,
+      alpha = 0.01.
+    - Truncation: c keeps 32 terms.  |c_m| <= (2 zeta + m)^m / m!, so the
+      dropped terms sum to under 1e-17 of S_abs for zeta up to 4e4.
+    """
+    n, a, b = wave.jacobi.n, wave.jacobi.a, wave.jacobi.b
+    two_beta = 2.0 * wave.beta_exp
+    s0, j, m = math.exp(log_s[0]), np.arange(n), np.arange(31)
+    q = np.cumprod(np.concatenate(([1.0], s0 * (j - n) * (j + n + a + b + 1.0)
+                                   / ((j + a + 1.0) * (j + 1.0)))))
+    c = np.cumprod(np.concatenate(([1.0], s0 * (m - 2.0 * wave.zeta_exp) / (m + 1.0))))
+    g = np.array([np.convolve(np.convolve(u, u), v) for u, v in ((q, c), (np.abs(q), np.abs(c)))])
+    k = np.arange(g.shape[1])
+    # row R, column k: (s_R / s_{R_0})^k / (2 beta + k)
+    powers = np.vander(np.exp(log_s) / s0, k.size, increasing=True) / (two_beta + k)
+    sums, bounds = g @ powers.T
+    log_p1 = _log_gamma_ratio(a + 1.0, n) - math.lgamma(n + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # S <= 0: all digits lost
+        log_sums = np.log(sums)
+    log_tail = two_beta * log_s + 2.0 * log_p1 - math.log(wave.params.alpha) + log_sums
+    return log_tail, 16.0 * (n + 10) * np.finfo(float).eps * bounds / sums
 
 
 def default_node_grid(wave: RadialWave) -> np.ndarray:
@@ -467,18 +400,3 @@ def ode_residual(wave: RadialWave, screened: bool = True) -> float:
                                   + v**2 * s_derivs[1])
     k_psi = _stiffness(wave, r, screened) * v**2 * weight * p
     return float(np.max(np.abs(second + k_psi)) / np.max(np.abs([second, k_psi])))
-
-
-def overlap_matrix(waves: list[RadialWave]) -> np.ndarray:
-    """Pairwise integrals of psi_i psi_j (diagnostic; not expected diagonal).
-
-    Exact by Gauss-Jacobi quadrature; all waves must share one alpha.
-    """
-    size = len(waves)
-    log_norms = [math.log(wave.norm) for wave in waves]
-    out = np.eye(size)
-    for i in range(size):
-        for j in range(i + 1, size):
-            log_value, sign = _log_overlap(waves[i], waves[j])
-            out[i, j] = out[j, i] = sign * math.exp(log_value + log_norms[i] + log_norms[j])
-    return out

@@ -25,7 +25,7 @@ from mrey import (
 )
 from mrey import wavefunction
 from mrey.verification import _recheck_norm
-from mrey.wavefunction import JacobiParams, ode_residual, overlap_matrix
+from mrey.wavefunction import JacobiParams, ode_residual
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 UNIT_YUKAWA = PotentialParams(0.0, 0.0, 1.0, 0.5)
@@ -379,20 +379,6 @@ def test_ode_residual_against_unscreened_equation():
     assert ode_residual(wave, screened=False) > 1e-3
 
 
-def test_overlap_matrix_diagnostic():
-    waves = [
-        build_wave(DEEP_YUKAWA, CONSTS, energy(DEEP_YUKAWA, CONSTS, n, 0))
-        for n in range(3)
-    ]
-    overlap = overlap_matrix(waves)
-    np.testing.assert_allclose(np.diag(overlap), 1.0, atol=1e-8)
-    assert np.allclose(overlap, overlap.T)
-    # distinct levels carry different weights, so exact orthogonality is not
-    # expected; just record that the mixing stays modest
-    off = overlap[~np.eye(3, dtype=bool)]
-    assert np.all(np.abs(off) < 0.5)
-
-
 @pytest.mark.parametrize(
     "params, l",
     [
@@ -434,29 +420,6 @@ def test_norm_is_the_gamma_closed_form(params, n, l):
             + mpmath.log((n + zeta) / (2 * mpmath.mpf(params.alpha) * beta * (n + beta + zeta)))
         )
         assert abs(float(-2 * mpmath.log(mpmath.mpf(wave.norm)) - exact)) < 1e-13
-
-
-@pytest.mark.parametrize(
-    "m, a, b",
-    [(1, 0.5, 0.2), (6, 40.0, 3.0), (10, 0.1, -0.5), (17, 2526.4, 1.02),
-     (16, 4.0e5, 1.5), (18, 1263.0, 0.0), (25, -0.5, 30.0)],
-)
-def test_gauss_jacobi_rule_matches_mpmath(m, a, b):
-    # mpmath's rule is for (1 - x)^a (1 + x)^b on (-1, 1): with s = (1 - x)/2
-    # its weights are ours times 2^{a + b + 1}
-    s, v, log_w = wavefunction._gauss_jacobi(m, a, b)
-    with mpmath.workdps(60):
-        xs, ws = mpmath.mp.gauss_quadrature(m, "jacobi", mpmath.mpf(a), mpmath.mpf(b))
-        log_scale = (a + b + 1) * mpmath.log(2)
-        ref = sorted(((1 - x) / 2, (1 + x) / 2, mpmath.log(w) - log_scale)
-                     for x, w in zip(xs, ws))
-        for i, (s_ref, v_ref, log_w_ref) in zip(np.argsort(s), ref):
-            # each node keeps its relative precision at the end it is near
-            if s_ref <= v_ref:
-                assert abs(s[i] / s_ref - 1) < 1e-14
-            else:
-                assert abs(v[i] / v_ref - 1) < 1e-14
-            assert abs(mpmath.expm1(log_w[i] - log_w_ref)) < 1e-12
 
 
 def test_deepest_well_builds():
@@ -512,30 +475,96 @@ def test_norm_sweep_against_simpson(a1, a2, log_a3, log_alpha, n, l):
     assert _simpson_log_r(wave, lambda r: wave.psi(r) ** 2) == pytest.approx(
         1.0, abs=1e-8
     )
-    # the closed-form norm rests on a = 2 beta and b = 2 zeta - 1; Gauss-Jacobi
-    # quadrature of psi^2 is its oracle
+    # the closed-form norm rests on a = 2 beta and b = 2 zeta - 1 and on the
+    # Jacobi norm h_n; its oracle expands P_n(1 - 2s) = P_n(1) sum_j q_j s^j
+    # (DLMF 18.5.7), so the norm integral is a finite sum of beta functions
     assert wave.jacobi.a == pytest.approx(2.0 * wave.beta_exp, rel=1e-12)
     assert wave.jacobi.b == pytest.approx(2.0 * wave.zeta_exp - 1.0, rel=1e-12)
-    log_total, _ = wavefunction._log_overlap(wave, wave)
-    assert abs(log_total + 2.0 * math.log(wave.norm)) < 1e-12
+    with mpmath.workdps(40):
+        a, b = 2 * mpmath.mpf(wave.beta_exp), 2 * mpmath.mpf(wave.zeta_exp) - 1
+        q = [mpmath.rf(-n, j) * mpmath.rf(n + a + b + 1, j)
+             / (mpmath.rf(a + 1, j) * mpmath.factorial(j)) for j in range(n + 1)]
+        p_one = mpmath.rf(a + 1, n) / mpmath.factorial(n)
+        total = p_one**2 / params.alpha * mpmath.fsum(
+            q[i] * q[j] * mpmath.beta(a + i + j, b + 2) for i in range(n + 1) for j in range(n + 1)
+        )
+        assert abs(float(mpmath.log(total)) + 2.0 * math.log(wave.norm)) < 1e-12
 
 
-def test_overlap_matrix_matches_simpson():
-    params = PotentialParams(0.01, -0.03, 5.0, 0.2)
-    waves = [
-        build_wave(params, CONSTS, energy(params, CONSTS, n, l))
-        for n, l in ((0, 0), (1, 0), (2, 0), (0, 1), (3, 1))
-    ]
-    overlap = overlap_matrix(waves)
-    for i, j in ((0, 1), (0, 2), (1, 2), (0, 3), (2, 4)):
-        value = _simpson_log_r(
-            max(waves[i], waves[j], key=lambda w: w.r_tail),
-            lambda r: waves[i].psi(r) * waves[j].psi(r),
-            points=20001,
-        )
-        assert overlap[i, j] == pytest.approx(value, abs=1e-10)
-    with pytest.raises(DomainError):
-        other = PotentialParams(0.01, -0.03, 5.0, 0.25)
-        overlap_matrix(
-            [waves[0], build_wave(other, CONSTS, energy(other, CONSTS, 0, 0))]
-        )
+@pytest.mark.parametrize(
+    "params, l, ns",
+    [
+        (DEEP_YUKAWA, 0, range(4)),
+        (PotentialParams(0.01, -0.03, 5.0, 0.2), 0, range(6)),
+        (PotentialParams(0.01, -0.03, 5.0, 0.2), 1, range(4)),
+        (DEEPEST_WELL, 0, (0, 50, 100)),
+    ],
+)
+def test_same_l_levels_are_orthogonal(params, l, ns):
+    # the screened radial operator does not depend on the energy and is
+    # self-adjoint, so distinct levels of one l are orthogonal although each
+    # carries its own Jacobi weight
+    waves = [build_wave(params, CONSTS, energy(params, CONSTS, n, l)) for n in ns]
+    for i, first in enumerate(waves):
+        for second in waves[i + 1:]:
+            overlap = _simpson_log_r(
+                max(first, second, key=lambda w: w.r_tail),
+                lambda r: first.psi(r) * second.psi(r),
+                points=20001,
+            )
+            assert abs(overlap) < 1e-10, (first.level.n, second.level.n)
+
+
+def _mp_log_tail(wave, log_s):
+    """ln T(R) at s_R = e^{log_s}: 30-digit quadrature of the t-integral with
+    t = e^{-u / (2 beta)}, T = s_R^{2 beta} / (2 beta alpha) * integral over
+    (0, inf) of e^{-u} (1 - s_R t)^{2 zeta} P_n(1 - 2 s_R t)^2 du."""
+    jac = wave.jacobi
+    with mpmath.workdps(30):
+        two_beta, two_zeta = 2 * mpmath.mpf(wave.beta_exp), 2 * mpmath.mpf(wave.zeta_exp)
+        s_r = mpmath.exp(mpmath.mpf(log_s))
+
+        def integrand(u):
+            s = s_r * mpmath.exp(-u / two_beta)
+            return mpmath.exp(-u) * (1 - s) ** two_zeta * mpmath.jacobi(
+                jac.n, jac.a, jac.b, 1 - 2 * s
+            ) ** 2
+
+        integral = mpmath.quad(integrand, [0, 1, 10, mpmath.inf])
+        return two_beta * log_s - mpmath.log(two_beta * wave.params.alpha) + mpmath.log(integral)
+
+
+@pytest.mark.parametrize(
+    "params, n",
+    [
+        (PotentialParams(0.0, 0.0, 1.5, 0.02), 3),
+        (DEEPEST_WELL, 0),
+        (DEEPEST_WELL, 150),  # n^2 s_R = 1.02
+        (PotentialParams(0.0, 0.0, 100.0, 0.01), 59),  # largest n of the sweep box
+        (PotentialParams(0.0, 0.0, 100.0, 0.01), 140),  # its last level, beta = 0.42
+    ],
+)
+def test_tail_series_matches_mpmath(params, n):
+    # ln T at the first rung, s_R = e^{-10}: the series to 1e-12 of T, plus
+    # the rounding of ln T's prefactor 2 beta ln s_R (-4e6 at the deepest well)
+    wave = build_wave(params, CONSTS, energy(params, CONSTS, n, 0))
+    log_s = -params.alpha * max(2.0, 10.0 / params.alpha)
+    log_tail, rel = wavefunction._log_tail(wave, np.array([log_s]))
+    exact = _mp_log_tail(wave, log_s)
+    assert abs(float(log_tail[0] - exact)) < 1e-12 + 4.0 * np.finfo(float).eps * abs(float(exact))
+    assert rel[0] < 1e-11
+
+
+def test_tail_rung_with_lost_series_fails():
+    # near threshold at n = 1410, S_abs / S reaches 1e13 at the first rung:
+    # its error bound exceeds T itself, so that rung cannot pass and the
+    # next one decides.  Simpson pieces of psi^2 agree: [R_0, 2 R_0] holds
+    # most of the norm, [2 R_0, 4 R_0] under 1e-13 of it.
+    params = PotentialParams(0.0, 0.0, 1e4, 0.01)
+    wave = build_wave(params, CONSTS, energy(params, CONSTS, 1410, 0))
+    _, rel = wavefunction._log_tail(wave, -params.alpha * np.array([1000.0, 2000.0]))
+    assert rel[0] > 1.0 and rel[1] < 1e-10
+    assert wave.r_tail == 4000.0
+    for lo, hi, piece in ((1000.0, 2000.0, 0.78), (2000.0, 4000.0, 0.0)):
+        r = np.linspace(lo, hi, 20001)
+        assert simpson(wave.psi(r) ** 2, x=r) == pytest.approx(piece, abs=1e-2 * piece + 1e-13)

@@ -7,17 +7,25 @@ root solver, independently coded formula variants against each other,
 closed-form thermodynamics against quadrature (escalating to high-precision
 arithmetic where double precision provably cannot resolve the comparison),
 and structural contracts of the command-line artifacts.
+
+One rule, in _verdict, decides every check: it passes only if every
+measured value is within its limit and it has no structural problem (a
+wrong node count, a missing file, a feasible fixture).  Each limit is
+written once and printed beside its measured value; a NaN fails, because
+every worst value is taken with np.max or np.min, which keep a NaN.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import subprocess
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -81,10 +89,36 @@ class CheckResult:
     elapsed: float
 
 
-def _result(name, t0, passed, detail) -> CheckResult:
-    return CheckResult(
-        name=name, passed=passed, detail=detail, elapsed=time.perf_counter() - t0
-    )
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
+
+# Two codings of one closed form, or a closed form and its exact value,
+# agree to rounding.
+_ROUNDOFF = "<= 1e-12"
+
+
+def _verdict(name, t0, rows=(), problems=(), notes=()) -> CheckResult:
+    """The one pass/fail rule of every check.
+
+    Each row is (text, measured, limit): measured is a value or a tuple of
+    values, put into text by str.format; limit reads "< x", "<= x" or
+    ">= x" and is printed as written.  The check passes only if every
+    measured value is within its limit and there is no structural problem.
+    Any comparison with NaN is False, so a NaN fails the check.
+    """
+    passed = not problems
+    parts = list(problems[:4] if problems else notes)
+    for text, measured, limit in rows:
+        op, bound = limit.split()
+        values = np.atleast_1d(measured)
+        ok = bool(np.all(_COMPARE[op](values, float(bound))))
+        passed = passed and ok
+        parts.append(f"{text.format(*values)} ({'limit' if ok else 'fails'} {limit})")
+    return CheckResult(name=name, passed=passed, detail="; ".join(parts),
+                       elapsed=time.perf_counter() - t0)
+
+
+def _rel(a, b) -> float:
+    return abs(a - b) / max(1.0, abs(a))
 
 
 def _random_params(rng) -> PotentialParams:
@@ -103,105 +137,84 @@ def _random_params(rng) -> PotentialParams:
     )
 
 
+def _random_levels(seed):
+    """Endless seeded (params, n, l) draws, n < 6 and l < 4 (checks 01-03)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        params = _random_params(rng)
+        yield params, int(rng.integers(0, 6)), int(rng.integers(0, 4))
+
+
 def check_oracle_equivalence() -> CheckResult:
     """Closed-form energies against independent numerical quantization roots."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(_SEED)
-    worst = 0.0
-    accepted = 0
-    attempts = 0
-    while accepted < _ORACLE_LEVELS:
-        attempts += 1
-        if attempts > 200 * _ORACLE_LEVELS:
-            return _result(
-                "oracle-equivalence", t0, False,
-                f"could not sample {_ORACLE_LEVELS} valid levels in {attempts} attempts",
-            )
-        params = _random_params(rng)
-        n = int(rng.integers(0, 6))
-        l = int(rng.integers(0, 4))
+    gaps = []
+    draws = 200 * _ORACLE_LEVELS
+    for params, n, l in islice(_random_levels(_SEED), draws):
         level = energy(params, _CONSTS, n, l)
-        if not level.valid_bound_state:
-            continue
-        e_oracle = solve_bound_state(params, _CONSTS, n, l)
-        rel = abs(level.energy - e_oracle) / abs(e_oracle)
-        worst = max(worst, rel)
-        accepted += 1
-    elapsed = time.perf_counter() - t0
-    passed = worst <= 1e-9 and elapsed < 10.0
-    return _result(
-        "oracle-equivalence", t0, passed,
-        f"{accepted} valid levels, worst relative gap {worst:.2e} "
-        f"(limit 1e-9), {elapsed:.1f}s (limit 10s)",
+        if level.valid_bound_state:
+            e_oracle = solve_bound_state(params, _CONSTS, n, l)
+            gaps.append(abs(level.energy - e_oracle) / abs(e_oracle))
+            if len(gaps) == _ORACLE_LEVELS:
+                break
+    problems = [] if len(gaps) == _ORACLE_LEVELS else [
+        f"could not sample {_ORACLE_LEVELS} valid levels in {draws} draws"]
+    return _verdict(
+        "oracle-equivalence", t0,
+        [("worst relative gap {:.2e}", np.max(gaps, initial=0.0), "<= 1e-9"),
+         ("runtime {:.1f}s", time.perf_counter() - t0, "< 10")],
+        problems, [f"{len(gaps)} valid levels"],
     )
 
 
 def check_form_equivalence() -> CheckResult:
     """Compact and long-form level expressions on random points."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(_SEED + 1)
-    worst = 0.0
-    for _ in range(_FORM_POINTS):
-        params = _random_params(rng)
-        n = int(rng.integers(0, 6))
-        l = int(rng.integers(0, 4))
-        e_compact = energy(params, _CONSTS, n, l).energy
-        e_long = energy_long_form(params, _CONSTS, n, l)
-        rel = abs(e_compact - e_long) / max(1.0, abs(e_compact))
-        worst = max(worst, rel)
-    return _result(
-        "form-equivalence", t0, worst <= 1e-12,
-        f"{_FORM_POINTS} points, worst relative gap {worst:.2e} (limit 1e-12)",
+    gaps = [
+        _rel(energy(params, _CONSTS, n, l).energy, energy_long_form(params, _CONSTS, n, l))
+        for params, n, l in islice(_random_levels(_SEED + 1), _FORM_POINTS)
+    ]
+    return _verdict(
+        "form-equivalence", t0,
+        [("worst relative gap {:.2e}", np.max(gaps), _ROUNDOFF)],
+        notes=[f"{_FORM_POINTS} points"],
     )
 
 
 def check_special_cases() -> CheckResult:
     """Reductions onto the two single-family closed forms."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(_SEED + 2)
-    worst_mr = 0.0
-    worst_yuk = 0.0
-    for _ in range(_SPECIAL_POINTS):
-        params = _random_params(rng)
-        n = int(rng.integers(0, 6))
-        l = int(rng.integers(0, 4))
-
+    gaps_mr, gaps_yuk = [], []
+    for params, n, l in islice(_random_levels(_SEED + 2), _SPECIAL_POINTS):
         mr_params = replace(params, a3=0.0)
-        e_general = energy(mr_params, _CONSTS, n, l).energy
-        e_mr = energy_manning_rosen(mr_params, _CONSTS, n, l)
-        worst_mr = max(worst_mr, abs(e_general - e_mr) / max(1.0, abs(e_general)))
-
+        gaps_mr.append(_rel(energy(mr_params, _CONSTS, n, l).energy,
+                            energy_manning_rosen(mr_params, _CONSTS, n, l)))
         yuk_params = replace(params, a1=0.0, a2=0.0)
-        e_general = energy(yuk_params, _CONSTS, n, l).energy
-        e_yuk = energy_yukawa(yuk_params, _CONSTS, n, l)
-        worst_yuk = max(worst_yuk, abs(e_general - e_yuk) / max(1.0, abs(e_general)))
-    passed = worst_mr <= 1e-12 and worst_yuk <= 1e-12
-    return _result(
-        "special-case-reductions", t0, passed,
-        f"{_SPECIAL_POINTS} points each; worst gaps {worst_mr:.2e} (Manning-Rosen), "
-        f"{worst_yuk:.2e} (Yukawa); limit 1e-12",
+        gaps_yuk.append(_rel(energy(yuk_params, _CONSTS, n, l).energy,
+                             energy_yukawa(yuk_params, _CONSTS, n, l)))
+    return _verdict(
+        "special-case-reductions", t0,
+        [("worst gaps {:.2e} (Manning-Rosen), {:.2e} (Yukawa)",
+          (np.max(gaps_mr), np.max(gaps_yuk)), _ROUNDOFF)],
+        notes=[f"{_SPECIAL_POINTS} points each"],
     )
 
 
 def check_coulomb_limit() -> CheckResult:
     """Screening -> 0 approaches the hydrogenic spectrum linearly in alpha."""
     t0 = time.perf_counter()
-    worst_margin = -math.inf
-    details = []
-    passed = True
+    margins, notes = [], []
     for alpha in (1e-3, 1e-4):
         params = PotentialParams(a1=0.0, a2=0.0, a3=1.0, alpha=alpha)
         for n in (0, 1, 2):
             e = energy(params, _CONSTS, n, 0).energy
             gap = abs(e - (-1.0 / (2.0 * (n + 1) ** 2)))
-            if gap > 5.0 * alpha:
-                passed = False
-            worst_margin = max(worst_margin, gap / (5.0 * alpha))
-            details.append(f"n={n} alpha={alpha:g}: gap {gap:.2e}")
-    return _result(
-        "coulomb-limit", t0, passed,
-        f"worst gap / (5 alpha) = {worst_margin:.3f} (limit 1); "
-        + "; ".join(details[:2]) + "; ...",
+            margins.append(gap / (5.0 * alpha))
+            notes.append(f"n={n} alpha={alpha:g}: gap {gap:.2e}")
+    return _verdict(
+        "coulomb-limit", t0,
+        [("worst gap / (5 alpha) = {:.3f}", np.max(margins), "<= 1")],
+        notes=notes[:2],
     )
 
 
@@ -209,10 +222,9 @@ def check_anchor() -> CheckResult:
     """Hand-evaluated ground level of the default potential."""
     t0 = time.perf_counter()
     e = energy(_DEFAULT_POTENTIAL, _CONSTS, 0, 0).energy
-    gap = abs(e - (-0.28125))
-    return _result(
-        "hand-anchor", t0, gap <= 1e-12,
-        f"E(0,0) = {e!r}, gap {gap:.2e} (limit 1e-12)",
+    return _verdict(
+        "hand-anchor", t0, [("gap {:.2e}", abs(e - (-0.28125)), _ROUNDOFF)],
+        notes=[f"E(0,0) = {e!r}"],
     )
 
 
@@ -228,24 +240,22 @@ def check_table_diagnostics() -> CheckResult:
     t0 = time.perf_counter()
     problems = []
 
-    # E <= Q1 on random configurations (with slack for rounding)
+    # E <= Q1 on random configurations, up to rounding
     rng = np.random.default_rng(_SEED + 3)
+    excess = []
     for _ in range(200):
         params = _random_params(rng)
         for l in range(4):
             coeffs = spectral_coefficients(params, _CONSTS, l)
             for n in range(6):
                 e = compact_energy(coeffs, float(n))
-                if e > coeffs.q1 + 1e-12 * max(1.0, abs(e)):
-                    problems.append(f"E above Q1 at l={l}, n={n}")
+                excess.append((e - coeffs.q1) / max(1.0, abs(e)))
 
     report = fit_couplings(
         [(n, 0, e) for n, e in enumerate(_TABLE_FIXTURE)], alpha=0.5, consts=_CONSTS
     )
     if report.feasible:
         problems.append("fixture with positive l=0 entries labeled feasible")
-    if report.rms < 0.01:
-        problems.append(f"fixture rms {report.rms:.2e} unexpectedly small")
 
     fixture_diff2 = {
         _TABLE_FIXTURE[i + 2] - 2.0 * _TABLE_FIXTURE[i + 1] + _TABLE_FIXTURE[i]
@@ -258,22 +268,19 @@ def check_table_diagnostics() -> CheckResult:
     # second difference is -2 Q2 for every n.
     q3zero = PotentialParams(a1=0.0, a2=0.01, a3=0.02, alpha=0.5)
     coeffs = spectral_coefficients(q3zero, _CONSTS, 0)
-    if abs(coeffs.q3) > 1e-15:
-        problems.append(f"Q3 = {coeffs.q3!r} not zero for the constructed set")
     levels = [compact_energy(coeffs, float(n)) for n in range(6)]
-    for i in range(4):
-        diff2 = levels[i + 2] - 2.0 * levels[i + 1] + levels[i]
-        if abs(diff2 - (-2.0 * coeffs.q2)) > 1e-12:
-            problems.append(f"second difference {diff2!r} != -2 Q2 at n={i}")
-
-    detail = (
-        f"bound holds on 4800 random levels; fixture verdict "
-        f"'{'feasible' if report.feasible else 'infeasible'}' with rms "
-        f"{report.rms:.2e}; second differences -0.0625 reproduced"
+    diff2_gaps = [
+        abs(levels[i + 2] - 2.0 * levels[i + 1] + levels[i] - (-2.0 * coeffs.q2))
+        for i in range(4)
+    ]
+    return _verdict(
+        "table-diagnostics", t0,
+        [("worst (E - Q1) / max(1, |E|) {:.2e}", np.max(excess), _ROUNDOFF),
+         ("infeasible fixture rms {:.2e}", report.rms, ">= 0.01"),
+         ("constructed |Q3| {:.2e}", abs(coeffs.q3), "<= 1e-15"),
+         ("worst second difference gap to -2 Q2 {:.2e}", np.max(diff2_gaps), _ROUNDOFF)],
+        problems, [f"{len(excess)} random levels", "fixture second differences -0.0625"],
     )
-    if problems:
-        detail = "; ".join(problems)
-    return _result("table-diagnostics", t0, not problems, detail)
 
 
 def _identity_grid():
@@ -286,46 +293,29 @@ def _identity_grid():
 def check_thermo_identities() -> CheckResult:
     """F = U - TS, U and C against the direct moment quadrature, C >= 0, Z(0) = lambda."""
     t0 = time.perf_counter()
-    worst_f = 0.0
-    worst_u = 0.0
-    worst_c = 0.0
-    min_c = math.inf
-    problems = []
+    gaps_f, gaps_u, gaps_c, heat = [], [], [], []
     for coeffs, lam, beta in _identity_grid():
         inp = thermo.ThermoInput(coeffs=coeffs, lam=lam, beta=beta)
         state = thermo.thermo_state(inp)
         _, u_direct, c_direct = thermo.thermo_direct(inp)
-        rel_f = abs(state.f - (state.u - state.s / beta)) / max(1.0, abs(state.f))
-        worst_f = max(worst_f, rel_f)
-        worst_u = max(worst_u, abs(state.u - u_direct) / max(1.0, abs(state.u)))
-        rel_c = abs(state.c - c_direct) / max(abs(state.c), 1e-300)
-        worst_c = max(worst_c, rel_c)
-        min_c = min(min_c, state.c)
+        gaps_f.append(_rel(state.f, state.u - state.s / beta))
+        gaps_u.append(_rel(state.u, u_direct))
+        gaps_c.append(abs(state.c - c_direct) / max(abs(state.c), 1e-300))
+        heat.append(state.c)
     coeffs = spectral_coefficients(_DEFAULT_POTENTIAL, _CONSTS, 0)
-    for lam in _IDENTITY_LAMBDAS:
-        z0 = thermo.thermo_state(thermo.ThermoInput(coeffs, lam, 0.0)).z
-        if abs(z0 - lam) > 1e-6 * lam:
-            problems.append(f"Z(beta=0) = {z0!r} at lambda={lam:g}")
-    elapsed = time.perf_counter() - t0
-    if worst_f > 1e-9:
-        problems.append(f"F identity off by {worst_f:.2e}")
-    if worst_u > 1e-9:
-        problems.append(f"U vs direct quadrature off by {worst_u:.2e}")
-    if worst_c > 1e-6:
-        problems.append(f"C vs direct quadrature off by {worst_c:.2e}")
-    if min_c < 0.0:
-        problems.append(f"negative heat capacity {min_c:.2e}")
-    if elapsed >= 60.0:
-        problems.append(f"runtime {elapsed:.1f}s over the 60s budget")
-    detail = (
-        f"100-point grid: F identity {worst_f:.2e} (limit 1e-9), U gap "
-        f"{worst_u:.2e} (limit 1e-9), C gap {worst_c:.2e} (limit 1e-6), "
-        f"min C {min_c:.2e}, Z(0) = lambda, "
-        f"{elapsed:.1f}s (limit 60s)"
+    gaps_z0 = [
+        abs(thermo.thermo_state(thermo.ThermoInput(coeffs, lam, 0.0)).z - lam) / lam
+        for lam in _IDENTITY_LAMBDAS
+    ]
+    return _verdict(
+        "thermo-identities", t0,
+        [("F identity {:.2e}, U gap {:.2e}", (np.max(gaps_f), np.max(gaps_u)), "<= 1e-9"),
+         ("C gap {:.2e}, Z(0) / lambda gap {:.2e}",
+          (np.max(gaps_c), np.max(gaps_z0)), "<= 1e-6"),
+         ("min C {:.2e}", np.min(heat), ">= 0"),
+         ("runtime {:.1f}s", time.perf_counter() - t0, "< 60")],
+        notes=[f"{len(heat)}-point grid"],
     )
-    if problems:
-        detail = "; ".join(problems)
-    return _result("thermo-identities", t0, not problems, detail)
 
 
 def _mp_cuts(coeffs, lam, beta):
@@ -396,58 +386,39 @@ def check_quadrature_routes() -> CheckResult:
     its round-off floor of the 40-digit reference ln Z.
     """
     t0 = time.perf_counter()
+    target = 1e-10
     eps = np.finfo(float).eps
-    worst_double = 0.0
-    worst_drift = 0.0
-    escalated = 0
-    problems = []
+    gaps, drifts = [], []
     for coeffs, lam, beta in _identity_grid():
         inp = thermo.ThermoInput(coeffs=coeffs, lam=lam, beta=beta)
         ln_closed = thermo.thermo_state(inp).ln_z
         ln_direct = thermo.log_partition_direct(inp)
         diff = ln_closed - ln_direct
-        gap = abs(math.expm1(diff)) if abs(diff) < 1.0 else math.inf
         floor = 4.0 * eps * max(1.0, abs(ln_direct))
-        if floor <= 1e-10:
-            worst_double = max(worst_double, gap)
-            if gap > 1e-10:
-                problems.append(f"route gap {gap:.2e} at lambda={lam:g} beta={beta:g}")
+        if floor <= target:
+            gaps.append(abs(math.expm1(diff)) if abs(diff) < 1.0 else math.inf)
         else:
-            escalated += 1
             ln_ref = _mp_log_partition(coeffs, lam, beta)
-            for value in (ln_closed, ln_direct):
-                drift = abs(value - ln_ref)
-                worst_drift = max(worst_drift, drift / (2.0 * floor))
-                if drift > 2.0 * floor:
-                    problems.append(
-                        f"double route {drift:.2e} from reference at "
-                        f"lambda={lam:g} beta={beta:g} (floor {floor:.2e})"
-                    )
+            drifts += [abs(value - ln_ref) / (2.0 * floor) for value in (ln_closed, ln_direct)]
 
     # constant spectrum: q2 = 0 collapses the closed forms
     const_coeffs = SpectralCoefficients(
         q1=0.7, q2=0.0, q3=-4.0, delta=1.0, radicand=1.0
     )
+    const_gaps = []
     for lam, beta in ((3.0, 0.8), (10.0, 2.5)):
         state = thermo.thermo_state(thermo.ThermoInput(const_coeffs, lam, beta))
-        z, s, c = state.z, state.s, state.c
         z_exact = lam * math.exp(-beta * 0.7)
-        if abs(z - z_exact) > 1e-10 * z_exact:
-            problems.append(f"constant-spectrum Z {z!r} != {z_exact!r}")
-        if abs(s - math.log(lam)) > 1e-10 * max(1.0, abs(math.log(lam))):
-            problems.append(f"constant-spectrum S {s!r} != ln lambda")
-        if abs(c) > 1e-10:
-            problems.append(f"constant-spectrum C {c!r} != 0")
+        const_gaps += [abs(state.z - z_exact) / z_exact, _rel(math.log(lam), state.s),
+                       abs(state.c)]
 
-    detail = (
-        f"worst double-precision route gap {worst_double:.2e} (limit 1e-10); "
-        f"{escalated} corner points verified in 40-digit arithmetic (worst "
-        f"drift {worst_drift:.2f} of the 2x floor limit); "
-        f"constant-spectrum closed forms reproduced"
+    return _verdict(
+        "quadrature-routes", t0,
+        [("worst double-precision route gap {:.2e}, constant-spectrum Z, S, C gap {:.2e}",
+          (np.max(gaps, initial=0.0), np.max(const_gaps)), f"<= {target:g}"),
+         ("worst 40-digit drift / (2x floor) {:.2f}", np.max(drifts, initial=0.0), "<= 1")],
+        notes=[f"{len(drifts) // 2} corner points verified in 40-digit arithmetic"],
     )
-    if problems:
-        detail = "; ".join(problems[:4])
-    return _result("quadrature-routes", t0, not problems, detail)
 
 
 def _recheck_norm(wave) -> float:
@@ -463,10 +434,9 @@ def _recheck_norm(wave) -> float:
 def check_wavefunctions() -> CheckResult:
     """Normalization, node counts, ODE residual, exponent identity."""
     t0 = time.perf_counter()
-    problems = []
+    problems, norm_gaps, residuals, zeta_gaps = [], [], [], []
     cases = [(_DEFAULT_POTENTIAL, (0,)), (_DEEP_POTENTIAL, (0, 1, 2, 3)),
              (PotentialParams(0.0, 0.0, 2000.0, 0.01), (0, 50, 100, 150))]
-    checked = 0
     for params, ns in cases:
         coeffs = spectral_coefficients(params, _CONSTS, 0)
         for n in ns:
@@ -475,27 +445,19 @@ def check_wavefunctions() -> CheckResult:
                 problems.append(f"level n={n} of a3={params.a3:g} not valid")
                 continue
             wave = build_wave(params, _CONSTS, level)
-            checked += 1
-            norm = _recheck_norm(wave)
-            if abs(norm - 1.0) > 1e-8:
-                problems.append(f"norm {norm!r} at n={n}, a3={params.a3:g}")
+            norm_gaps.append(abs(_recheck_norm(wave) - 1.0))
             nodes = count_nodes(wave, default_node_grid(wave))
             if nodes != n:
                 problems.append(f"{nodes} nodes at n={n}, a3={params.a3:g}")
-            residual = ode_residual(wave)
-            if residual >= 1e-6:
-                problems.append(f"ODE residual {residual:.2e} at n={n}, a3={params.a3:g}")
-            if abs(wave.zeta_exp - coeffs.delta) > 1e-12:
-                problems.append(
-                    f"zeta {wave.zeta_exp!r} != delta {coeffs.delta!r} at n={n}"
-                )
-    detail = (
-        f"{checked} states: norms within 1e-8, node counts equal n, "
-        f"ODE residuals < 1e-6, zeta = delta to 1e-12"
+            residuals.append(ode_residual(wave))
+            zeta_gaps.append(abs(wave.zeta_exp - coeffs.delta))
+    return _verdict(
+        "wavefunction-suite", t0,
+        [("worst norm gap {:.2e}", np.max(norm_gaps, initial=0.0), "<= 1e-8"),
+         ("worst ODE residual {:.2e}", np.max(residuals, initial=0.0), "< 1e-6"),
+         ("worst |zeta - delta| {:.2e}", np.max(zeta_gaps, initial=0.0), _ROUNDOFF)],
+        problems, [f"{len(residuals)} states", "node counts equal n"],
     )
-    if problems:
-        detail = "; ".join(problems[:4])
-    return _result("wavefunction-suite", t0, not problems, detail)
 
 
 def _read_csv_columns(path):
@@ -524,13 +486,10 @@ def check_figures() -> CheckResult:
             capture_output=True, text=True,
         )
         if proc.returncode != 0:
-            return _result(
-                "figure-generation", t0, False,
-                f"figures exited {proc.returncode}: {proc.stderr.strip()[:200]}",
-            )
-        for name in expected + ["figures_config.json"]:
-            if not os.path.exists(os.path.join(tmp, name)):
-                problems.append(f"missing {name}")
+            problems.append(f"figures exited {proc.returncode}: {proc.stderr.strip()[:200]}")
+        else:
+            problems += [f"missing {name}" for name in expected + ["figures_config.json"]
+                         if not os.path.exists(os.path.join(tmp, name))]
         if not problems:
             header, cols = _read_csv_columns(os.path.join(tmp, expected[0]))
             if header != ["beta", "lambda", "Z", "U", "S", "F", "C"]:
@@ -547,13 +506,9 @@ def check_figures() -> CheckResult:
                 problems.append("Z not strictly increasing in lambda")
             if np.any(cols["C"] < 0.0):
                 problems.append("negative C on the lambda sweep")
-    detail = (
+    return _verdict("figure-generation", t0, problems=problems, notes=[
         "ten curve files plus config sidecar written; Z strictly increasing "
-        "in lambda, and in beta on an all-negative-spectrum window"
-    )
-    if problems:
-        detail = "; ".join(problems[:4])
-    return _result("figure-generation", t0, not problems, detail)
+        "in lambda, and in beta on an all-negative-spectrum window"])
 
 
 def check_trends() -> CheckResult:
@@ -612,16 +567,11 @@ def check_trends() -> CheckResult:
     if not all(a < b for a, b in zip(ground_row, ground_row[1:])):
         problems.append("default ground row not rising with l")
 
-    n_valid = len(valid_grid)
-    detail = (
+    return _verdict("trend-pattern", t0, problems=problems, notes=[
         f"raw values fall with n on the Q3 > 0 set (24 levels); deep set: "
-        f"{n_valid} valid levels, E rises with l and |E| falls with n "
+        f"{len(valid_grid)} valid levels, E rises with l and |E| falls with n "
         f"throughout; default set falls past the peak and rises with l on "
-        f"its valid row"
-    )
-    if problems:
-        detail = "; ".join(problems[:4])
-    return _result("trend-pattern", t0, not problems, detail)
+        f"its valid row"])
 
 
 _ALL_CHECKS = (

@@ -304,9 +304,14 @@ def _log_tail(wave: RadialWave, log_s: np.ndarray):
     c = np.cumprod(np.concatenate(([1.0], s0 * (m - 2.0 * wave.zeta_exp) / (m + 1.0))))
     g = np.array([np.convolve(np.convolve(u, u), v) for u, v in ((q, c), (np.abs(q), np.abs(c)))])
     k = np.arange(g.shape[1])
-    # row R, column k: (s_R / s_{R_0})^k / (2 beta + k)
-    powers = np.vander(np.exp(log_s) / s0, k.size, increasing=True) / (two_beta + k)
-    sums, bounds = g @ powers.T
+    # row R, column k: (s_R / s_{R_0})^k / (2 beta + k), built for the live
+    # rungs only: once s_R / s_{R_0} underflows to 0 (from about the 8th
+    # rung) a row is g[:, 0] / (2 beta) = 1 / (2 beta)
+    ratio = np.exp(log_s) / s0
+    live = np.count_nonzero(ratio)
+    powers = np.vander(ratio[:live], k.size, increasing=True) / (two_beta + k)
+    sums, bounds = table = np.full((2, ratio.size), 1.0 / two_beta)
+    table[:, :live] = g @ powers.T
     log_p1 = _log_gamma_ratio(a + 1.0, n) - math.lgamma(n + 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # S <= 0: all digits lost
         log_sums = np.log(sums)

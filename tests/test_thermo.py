@@ -406,7 +406,8 @@ def test_quadrature_routes_check_flags_closed_form_off_its_reference(monkeypatch
     monkeypatch.setattr(thermo, "thermo_state", skewed)
     result = check_quadrature_routes()
     assert not result.passed
-    assert "from reference" in result.detail
+    drift = next(part for part in result.detail.split("; ") if "40-digit drift" in part)
+    assert drift.endswith("(fails <= 1)")
 
 
 def test_closed_form_agrees_with_direct_route_on_benchmark_domain():

@@ -12,9 +12,10 @@ v = x2 - x3 (in Q3 = v + l(l+1)), so those two are fitted, as (t, v) with
 t = 2 delta - 1 at the lowest l of the table.  The real-delta domain is then
 the bound t >= 0.  At fixed t each row's rho + Q3/rho is linear in v, so the
 squared-residual sum is a quartic in v whose minima are the outer real roots
-of a cubic.  Both minima are followed along a fixed grid in t, and each
-local minimum of either branch seeds one bounded trust-region polish in
-(t, v); the best polish wins.  The three raw couplings are one gauge
+of a cubic.  Both minima are followed along a fixed grid in t, their cubics
+solved together by one batched eigenvalue call on the companion matrices,
+and each local minimum of either branch seeds one bounded trust-region
+polish in (t, v); the best polish wins.  The three raw couplings are one gauge
 direction short of identifiable: the report gives the exact minimum-norm
 (A1, A2, A3) for the fitted (u, v), plus u and v themselves.
 """
@@ -68,6 +69,23 @@ def channel_bound(l: int, alpha: float, consts: PhysicalConstants) -> float:
     return (consts.hbar * alpha) ** 2 * l * (l + 1) / (2.0 * consts.mu)
 
 
+def _outer_real_roots(cubics: np.ndarray) -> np.ndarray:
+    """(smallest, largest) real root of each row c of cubics, c[0] != 0.
+
+    The roots are the eigenvalues of each row's companion matrix, built as
+    np.roots builds it, so they are np.roots' own; one batched eigvals call
+    takes them all.  A real cubic has a real root, found with zero imaginary
+    part.
+    """
+    companion = np.zeros((len(cubics), 3, 3))
+    companion[:, 0] = -cubics[:, 1:] / cubics[:, :1]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    real = roots.imag == 0.0
+    return np.array([np.where(real, roots.real, np.inf).min(axis=1),
+                     np.where(real, roots.real, -np.inf).max(axis=1)])
+
+
 def fit_couplings(
     rows,
     alpha: float,
@@ -105,14 +123,10 @@ def fit_couplings(
         return q1 - q2 * (a + b * p[1]) ** 2 - targets
 
     # sum((a + b v)^2 - y)^2 is a quartic in v; its minima are the outer
-    # real roots of its derivative's cubic.
+    # real roots of its derivative's cubic (leading term sum(b^4) > 0).
     a, b = linear_in_v(_T_GRID)
     terms = [b**4, 3.0 * a * b**3, (3.0 * a**2 - y) * b**2, (a**2 - y) * a * b]
-    branches = np.empty((2, _T_GRID.size))
-    for i, coefficients in enumerate(np.sum(terms, axis=2).T):
-        roots = np.roots(coefficients)
-        real = roots.real[roots.imag == 0.0]
-        branches[:, i] = real.min(), real.max()
+    branches = _outer_real_roots(np.sum(terms, axis=2).T)
     costs = np.sum(((a + b * branches[..., None]) ** 2 - y) ** 2, axis=2)
 
     best = None

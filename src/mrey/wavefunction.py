@@ -219,20 +219,20 @@ def _jacobi_scaled(n: int, a, b, sigma):
         np.subtract(a + 1.0, p_prev, out=p_prev)
         p_prev, p_curr = p_curr, p_prev
     # on [-1, 1], |P_n| <= binom(n + max(a, b), n) < (n + max(a, b) + 2)^n
-    rescale = n * math.log(n + max(np.max(a), np.max(b), 0.0) + 2.0) > 300.0
+    rescale = n * math.log(n + max(np.maximum(a, b).max(), 0.0) + 2.0) > 300.0
     log_scale = np.zeros(shape) if rescale else 0.0
-    # P_k = (c0 - c1 sigma) P_{k-1} - c2 P_{k-2}, all coefficients at once
-    k = np.arange(2.0, n + 1.0).reshape((-1,) + (1,) * len(shape))
-    s = 2.0 * k + a + b
-    lead = 2.0 * k * (k + a + b) * (s - 2.0)
-    c0 = (s - 1.0) * (2.0 * (a + b) * (a + 2.0 * k - 1.0) + 4.0 * k * (k - 1.0)) / lead
-    c1 = 2.0 * (s - 1.0) * s * (s - 2.0) / lead
-    c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s / lead
-    for i in range(n - 1):
-        np.multiply(c1[i], sigma, out=spare)
-        np.subtract(c0[i], spare, out=spare)
+    # P_k = (c0 - c1 sigma) P_{k-1} - c2 P_{k-2}, the coefficients taken step
+    # by step: for scalar a and b they are plain floats, not arrays
+    for k in range(2, n + 1):
+        s = 2.0 * k + a + b
+        lead = 2.0 * k * (k + a + b) * (s - 2.0)
+        c0 = (s - 1.0) * (2.0 * (a + b) * (a + 2.0 * k - 1.0) + 4.0 * k * (k - 1.0)) / lead
+        c1 = 2.0 * (s - 1.0) * s * (s - 2.0) / lead
+        c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s / lead
+        np.multiply(c1, sigma, out=spare)
+        np.subtract(c0, spare, out=spare)
         spare *= p_curr
-        p_prev *= c2[i]
+        p_prev *= c2
         spare -= p_prev
         p_prev, p_curr, spare = p_curr, spare, p_prev
         if rescale:  # divide both by max(|p_curr|, 1), its log into log_scale
@@ -341,7 +341,7 @@ def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
     cannot separate the roots.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
+    if grid.ndim != 1 or grid.size < 2 or np.any(grid[1:] <= grid[:-1]):
         raise DomainError("grid must be strictly increasing with >= 2 points")
     if not np.all(grid > 0.0):
         raise DomainError("grid must lie in (0, R]")
@@ -351,20 +351,20 @@ def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
             f"{grid.size} points over alpha*r span {span:g} is under "
             "1000 points per unit"
         )
-    signs = np.sign(wave.psi(grid))
-    idx = np.flatnonzero(signs)
-    nonzero = signs[idx]
-    before_change = idx[:-1][nonzero[:-1] != nonzero[1:]]  # nonzero sample before it
+    values = wave.psi(grid)
+    keep = values != 0.0
+    idx = np.flatnonzero(keep)
+    negative = values[keep] < 0.0
+    before_change = idx[:-1][negative[:-1] != negative[1:]]  # nonzero sample before it
     if np.any(np.diff(before_change) < 3):
         raise ResolutionError("two sign changes within three samples; refine the grid")
     return before_change.size
 
 
-def _stiffness(wave: RadialWave, r, screened: bool):
-    """Coefficient k(r) of psi in psi'' + k(r) psi = 0 for this level."""
+def _stiffness(wave: RadialWave, r, s, one_minus, screened: bool):
+    """Coefficient k(r) of psi in psi'' + k(r) psi = 0 for this level, with
+    s = e^{-alpha r} and one_minus = 1 - s as the caller has them."""
     p, c = wave.params, wave.consts
-    s = np.exp(-p.alpha * r)
-    one_minus = -np.expm1(-p.alpha * r)
     ll1 = float(wave.level.l * (wave.level.l + 1))
     if screened:
         yukawa = p.a3 * p.alpha * s / one_minus
@@ -403,5 +403,5 @@ def ode_residual(wave: RadialWave, screened: bool = True) -> float:
     va = beta * v - zeta * s  # v A
     second = alpha**2 * weight * ((va**2 - zeta * s) * p + v * (2.0 * va + v) * s_derivs[0]
                                   + v**2 * s_derivs[1])
-    k_psi = _stiffness(wave, r, screened) * v**2 * weight * p
+    k_psi = _stiffness(wave, r, s, v, screened) * v**2 * weight * p
     return float(np.max(np.abs(second + k_psi)) / np.max(np.abs([second, k_psi])))

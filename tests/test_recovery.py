@@ -20,6 +20,7 @@ from mrey import (
     fit_couplings,
     spectrum_table,
 )
+from mrey import recovery
 from mrey.recovery import TableRow, channel_bound
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
@@ -135,20 +136,57 @@ def test_one_row_per_l_of_a_deep_well():
     _assert_recovers(rows, *x)
 
 
+def _perturbed_upper_branch_rows():
+    """+-1% on alternate rows of a deep well's table (alpha 0.038), 8 rows."""
+    x1, x2, x3, alpha = -15.5, -9.2, 5594.0, 0.038
+    return [
+        (n, l, e * (1 + 0.01 * (-1) ** i))
+        for i, (n, l, e) in enumerate(_valid_rows(_from_x(x1, x2, x3, alpha), 3, 1))
+    ], alpha
+
+
 def test_best_fit_of_a_perturbed_table_on_the_upper_v_branch():
     # +-1% on alternate rows: no coupling fits, and the best fit has
     # x2 - x3 ~ +5255, on the upper of the two minima in v (the lower one
     # gives rms 1.013); the optimum came from a dense (u, v) grid and a
     # Nelder-Mead polish, independent of the fitter
-    x1, x2, x3, alpha = -15.5, -9.2, 5594.0, 0.038
-    rows = [
-        (n, l, e * (1 + 0.01 * (-1) ** i))
-        for i, (n, l, e) in enumerate(_valid_rows(_from_x(x1, x2, x3, alpha), 3, 1))
-    ]
+    rows, alpha = _perturbed_upper_branch_rows()
     assert len(rows) == 8
     report = fit_couplings(rows, alpha=alpha, consts=CONSTS)
     assert report.rms == pytest.approx(0.98852465353584, rel=1e-9)
     assert report.x2_minus_x3 > 0.0
+
+
+def _np_roots_outer(cubics):
+    """Smallest and largest real root of each row, one np.roots call a row."""
+    out = np.empty((2, len(cubics)))
+    for i, coefficients in enumerate(cubics):
+        roots = np.roots(coefficients)
+        real = roots.real[roots.imag == 0.0]
+        out[:, i] = real.min(), real.max()
+    return out
+
+
+@pytest.mark.parametrize("table", [
+    lambda: ([(0, 0, -0.28125)], 0.5),  # one row
+    lambda: (_valid_rows(_from_x(0.03, -0.04, 22600.0, 0.0232)), 0.0232),  # deep well
+    _perturbed_upper_branch_rows,
+    lambda: ([(n, 0, e) for n, e in enumerate(FIXTURE)], 0.5),  # complex pairs at every t
+], ids=["one-row", "deep-well", "perturbed-upper-branch", "infeasible-fixture"])
+def test_batched_cubic_roots_equal_np_roots(monkeypatch, table):
+    # the fit's one batched eigvals call returns np.roots' roots bit for bit
+    rows, alpha = table()
+    batched, seen = recovery._outer_real_roots, []
+
+    def spy(cubics):
+        seen.append((cubics.copy(), batched(cubics)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(recovery, "_outer_real_roots", spy)
+    fit_couplings(rows, alpha=alpha, consts=CONSTS)
+    [(cubics, roots)] = seen
+    assert cubics.shape == (recovery._T_GRID.size, 4)
+    np.testing.assert_array_equal(roots, _np_roots_outer(cubics))
 
 
 def test_couplings_are_minimum_norm():

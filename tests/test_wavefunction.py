@@ -321,6 +321,27 @@ def test_chunks_carry_the_last_sign_and_change(lead):
     assert count_nodes(spaced, spaced.grid) == 2
 
 
+@pytest.mark.parametrize("values, nodes", [
+    ([1, 0, 0, -1], 1),
+    ([1, 0, 1], 0),  # touching zero without crossing
+    ([0, 0, 1, -1, 0, 0], 1),  # zero runs at either end are not counted
+    ([0, -1, -1, 0, 0], 0),
+    ([1, 0, -5e-324], 1),  # a subnormal keeps its sign
+    ([1, -1, -1, -1, 1], 2),  # three samples between the changes: resolved
+])
+def test_zero_samples_are_skipped(values, nodes):
+    wave = _SignPattern(values)
+    assert count_nodes(wave, wave.grid) == nodes
+
+
+def test_flips_three_apart_across_a_zero_run_are_too_close():
+    # the flips land on samples 2 and 5, but the nonzero samples before
+    # them, 1 and 2, are adjacent: the zeros do not separate the changes
+    wave = _SignPattern([1, 1, -1, 0, 0, 1])
+    with pytest.raises(ResolutionError):
+        count_nodes(wave, wave.grid)
+
+
 def test_node_grid_validation():
     level = energy(DEEP_YUKAWA, CONSTS, 2, 0)
     wave = build_wave(DEEP_YUKAWA, CONSTS, level)

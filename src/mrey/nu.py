@@ -12,7 +12,9 @@ polynomials.  This module implements that recipe generically plus the mapping
 from the screened radial problem onto it, and solve_bound_state, a root
 finder that brackets the quantization condition itself (no closed-form input)
 and solves it numerically.  It is the independent oracle used to validate
-every closed-form energy expression in spectrum.py.
+every closed-form energy expression in spectrum.py.  c4..c9, the residual and
+xi1..xi3 are each coded once, in float helpers that the dataclass API wraps
+and solve_bound_state calls directly.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .potential import (
     PotentialParams,
     QuantumNumbers,
     dimensionless_params,
+    xi_squared,
 )
 
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps
@@ -78,6 +81,33 @@ class WaveShape:
     jacobi_b: float
 
 
+def _constants(c1, c2, c3, xi1, xi2, xi3):
+    """c4..c9, sqrt(c8), sqrt(c9); ComplexBranchError if c8 < 0 or c9 < 0."""
+    c4 = 0.5 * (1.0 - c1)
+    c5 = 0.5 * (c2 - 2.0 * c3)
+    c6 = c5**2 + xi1
+    c7 = 2.0 * c4 * c5 - xi2
+    c8 = c4**2 + xi3
+    c9 = c3 * c7 + c3**2 * c8 + c6
+    if c8 < 0.0 or c9 < 0.0:
+        raise ComplexBranchError(c8, c9)
+    return c4, c5, c6, c7, c8, c9, math.sqrt(c8), math.sqrt(c9)
+
+
+def _residual(c1, c2, c3, xi1, xi2, xi3, n):
+    """The quantization residual on plain floats, n already validated."""
+    _, c5, _, c7, c8, _, sqrt_c8, sqrt_c9 = _constants(c1, c2, c3, xi1, xi2, xi3)
+    return (
+        c2 * n
+        - (2.0 * n + 1.0) * c5
+        + (2.0 * n + 1.0) * (sqrt_c9 + c3 * sqrt_c8)
+        + n * (n - 1.0) * c3
+        + c7
+        + 2.0 * c3 * c8
+        + 2.0 * sqrt_c8 * sqrt_c9
+    )
+
+
 def derive_constants(coeffs: NuCoefficients) -> NuDerived:
     """c4..c13 from the NU inputs.
 
@@ -85,23 +115,10 @@ def derive_constants(coeffs: NuCoefficients) -> NuDerived:
     c10..c13 would leave the real axis).
     """
     c1, c2, c3 = coeffs.c1, coeffs.c2, coeffs.c3
-    c4 = 0.5 * (1.0 - c1)
-    c5 = 0.5 * (c2 - 2.0 * c3)
-    c6 = c5**2 + coeffs.xi1
-    c7 = 2.0 * c4 * c5 - coeffs.xi2
-    c8 = c4**2 + coeffs.xi3
-    c9 = c3 * c7 + c3**2 * c8 + c6
-    if c8 < 0.0 or c9 < 0.0:
-        raise ComplexBranchError(c8, c9)
-    sqrt_c8 = math.sqrt(c8)
-    sqrt_c9 = math.sqrt(c9)
+    c4, c5, c6, c7, c8, c9, sqrt_c8, sqrt_c9 = _constants(
+        c1, c2, c3, coeffs.xi1, coeffs.xi2, coeffs.xi3)
     return NuDerived(
-        c4=c4,
-        c5=c5,
-        c6=c6,
-        c7=c7,
-        c8=c8,
-        c9=c9,
+        c4, c5, c6, c7, c8, c9,
         c10=c1 + 2.0 * c4 + 2.0 * sqrt_c8,
         c11=c2 - 2.0 * c5 + 2.0 * (sqrt_c9 + c3 * sqrt_c8),
         c12=c4 + sqrt_c8,
@@ -114,22 +131,11 @@ def quantization_residual(coeffs: NuCoefficients, n: int) -> float:
 
     Zero exactly at a bound-state energy.  For the screened radial mapping
     the residual is strictly increasing in xi^2, so each n has at most one
-    root.
+    root.  Raises DomainError unless n is an integer >= 0.
     """
-    QuantumNumbers(int(n), 0)
-    derived = derive_constants(coeffs)
-    c2, c3 = coeffs.c2, coeffs.c3
-    sqrt_c8 = math.sqrt(derived.c8)
-    sqrt_c9 = math.sqrt(derived.c9)
-    return (
-        c2 * n
-        - (2.0 * n + 1.0) * derived.c5
-        + (2.0 * n + 1.0) * (sqrt_c9 + c3 * sqrt_c8)
-        + n * (n - 1.0) * c3
-        + derived.c7
-        + 2.0 * c3 * derived.c8
-        + 2.0 * sqrt_c8 * sqrt_c9
-    )
+    QuantumNumbers(n, 0)
+    c = coeffs
+    return _residual(c.c1, c.c2, c.c3, c.xi1, c.xi2, c.xi3, n)
 
 
 def wave_shape(coeffs: NuCoefficients) -> WaveShape:
@@ -143,6 +149,11 @@ def wave_shape(coeffs: NuCoefficients) -> WaveShape:
         jacobi_a=derived.c10 - 1.0,
         jacobi_b=derived.c11 / coeffs.c3 - derived.c10 - 1.0,
     )
+
+
+def _screened_xi(x1, x2, x3, ll1, xi_sq):
+    """(xi1, xi2, xi3) of the screened radial problem, ll1 = l(l+1)."""
+    return xi_sq - x2 + x3, 2.0 * xi_sq + x1 + x3, xi_sq + ll1
 
 
 def mrey_mapping(
@@ -163,14 +174,8 @@ def mrey_mapping(
 
     def mapping(energy: float) -> NuCoefficients:
         dim = dimensionless_params(params, consts, energy)
-        return NuCoefficients(
-            c1=1.0,
-            c2=1.0,
-            c3=1.0,
-            xi1=dim.xi_sq - dim.x2 + dim.x3,
-            xi2=2.0 * dim.xi_sq + dim.x1 + dim.x3,
-            xi3=dim.xi_sq + ll1,
-        )
+        xi1, xi2, xi3 = _screened_xi(dim.x1, dim.x2, dim.x3, ll1, dim.xi_sq)
+        return NuCoefficients(c1=1.0, c2=1.0, c3=1.0, xi1=xi1, xi2=xi2, xi3=xi3)
 
     return mapping
 
@@ -186,7 +191,9 @@ def solve_bound_state(
     Works in xi^2 = -2 mu E / (hbar alpha)^2, where the residual is strictly
     increasing: a bound state exists iff the residual is negative at xi^2 = 0,
     and the upper bracket edge is found by doubling.  Raises NoRootError when
-    the level is unbound.  This never consults the closed-form spectrum.
+    the level is unbound.  This never consults the closed-form spectrum; it
+    runs the generic recipe through the float helpers, bit-identical to the
+    dataclass path quantization_residual(mrey_mapping(...)(E), n).
 
     Precision limit: with c1 = c2 = c3 = 1, c9 = radicand/4 is formed from
     xi1, xi2 and xi3, each of size xi^2, so the root's relative error grows
@@ -197,11 +204,15 @@ def solve_bound_state(
     from scipy.optimize import brentq  # deferred: keeps it out of import mrey
 
     QuantumNumbers(n, l)
-    mapping = mrey_mapping(params, consts, l)
+    ll1 = float(l * (l + 1))
+    dim = dimensionless_params(params, consts, 0.0)  # x1..x3 do not depend on E
+    x1, x2, x3 = dim.x1, dim.x2, dim.x3
     e_scale = (consts.hbar * params.alpha) ** 2 / (2.0 * consts.mu)
 
     def residual_of_xi_sq(xi_sq):
-        return quantization_residual(mapping(-xi_sq * e_scale), n)
+        # mrey_mapping's energy round trip, so roots match the public path
+        mapped = xi_squared(params, consts, -xi_sq * e_scale)
+        return _residual(1.0, 1.0, 1.0, *_screened_xi(x1, x2, x3, ll1, mapped), n)
 
     r0 = residual_of_xi_sq(0.0)
     if r0 == 0.0:

@@ -172,14 +172,21 @@ class DimensionlessParams:
     x3: float
 
 
+def xi_squared(
+    params: PotentialParams, consts: PhysicalConstants, energy: float
+) -> float:
+    """xi^2 = -2 mu E / (hbar alpha)^2; DomainError unless E is finite."""
+    if not math.isfinite(energy):
+        raise DomainError(f"energy must be finite, got {energy!r}")
+    return -2.0 * consts.mu * energy / (consts.hbar * params.alpha) ** 2
+
+
 def dimensionless_params(
     params: PotentialParams, consts: PhysicalConstants, energy: float
 ) -> DimensionlessParams:
-    if not math.isfinite(energy):
-        raise DomainError(f"energy must be finite, got {energy!r}")
     h2a2 = (consts.hbar * params.alpha) ** 2
     return DimensionlessParams(
-        xi_sq=-2.0 * consts.mu * energy / h2a2,
+        xi_sq=xi_squared(params, consts, energy),
         x1=2.0 * consts.mu * params.a1 / h2a2,
         x2=2.0 * consts.mu * params.a2 / h2a2,
         x3=2.0 * consts.mu * params.a3 / (consts.hbar**2 * params.alpha),

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from mrey import (
     ComplexBranchError,
@@ -17,6 +18,7 @@ from mrey import (
     PhysicalConstants,
     PotentialParams,
 )
+from mrey import nu
 from mrey.nu import (
     NuCoefficients,
     derive_constants,
@@ -93,6 +95,13 @@ def test_residual_zero_xi_hand_value():
     assert quantization_residual(coeffs, 0) == pytest.approx(1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("n", [1.5, -0.5, True])
+def test_residual_rejects_non_integer_or_negative_n(n):
+    # int(n) would quietly turn 1.5 into 1 and -0.5 into 0
+    with pytest.raises(DomainError, match="n must be"):
+        quantization_residual(NuCoefficients(1.0, 1.0, 1.0, 1.0, 2.0, 1.0), n)
+
+
 def test_residual_vanishes_at_closed_form_energy():
     # only strictly valid levels sit on the branch the printed condition
     # quantizes; invalid rows are formula values with no residual root
@@ -156,7 +165,8 @@ def test_oracle_free_case_has_no_root():
     # u = -0.5 < 0: the value lies on the non-normalizable branch and the
     # quantization residual never crosses zero, matching the physics (a free
     # particle binds nothing)
-    with pytest.raises(NoRootError):
+    message = r"^no bound state for n=0, l=0: residual 1 at E=0$"
+    with pytest.raises(NoRootError, match=message):
         solve_bound_state(PotentialParams(0.0, 0.0, 0.0, 0.5), CONSTS, 0, 0)
 
 
@@ -172,5 +182,58 @@ def test_bracket_free_solver_matches_closed_form():
 
 
 def test_bracket_free_solver_reports_unbound():
-    with pytest.raises(NoRootError):
+    message = r"^no bound state for n=3, l=0: residual 15\.96 at E=0$"
+    with pytest.raises(NoRootError, match=message):
         solve_bound_state(PotentialParams(0.0, 0.0, 0.01, 0.5), CONSTS, 3, 0)
+
+
+def _public_path_root(params, n, l):
+    """The oracle's doubling bracket and brentq, run on the public dataclass path."""
+    mapping = mrey_mapping(params, CONSTS, l)
+    e_scale = (CONSTS.hbar * params.alpha) ** 2 / (2.0 * CONSTS.mu)
+
+    def residual(xi_sq):
+        return quantization_residual(mapping(-xi_sq * e_scale), n)
+
+    assert residual(0.0) < 0.0
+    hi = 1.0
+    while residual(hi) <= 0.0:
+        hi *= 2.0
+    root = brentq(
+        residual, 0.0, hi,
+        xtol=nu._BRENTQ_XTOL, rtol=nu._BRENTQ_RTOL, maxiter=nu._BRENTQ_MAXITER,
+    )
+    return -float(root) * e_scale
+
+
+def test_oracle_is_bit_identical_to_the_public_path():
+    rng = np.random.default_rng(19)
+    checked = 0
+    while checked < 200:
+        alpha = rng.uniform(0.01, 0.5)
+        a3 = math.exp(rng.uniform(math.log(0.5), math.log(500.0)))
+        a1, a2 = rng.uniform(-0.05, 0.05, size=2) * alpha**2  # |x1|, |x2| <= 0.1
+        params = PotentialParams(float(a1), float(a2), a3, alpha)
+        n, l = int(rng.integers(0, 30)), int(rng.integers(0, 4))
+        if not energy(params, CONSTS, n, l).valid_bound_state:
+            continue
+        found = solve_bound_state(params, CONSTS, n, l)
+        assert found.hex() == _public_path_root(params, n, l).hex(), (params, n, l)
+        checked += 1
+
+
+def test_oracle_reports_complex_branch():
+    # x1 = x2 = 1.6, x3 = 4 at l = 0: xi^2 = 0 gives c8 = 0, c9 = 2.65 - 5.6
+    with pytest.raises(ComplexBranchError) as info:
+        solve_bound_state(PotentialParams(0.2, 0.2, 1.0, 0.5), CONSTS, 0, 0)
+    assert info.value.c8 == 0.0
+    assert info.value.c9 == pytest.approx(-2.95, rel=1e-12)
+
+
+@pytest.mark.parametrize(("n", "l", "message"), [
+    (-1, 0, "n must be >= 0, got -1"),
+    (0, 1.0, "l must be an integer, got 1.0"),
+])
+def test_oracle_rejects_bad_quantum_numbers(n, l, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        solve_bound_state(UNIT_YUKAWA, CONSTS, n, l)

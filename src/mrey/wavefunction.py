@@ -34,6 +34,12 @@ exactly, and verification.check_wavefunctions rechecks every norm by
 Simpson's rule in ln r, both log-spaced in r from alpha r = 1e-12 however
 narrow the wave.
 
+default_node_grid returns one read-only array shared by every wave of the
+same alpha: the module keeps the grid of the last alpha asked for, with
+-alpha r, s and ln(1 - s) on it, so the levels of one potential compute
+them once, and psi takes them from there when handed that array.  A caller
+that wants to modify the grid copies it first.
+
 Levels of one l are orthogonal, although each has its own Jacobi weight
 (beta depends on the energy): all solve -psi'' + U psi = (2 mu E / hbar^2) psi
 with one screened U(r) that does not depend on E, an operator self-adjoint on
@@ -60,6 +66,9 @@ _TAIL_DOUBLINGS = 64
 _NODE_HALF = np.pi * np.arange(20001, 0, -1) / 40004  # theta_k / 2
 _NODE_ALPHA_R = np.where(_NODE_HALF > 0.25 * np.pi, -np.log1p(-np.cos(_NODE_HALF) ** 2),
                          -np.log(np.sin(_NODE_HALF) ** 2))
+# (alpha, r, -alpha r, s, ln(1 - s)) of the last default_node_grid, all
+# read-only; one alpha at a time, replaced whole in one assignment
+_node_grid = None
 # ode_residual samples the equation at this many log-spaced radii.
 _ODE_SAMPLES = 150
 
@@ -103,21 +112,20 @@ class RadialWave:
         r_arr = np.asarray(r, dtype=float)
         if not np.all(r_arr > 0.0):
             raise DomainError("r must be > 0 (and not NaN)")
+        cached = _node_grid
+        if cached is not None and r_arr is cached[1] and self.params.alpha == cached[0]:
+            x, s, log_v = cached[2:]
+        else:
+            x, s, log_v = _psi_factors(self.params.alpha, r_arr)
         # s^beta (1 - s)^zeta e^{log_scale} in one exponent: the factors
-        # apart can underflow and overflow at the same r.  In place, in the
-        # order of norm * (p * exp(beta * -alpha r + zeta ln(-expm1(-alpha r))
-        # + log_scale)), since temporaries cost more than the arithmetic.
-        exponent, spare = np.empty_like(r_arr), np.empty_like(r_arr)
-        np.multiply(self.params.alpha, r_arr, out=exponent)
-        np.negative(exponent, out=exponent)  # -alpha r
-        p, _, log_scale = _jacobi_scaled(self.jacobi.n, self.jacobi.a, self.jacobi.b,
-                                         np.exp(exponent, out=spare))
-        np.expm1(exponent, out=spare)
-        np.negative(spare, out=spare)
-        np.log(spare, out=spare)
-        spare *= self.zeta_exp
-        exponent *= self.beta_exp
-        exponent += spare
+        # apart can underflow and overflow at the same r.  In the order of
+        # norm * (p * exp(beta x + zeta ln(1 - s) + log_scale)), in place in
+        # P_{n-1}'s buffer, which psi has no use for: on the node grid
+        # temporaries cost more than the arithmetic.
+        p, exponent, log_scale = _jacobi_scaled(self.jacobi.n, self.jacobi.a,
+                                                self.jacobi.b, s)
+        np.multiply(x, self.beta_exp, out=exponent)
+        exponent += np.multiply(log_v, self.zeta_exp)
         exponent += log_scale
         np.exp(exponent, out=exponent)
         exponent *= p
@@ -125,6 +133,18 @@ class RadialWave:
         if np.ndim(r) == 0:
             return float(exponent)
         return exponent
+
+
+def _psi_factors(alpha: float, r: np.ndarray):
+    """(x, s, ln(1 - s)) at r, x = -alpha r and s = e^x, in new arrays."""
+    x, s, log_v = np.empty_like(r), np.empty_like(r), np.empty_like(r)
+    np.multiply(alpha, r, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=s)
+    np.expm1(x, out=log_v)
+    np.negative(log_v, out=log_v)
+    np.log(log_v, out=log_v)
+    return x, s, log_v
 
 
 def build_wave(
@@ -329,8 +349,22 @@ def default_node_grid(wave: RadialWave) -> np.ndarray:
     n (Bessel-zero asymptotics, DLMF 18.16); the grid's ends, s and 1 - s =
     6.2e-9, miss a node only past N = 1.3e4.  Nodes within three theta-steps
     make count_nodes raise ResolutionError, which takes 2 beta n >~ 5e7.
+
+    The array is read-only and shared by every wave of the same alpha (psi
+    takes its factors from the module's cache when handed it); copy it
+    before modifying it.
     """
-    return _NODE_ALPHA_R / wave.params.alpha
+    global _node_grid
+    alpha = wave.params.alpha
+    cached = _node_grid
+    if cached is None or cached[0] != alpha:
+        base = _NODE_ALPHA_R / alpha
+        base.flags.writeable = False  # so no view of it can be made writeable
+        cached = (alpha, base.view(), *_psi_factors(alpha, base))
+        for factor in cached[2:]:
+            factor.flags.writeable = False
+        _node_grid = cached
+    return cached[1]
 
 
 def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
@@ -352,10 +386,14 @@ def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
             "1000 points per unit"
         )
     values = wave.psi(grid)
-    keep = values != 0.0
-    idx = np.flatnonzero(keep)
-    negative = values[keep] < 0.0
-    before_change = idx[:-1][negative[:-1] != negative[1:]]  # nonzero sample before it
+    if values.all():  # no zero sample, the usual case: nothing to skip
+        negative = values < 0.0
+        before_change = np.flatnonzero(negative[:-1] != negative[1:])
+    else:
+        keep = values != 0.0
+        idx = np.flatnonzero(keep)
+        negative = values[keep] < 0.0
+        before_change = idx[:-1][negative[:-1] != negative[1:]]  # nonzero sample before it
     if np.any(np.diff(before_change) < 3):
         raise ResolutionError("two sign changes within three samples; refine the grid")
     return before_change.size
@@ -377,6 +415,16 @@ def _stiffness(wave: RadialWave, r, s, one_minus, screened: bool):
     return two_mu * (wave.level.energy + well + yukawa) - centrifugal
 
 
+def _ode_radii(alpha: float, r_tail: float) -> np.ndarray:
+    """np.geomspace(1e-12 / alpha, r_tail, _ODE_SAMPLES) as numpy builds it,
+    10^linspace of the log10 ends with both ends pinned, without its argument
+    checks, which cost more than the radii."""
+    lo = 1e-12 / alpha
+    r = 10.0 ** np.linspace(np.log10(lo), np.log10(r_tail), _ODE_SAMPLES)
+    r[0], r[-1] = lo, r_tail
+    return r
+
+
 def ode_residual(wave: RadialWave, screened: bool = True) -> float:
     """Normalized residual of the radial equation at sampled radii.
 
@@ -390,7 +438,7 @@ def ode_residual(wave: RadialWave, screened: bool = True) -> float:
     """
     alpha, beta, zeta = wave.params.alpha, wave.beta_exp, wave.zeta_exp
     n, a, b = wave.jacobi.n, wave.jacobi.a, wave.jacobi.b
-    r = np.geomspace(1e-12 / alpha, wave.r_tail, _ODE_SAMPLES)
+    r = _ode_radii(alpha, wave.r_tail)
     s, v = np.exp(-alpha * r), -np.expm1(-alpha * r)
     p, _, log_scale = _jacobi_scaled(n, a, b, s)
     # s^k d^k P / ds^k = s^k c_k P_{n-k}^{(a+k,b+k)}, on the scale of P

@@ -141,6 +141,63 @@ def test_psi_leaves_r_unchanged():
         np.testing.assert_array_equal(r, before)
 
 
+def test_default_node_grid_is_read_only():
+    wave = build_wave(DEEP_YUKAWA, CONSTS, energy(DEEP_YUKAWA, CONSTS, 1, 0))
+    grid = default_node_grid(wave)
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+    with pytest.raises(ValueError):
+        grid.flags.writeable = True
+    assert default_node_grid(wave) is grid  # shared, not rebuilt
+
+
+def _gate_levels():
+    """Seeded valid levels, then the deep well at n = 0/50/100/150 (its
+    Jacobi recurrence rescales)."""
+    rng = np.random.default_rng(7)
+    levels = []
+    while len(levels) < 40:
+        alpha = math.exp(rng.uniform(math.log(0.01), math.log(0.5)))
+        a1, a2 = rng.uniform(-0.01, 0.01, 2)
+        params = PotentialParams(a1, a2, math.exp(rng.uniform(0.0, math.log(100.0))), alpha)
+        try:
+            level = energy(params, CONSTS, int(rng.integers(0, 30)), int(rng.integers(0, 4)))
+        except NoRealDeltaError:
+            continue
+        if level.valid_bound_state:
+            levels.append((params, level))
+    return levels + [(DEEPEST_WELL, energy(DEEPEST_WELL, CONSTS, n, 0)) for n in (0, 50, 100, 150)]
+
+
+def test_psi_on_the_shared_grid_is_bit_identical():
+    # psi takes -alpha r, s and ln(1 - s) from the cache when handed the
+    # shared grid, and computes them when handed a copy: the same bytes
+    for params, level in _gate_levels():
+        wave = build_wave(params, CONSTS, level)
+        grid = default_node_grid(wave)
+        assert wavefunction._node_grid[1] is grid
+        assert wave.psi(grid).tobytes() == wave.psi(grid.copy()).tobytes(), (params, level.n)
+
+
+def test_shared_grid_of_another_alpha_takes_the_general_path():
+    shallow = build_wave(UNIT_YUKAWA, CONSTS, energy(UNIT_YUKAWA, CONSTS, 0, 0))
+    deep = build_wave(DEEPEST_WELL, CONSTS, energy(DEEPEST_WELL, CONSTS, 50, 0))
+    grid = default_node_grid(shallow)
+    assert deep.psi(grid).tobytes() == deep.psi(grid.copy()).tobytes()
+    assert deep.psi(grid).tobytes() != shallow.psi(grid).tobytes()
+
+
+def test_default_node_grid_alternating_alphas():
+    waves = [build_wave(p, CONSTS, energy(p, CONSTS, 0, 0))
+             for p in (UNIT_YUKAWA, DEEPEST_WELL)]
+    for _ in range(3):
+        for wave in waves:
+            grid = default_node_grid(wave)
+            expected = wavefunction._NODE_ALPHA_R / wave.params.alpha
+            assert grid.tobytes() == expected.tobytes()
+            assert wave.psi(grid).tobytes() == wave.psi(expected).tobytes()
+
+
 def test_jacobi_params_validation():
     with pytest.raises(DomainError):
         JacobiParams(0, -1.0, 0.0)
@@ -334,6 +391,44 @@ def test_zero_samples_are_skipped(values, nodes):
     assert count_nodes(wave, wave.grid) == nodes
 
 
+def _plain_scan(values):
+    """count_nodes' verdict from a plain loop: the count, or "too close"."""
+    befores, last, last_index = [], None, None
+    for i, value in enumerate(values):
+        if value == 0.0:
+            continue
+        if last is not None and (value < 0.0) != last:
+            befores.append(last_index)
+        last, last_index = value < 0.0, i
+    if any(b - a < 3 for a, b in zip(befores, befores[1:])):
+        return "too close"
+    return len(befores)
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+def test_count_nodes_matches_a_plain_scan(zeros):
+    # seeded runs of one sign, with zero runs or without: the scan without
+    # zero samples and the one that skips them both agree with the loop
+    rng = np.random.default_rng(31 + zeros)
+    verdicts = set()
+    for _ in range(300):
+        runs = [(rng.choice((-1.0, 1.0)), int(rng.integers(1, 9)))
+                for _ in range(rng.integers(2, 12))]
+        if zeros:
+            runs.insert(int(rng.integers(0, len(runs) + 1)), (0.0, int(rng.integers(1, 4))))
+        values = [sign * rng.choice([1.0, 3e-300, 5e-324]) for sign, size in runs
+                  for _ in range(size)]
+        wave = _SignPattern(values)
+        assert np.all(wave.values) != zeros
+        try:
+            verdict = count_nodes(wave, wave.grid)
+        except ResolutionError:
+            verdict = "too close"
+        assert verdict == _plain_scan(wave.values), values
+        verdicts.add(verdict if verdict == "too close" else min(verdict, 2))
+    assert verdicts == {0, 1, 2, "too close"}
+
+
 def test_flips_three_apart_across_a_zero_run_are_too_close():
     # the flips land on samples 2 and 5, but the nonzero samples before
     # them, 1 and 2, are adjacent: the zeros do not separate the changes
@@ -368,6 +463,20 @@ def test_count_nodes_rejects_nan_grid():
     grid[10000] = math.nan
     with pytest.raises(DomainError):
         count_nodes(wave, grid)
+
+
+def test_ode_radii_are_geomspace():
+    # _ode_radii is np.geomspace without its argument checks; a numpy whose
+    # geomspace builds its points differently fails here
+    # at r_tail = max(2, 10 / alpha) 2^k, as build_wave sets it, and between
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        alpha = math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))
+        r_tail = max(2.0, 10.0 / alpha) * 2.0 ** rng.integers(0, 12)
+        for r_tail in (r_tail, r_tail * rng.uniform(1.0, 2.0)):
+            expected = np.geomspace(1e-12 / alpha, r_tail, wavefunction._ODE_SAMPLES)
+            radii = wavefunction._ode_radii(alpha, r_tail)
+            assert radii.tobytes() == expected.tobytes(), (alpha, r_tail)
 
 
 def test_ode_residual_small_for_true_solution():

@@ -29,16 +29,20 @@ s_R = e^{-alpha R} <= e^{-10}, is the tail beyond R, and it is a short power
 series in s_R: P_n(1 - 2 s) is a terminating 2F1, a degree-n polynomial in s
 (DLMF 18.5.7).  From it comes r_tail, the radius past which doubling R adds
 under 1e-13 of the norm.  The CLI's r range and both checks end there (the
-node grid is fixed in theta = arccos(1 - 2 s)): ode_residual takes psi''
+node grid is uniform in theta = arccos(1 - 2 s)): ode_residual takes psi''
 exactly, and verification.check_wavefunctions rechecks every norm by
 Simpson's rule in ln r, both log-spaced in r from alpha r = 1e-12 however
 narrow the wave.
 
-default_node_grid returns one read-only array shared by every wave of the
-same alpha: the module keeps the grid of the last alpha asked for, with
--alpha r, s and ln(1 - s) on it, so the levels of one potential compute
-them once, and psi takes them from there when handed that array.  A caller
-that wants to modify the grid copies it first.
+default_node_grid sizes a level's grid by Sturm comparison in theta.  With
+N = n + (a + b + 1) / 2, u(theta) = sin(theta/2)^{a+1/2} cos(theta/2)^{b+1/2}
+P_n(cos theta) solves u'' + [N^2 + (1/4 - a^2) / (4 sin^2(theta/2))
++ (1/4 - b^2) / (4 cos^2(theta/2))] u = 0 (Szego, Orthogonal Polynomials,
+4.24); for a, b >= 1/2 the bracket is at most N^2, so adjacent nodes are at
+least pi/N apart in theta, and M = clip(16 ceil(N), 64, 20001) points uniform
+in theta put 16 steps between them.  Below a or b = 1/2 the bound fails and
+the grid keeps 20001 points.  count_nodes holds any grid to the same rule:
+no theta-step over pi/(M + 1), with M from _node_points.
 
 Levels of one l are orthogonal, although each has its own Jacobi weight
 (beta depends on the energy): all solve -psi'' + U psi = (2 mu E / hbar^2) psi
@@ -61,14 +65,11 @@ from .spectrum import EnergyLevel
 
 _TAIL_FRACTION = 1e-13  # stop extending R once a doubling adds less than this
 _TAIL_DOUBLINGS = 64
-# default_node_grid times alpha: -ln s at s = sin^2(theta_k / 2), taken as
-# -ln(1 - cos^2) where s is near 1, theta_k = pi k / 20002, k = 20001 .. 1
-_NODE_HALF = np.pi * np.arange(20001, 0, -1) / 40004  # theta_k / 2
-_NODE_ALPHA_R = np.where(_NODE_HALF > 0.25 * np.pi, -np.log1p(-np.cos(_NODE_HALF) ** 2),
-                         -np.log(np.sin(_NODE_HALF) ** 2))
-# (alpha, r, -alpha r, s, ln(1 - s)) of the last default_node_grid, all
-# read-only; one alpha at a time, replaced whole in one assignment
-_node_grid = None
+# node grid points: 16 per pi/N in theta, within these bounds
+_NODE_MIN, _NODE_MAX = 64, 20001
+# rounding in a grid's theta-steps, relative; a grid one point short of the
+# rule is 1/M, at least 5e-5, over it
+_NODE_STEP_SLACK = 1e-9
 # ode_residual samples the equation at this many log-spaced radii.
 _ODE_SAMPLES = 150
 
@@ -82,7 +83,7 @@ class JacobiParams:
     b: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
+        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 0:
             raise DomainError(f"degree must be an integer >= 0, got {self.n!r}")
         for name in ("a", "b"):
             value = getattr(self, name)
@@ -112,16 +113,13 @@ class RadialWave:
         r_arr = np.asarray(r, dtype=float)
         if not np.all(r_arr > 0.0):
             raise DomainError("r must be > 0 (and not NaN)")
-        cached = _node_grid
-        if cached is not None and r_arr is cached[1] and self.params.alpha == cached[0]:
-            x, s, log_v = cached[2:]
-        else:
-            x, s, log_v = _psi_factors(self.params.alpha, r_arr)
+        x = -self.params.alpha * r_arr
+        s = np.exp(x)
+        log_v = np.log(-np.expm1(x))  # ln(1 - s), with its digits where s is near 1
         # s^beta (1 - s)^zeta e^{log_scale} in one exponent: the factors
         # apart can underflow and overflow at the same r.  In the order of
         # norm * (p * exp(beta x + zeta ln(1 - s) + log_scale)), in place in
-        # P_{n-1}'s buffer, which psi has no use for: on the node grid
-        # temporaries cost more than the arithmetic.
+        # P_{n-1}'s buffer, which psi has no use for.
         p, exponent, log_scale = _jacobi_scaled(self.jacobi.n, self.jacobi.a,
                                                 self.jacobi.b, s)
         np.multiply(x, self.beta_exp, out=exponent)
@@ -133,18 +131,6 @@ class RadialWave:
         if np.ndim(r) == 0:
             return float(exponent)
         return exponent
-
-
-def _psi_factors(alpha: float, r: np.ndarray):
-    """(x, s, ln(1 - s)) at r, x = -alpha r and s = e^x, in new arrays."""
-    x, s, log_v = np.empty_like(r), np.empty_like(r), np.empty_like(r)
-    np.multiply(alpha, r, out=x)
-    np.negative(x, out=x)
-    np.exp(x, out=s)
-    np.expm1(x, out=log_v)
-    np.negative(log_v, out=log_v)
-    np.log(log_v, out=log_v)
-    return x, s, log_v
 
 
 def build_wave(
@@ -339,51 +325,57 @@ def _log_tail(wave: RadialWave, log_s: np.ndarray):
     return log_tail, 16.0 * (n + 10) * np.finfo(float).eps * bounds / sums
 
 
+def _node_points(wave: RadialWave) -> int:
+    """M, the points of the level's node grid (module docstring)."""
+    n, a, b = wave.jacobi.n, wave.jacobi.a, wave.jacobi.b
+    if min(a, b) < 0.5:  # the Sturm bound does not hold
+        return _NODE_MAX
+    return min(max(16 * math.ceil(n + (a + b + 1.0) / 2.0), _NODE_MIN), _NODE_MAX)
+
+
 def default_node_grid(wave: RadialWave) -> np.ndarray:
-    """20001 points uniform in theta, x = 1 - 2 s = cos(theta), where the
-    zeros of P_n^{(2 beta, 2 zeta - 1)}(x) spread out: theta_k = pi k / 20002,
-    alpha*r from 6.2e-9 to 18.9 (1058 points per unit).
+    """M points uniform in theta, x = 1 - 2 s = cos(theta), where the zeros of
+    P_n^{(2 beta, 2 zeta - 1)}(x) spread out: theta_k = pi k / (M + 1), with
+    M = clip(16 ceil(N), 64, 20001) and N = n + beta + zeta, 16 points per
+    pi/N, the least theta-gap between nodes (module docstring); M = 20001
+    where 2 beta or 2 zeta - 1 is below 1/2.  A new array on every call.
 
     Both Jacobi indices are >= 0, so every zero has s and 1 - s >= c / N^2,
-    N = n + beta + zeta, c from 1.1 at n = 1 to j_{0,1}^2 / 4 = 1.45 for large
-    n (Bessel-zero asymptotics, DLMF 18.16); the grid's ends, s and 1 - s =
-    6.2e-9, miss a node only past N = 1.3e4.  Nodes within three theta-steps
-    make count_nodes raise ResolutionError, which takes 2 beta n >~ 5e7.
-
-    The array is read-only and shared by every wave of the same alpha (psi
-    takes its factors from the module's cache when handed it); copy it
-    before modifying it.
+    c from 1.1 at n = 1 to j_{0,1}^2 / 4 = 1.45 for large n (Bessel-zero
+    asymptotics, DLMF 18.16).  Below the cap the grid's ends, s and 1 - s
+    about (pi / 32 N)^2, lie outside every node; at M = 20001, s and 1 - s =
+    6.2e-9, they miss a node only past N = 1.3e4.  Nodes within three
+    theta-steps make count_nodes raise ResolutionError, which takes
+    2 beta n >~ 5e7.
     """
-    global _node_grid
-    alpha = wave.params.alpha
-    cached = _node_grid
-    if cached is None or cached[0] != alpha:
-        base = _NODE_ALPHA_R / alpha
-        base.flags.writeable = False  # so no view of it can be made writeable
-        cached = (alpha, base.view(), *_psi_factors(alpha, base))
-        for factor in cached[2:]:
-            factor.flags.writeable = False
-        _node_grid = cached
-    return cached[1]
+    m = _node_points(wave)
+    half = np.pi * np.arange(m, 0, -1) / (2 * (m + 1))  # theta_k / 2, k = M .. 1
+    # alpha r = -ln s at s = sin^2(theta_k / 2), as -ln(1 - cos^2) where s is near 1
+    alpha_r = np.where(half > 0.25 * np.pi, -np.log1p(-np.cos(half) ** 2),
+                       -np.log(np.sin(half) ** 2))
+    return alpha_r / wave.params.alpha
 
 
 def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
     """Strict sign changes of psi over the grid interior.
 
-    Requires at least 1000 grid points per unit of alpha*r; adjacent sign
-    changes closer than three samples raise ResolutionError since the grid
-    cannot separate the roots.
+    Requires every theta-step of the grid, theta = 2 atan2(sqrt(s),
+    sqrt(1 - s)), to be at most pi/(M + 1) for the level's M, the step of
+    default_node_grid; adjacent sign changes closer than three samples raise
+    ResolutionError since the grid cannot separate the roots.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(grid[1:] <= grid[:-1]):
         raise DomainError("grid must be strictly increasing with >= 2 points")
     if not np.all(grid > 0.0):
         raise DomainError("grid must lie in (0, R]")
-    span = wave.params.alpha * (grid[-1] - grid[0])
-    if grid.size / max(span, 1e-300) < 1000.0:
+    x = -wave.params.alpha * grid
+    theta = 2.0 * np.arctan2(np.sqrt(np.exp(x)), np.sqrt(-np.expm1(x)))
+    step, m = np.max(theta[:-1] - theta[1:]), _node_points(wave)
+    if not step <= math.pi / (m + 1) * (1.0 + _NODE_STEP_SLACK):
         raise ResolutionError(
-            f"{grid.size} points over alpha*r span {span:g} is under "
-            "1000 points per unit"
+            f"largest theta-step {step:.6g} of the grid is over pi/{m + 1}: "
+            f"the level needs {m} points uniform in theta"
         )
     values = wave.psi(grid)
     if values.all():  # no zero sample, the usual case: nothing to skip

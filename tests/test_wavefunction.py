@@ -141,63 +141,6 @@ def test_psi_leaves_r_unchanged():
         np.testing.assert_array_equal(r, before)
 
 
-def test_default_node_grid_is_read_only():
-    wave = build_wave(DEEP_YUKAWA, CONSTS, energy(DEEP_YUKAWA, CONSTS, 1, 0))
-    grid = default_node_grid(wave)
-    with pytest.raises(ValueError):
-        grid[0] = 1.0
-    with pytest.raises(ValueError):
-        grid.flags.writeable = True
-    assert default_node_grid(wave) is grid  # shared, not rebuilt
-
-
-def _gate_levels():
-    """Seeded valid levels, then the deep well at n = 0/50/100/150 (its
-    Jacobi recurrence rescales)."""
-    rng = np.random.default_rng(7)
-    levels = []
-    while len(levels) < 40:
-        alpha = math.exp(rng.uniform(math.log(0.01), math.log(0.5)))
-        a1, a2 = rng.uniform(-0.01, 0.01, 2)
-        params = PotentialParams(a1, a2, math.exp(rng.uniform(0.0, math.log(100.0))), alpha)
-        try:
-            level = energy(params, CONSTS, int(rng.integers(0, 30)), int(rng.integers(0, 4)))
-        except NoRealDeltaError:
-            continue
-        if level.valid_bound_state:
-            levels.append((params, level))
-    return levels + [(DEEPEST_WELL, energy(DEEPEST_WELL, CONSTS, n, 0)) for n in (0, 50, 100, 150)]
-
-
-def test_psi_on_the_shared_grid_is_bit_identical():
-    # psi takes -alpha r, s and ln(1 - s) from the cache when handed the
-    # shared grid, and computes them when handed a copy: the same bytes
-    for params, level in _gate_levels():
-        wave = build_wave(params, CONSTS, level)
-        grid = default_node_grid(wave)
-        assert wavefunction._node_grid[1] is grid
-        assert wave.psi(grid).tobytes() == wave.psi(grid.copy()).tobytes(), (params, level.n)
-
-
-def test_shared_grid_of_another_alpha_takes_the_general_path():
-    shallow = build_wave(UNIT_YUKAWA, CONSTS, energy(UNIT_YUKAWA, CONSTS, 0, 0))
-    deep = build_wave(DEEPEST_WELL, CONSTS, energy(DEEPEST_WELL, CONSTS, 50, 0))
-    grid = default_node_grid(shallow)
-    assert deep.psi(grid).tobytes() == deep.psi(grid.copy()).tobytes()
-    assert deep.psi(grid).tobytes() != shallow.psi(grid).tobytes()
-
-
-def test_default_node_grid_alternating_alphas():
-    waves = [build_wave(p, CONSTS, energy(p, CONSTS, 0, 0))
-             for p in (UNIT_YUKAWA, DEEPEST_WELL)]
-    for _ in range(3):
-        for wave in waves:
-            grid = default_node_grid(wave)
-            expected = wavefunction._NODE_ALPHA_R / wave.params.alpha
-            assert grid.tobytes() == expected.tobytes()
-            assert wave.psi(grid).tobytes() == wave.psi(expected).tobytes()
-
-
 def test_jacobi_params_validation():
     with pytest.raises(DomainError):
         JacobiParams(0, -1.0, 0.0)
@@ -205,6 +148,8 @@ def test_jacobi_params_validation():
         JacobiParams(0, 0.0, -1.5)
     with pytest.raises(DomainError):
         JacobiParams(-1, 0.0, 0.0)
+    with pytest.raises(DomainError, match="degree must be an integer"):
+        JacobiParams(True, 0.0, 0.0)
 
 
 def test_build_wave_anchor_exponents():
@@ -303,15 +248,94 @@ def test_node_count_sweep():
         checked += 1
 
 
-def test_node_grid_is_fixed_in_theta():
-    # s = e^{-alpha r} = sin^2(theta / 2) on theta_k = pi k / 20002, whatever
-    # r_tail is; 1 - s = cos^2(theta / 2) keeps its digits where alpha r is small
-    wave = build_wave(UNIT_YUKAWA, CONSTS, energy(UNIT_YUKAWA, CONSTS, 0, 0))
-    alpha_r = default_node_grid(wave) * UNIT_YUKAWA.alpha
-    half = np.pi * np.arange(20001, 0, -1) / 40004
-    np.testing.assert_allclose(np.exp(-alpha_r), np.sin(half) ** 2, rtol=1e-12)
-    np.testing.assert_allclose(-np.expm1(-alpha_r), np.cos(half) ** 2, rtol=1e-12)
+# fallback levels, where the Sturm bound on the theta-gap fails: just below
+# threshold (2 beta = 0.2), and at l = 0 with x1 + x2 = 0.2 > 3/16
+# (2 zeta - 1 = 0.447)
+SMALL_A_LEVEL = (PotentialParams(0.0, 0.0, 1.1, 0.5), 1, 0)
+SMALL_B_LEVEL = (PotentialParams(0.009, 0.0, 20.0, 0.3), 3, 0)
 
+
+def _theta_grid(alpha, points):
+    """points uniform in theta, theta_k = pi k / (points + 1), as r: -ln s at
+    s = sin^2(theta_k / 2), as -ln(1 - cos^2) where s is near 1."""
+    half = np.pi * np.arange(points, 0, -1) / (2 * (points + 1))
+    alpha_r = np.where(half > 0.25 * np.pi, -np.log1p(-np.cos(half) ** 2),
+                       -np.log(np.sin(half) ** 2))
+    return alpha_r / alpha
+
+
+def _parity_levels():
+    """Seeded valid levels of the sweep box, the deep well at n = 0/50/100/150,
+    a fallback level and a level on the floor of 64 points."""
+    rng = np.random.default_rng(7)
+    levels = []
+    while len(levels) < 200:
+        alpha = math.exp(rng.uniform(math.log(0.01), math.log(0.5)))
+        a1, a2 = rng.uniform(-0.01, 0.01, 2)
+        params = PotentialParams(a1, a2, math.exp(rng.uniform(0.0, math.log(100.0))), alpha)
+        try:
+            level = energy(params, CONSTS, int(rng.integers(0, 60)), int(rng.integers(0, 4)))
+        except NoRealDeltaError:
+            continue
+        if level.valid_bound_state:
+            levels.append((params, level))
+    levels += [(DEEPEST_WELL, energy(DEEPEST_WELL, CONSTS, n, 0)) for n in (0, 50, 100, 150)]
+    params, n, l = SMALL_A_LEVEL
+    return levels + [(params, energy(params, CONSTS, n, l)),
+                     (UNIT_YUKAWA, energy(UNIT_YUKAWA, CONSTS, 0, 0))]
+
+
+def _verdict(wave, grid):
+    try:
+        return count_nodes(wave, grid)
+    except ResolutionError as exc:
+        return str(exc)
+
+
+def test_node_grid_verdicts_match_the_full_theta_grid():
+    # the level's grid of M points gives the verdict of 20001 points uniform
+    # in theta: the count, or the error.  The grid is theta_k = pi k / (M + 1),
+    # s = e^{-alpha r} = sin^2(theta / 2), and 1 - s = cos^2(theta / 2) keeps
+    # its digits where alpha r is small; at the cap it is the 20001-point
+    # grid byte for byte.  Every call makes a new, writable array.
+    sizes = set()
+    for params, level in _parity_levels():
+        wave = build_wave(params, CONSTS, level)
+        grid, full = default_node_grid(wave), _theta_grid(params.alpha, 20001)
+        where = (params, level.n, level.l)
+        jac = wave.jacobi  # 16 points per pi/N, N = n + (a + b + 1) / 2
+        sturm = min(max(16 * math.ceil(jac.n + (jac.a + jac.b + 1.0) / 2.0), 64), 20001)
+        assert grid.size == (sturm if min(jac.a, jac.b) >= 0.5 else 20001), where
+        assert _verdict(wave, grid) == _verdict(wave, full), where
+        half = np.pi * np.arange(grid.size, 0, -1) / (2 * (grid.size + 1))
+        np.testing.assert_allclose(np.exp(-params.alpha * grid), np.sin(half) ** 2, rtol=1e-12)
+        np.testing.assert_allclose(-np.expm1(-params.alpha * grid), np.cos(half) ** 2,
+                                   rtol=1e-12)
+        if grid.size == 20001:
+            assert grid.tobytes() == full.tobytes(), where
+        assert grid.flags.writeable and default_node_grid(wave) is not grid
+        sizes.add(grid.size if grid.size in (64, 20001) else "between")
+    assert sizes == {64, "between", 20001}  # the floor, the cap and between
+
+
+@pytest.mark.parametrize("params, n, l", [SMALL_A_LEVEL, SMALL_B_LEVEL])
+def test_node_grid_falls_back_where_the_sturm_bound_fails(params, n, l):
+    # 16 ceil(N) would give 64 and 320 points
+    wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
+    assert min(wave.jacobi.a, wave.jacobi.b) < 0.5
+    grid = default_node_grid(wave)
+    assert grid.size == 20001
+    assert count_nodes(wave, grid) == n
+
+
+@pytest.mark.parametrize("params, n", [(UNIT_YUKAWA, 0), (DEEP_YUKAWA, 3), (DEEPEST_WELL, 50)])
+def test_node_grid_one_point_short_is_rejected(params, n):
+    # M - 1 points uniform in theta, a step of pi/M: over the rule's pi/(M + 1)
+    wave = build_wave(params, CONSTS, energy(params, CONSTS, n, 0))
+    points = default_node_grid(wave).size
+    assert count_nodes(wave, _theta_grid(params.alpha, points)) == n
+    with pytest.raises(ResolutionError, match="theta-step"):
+        count_nodes(wave, _theta_grid(params.alpha, points - 1))
 
 
 def test_deep_well_psi_stays_finite():
@@ -355,6 +379,7 @@ class _SignPattern:
     after `lead` samples of the first value."""
 
     params = PotentialParams(0.0, 0.0, 1.0, 1.0)
+    jacobi = JacobiParams(0, 1.0, 1.0)  # count_nodes sizes its theta-step rule by N
 
     def __init__(self, values, lead=0):
         self.values = np.array([values[0]] * lead + list(values), dtype=float)
@@ -441,7 +466,7 @@ def test_node_grid_validation():
     level = energy(DEEP_YUKAWA, CONSTS, 2, 0)
     wave = build_wave(DEEP_YUKAWA, CONSTS, level)
     with pytest.raises(ResolutionError):
-        count_nodes(wave, np.linspace(0.1, 20.0, 200))  # far below density floor
+        count_nodes(wave, np.linspace(0.1, 20.0, 200))  # theta-steps too wide
     with pytest.raises(DomainError):
         count_nodes(wave, np.array([0.0, 1.0, 2.0]))  # grid must stay positive
     with pytest.raises(DomainError):
@@ -460,7 +485,7 @@ def test_count_nodes_rejects_nan_grid():
     # a NaN sample once surfaced as "two sign changes within three samples"
     wave = build_wave(DEEP_YUKAWA, CONSTS, energy(DEEP_YUKAWA, CONSTS, 2, 0))
     grid = default_node_grid(wave).copy()
-    grid[10000] = math.nan
+    grid[grid.size // 2] = math.nan
     with pytest.raises(DomainError):
         count_nodes(wave, grid)
 

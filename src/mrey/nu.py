@@ -190,10 +190,10 @@ def solve_bound_state(
 
     Works in xi^2 = -2 mu E / (hbar alpha)^2, where the residual is strictly
     increasing: a bound state exists iff the residual is negative at xi^2 = 0,
-    and the upper bracket edge is found by doubling.  Raises NoRootError when
-    the level is unbound.  This never consults the closed-form spectrum; it
-    runs the generic recipe through the float helpers, bit-identical to the
-    dataclass path quantization_residual(mrey_mapping(...)(E), n).
+    and its own terms make it positive at xi^2 = max(1, ((x1 + x3) / (2n + 1))^2).
+    Raises NoRootError when the level is unbound.  This never consults the
+    closed-form spectrum; it runs the generic recipe through the float helpers,
+    bit-identical to the dataclass path quantization_residual(mrey_mapping(...)(E), n).
 
     Precision limit: with c1 = c2 = c3 = 1, c9 = radicand/4 is formed from
     xi1, xi2 and xi3, each of size xi^2, so the root's relative error grows
@@ -219,13 +219,11 @@ def solve_bound_state(
         return 0.0
     if r0 > 0.0:
         raise NoRootError(f"no bound state for n={n}, l={l}: residual {r0:.6g} at E=0")
-    hi = 1.0
-    for _ in range(200):
-        if residual_of_xi_sq(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NoRootError(f"residual never changes sign up to xi^2 = {hi:g}")
+    # At c1 = c2 = c3 = 1 the residual is (2n + 1)/2 + n^2 + 2 l(l+1) - x1 - x3
+    # + (2n + 1)(sqrt(c8) + sqrt(c9)) + 2 sqrt(c8 c9), with sqrt(c8) >= xi: at
+    # least (2n + 1)/2 once (2n + 1) xi >= x1 + x3.  That slack outlasts the
+    # rounding of its xi^2-sized terms, a few eps xi^2, for xi^2 < 1e14.
+    hi = max(1.0, ((x1 + x3) / (2.0 * n + 1.0)) ** 2)
     xi_sq_root = brentq(
         residual_of_xi_sq, 0.0, hi,
         xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL, maxiter=_BRENTQ_MAXITER,

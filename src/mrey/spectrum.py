@@ -209,13 +209,10 @@ def spectrum_table(
     rows = []
     errors = {}
     for l in range(l_max + 1):
-        try:
-            spectral_coefficients(params, consts, l)
+        try:  # NoRealDeltaError depends on l alone and is raised at n = 0
+            rows.extend([energy(params, consts, n, l) for n in range(n_max + 1)])
         except NoRealDeltaError as exc:
             errors[l] = str(exc)
-            continue
-        for n in range(n_max + 1):
-            rows.append(energy(params, consts, n, l))
     return SpectrumTable(
         params=params, consts=consts, n_max=n_max, l_max=l_max,
         rows=tuple(rows), errors=errors,

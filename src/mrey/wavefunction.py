@@ -114,23 +114,16 @@ class RadialWave:
         if not np.all(r_arr > 0.0):
             raise DomainError("r must be > 0 (and not NaN)")
         x = -self.params.alpha * r_arr
-        s = np.exp(x)
         log_v = np.log(-np.expm1(x))  # ln(1 - s), with its digits where s is near 1
+        p, _, log_scale = _jacobi_scaled(self.jacobi.n, self.jacobi.a, self.jacobi.b,
+                                         np.exp(x))
         # s^beta (1 - s)^zeta e^{log_scale} in one exponent: the factors
-        # apart can underflow and overflow at the same r.  In the order of
-        # norm * (p * exp(beta x + zeta ln(1 - s) + log_scale)), in place in
-        # P_{n-1}'s buffer, which psi has no use for.
-        p, exponent, log_scale = _jacobi_scaled(self.jacobi.n, self.jacobi.a,
-                                                self.jacobi.b, s)
-        np.multiply(x, self.beta_exp, out=exponent)
-        exponent += np.multiply(log_v, self.zeta_exp)
-        exponent += log_scale
-        np.exp(exponent, out=exponent)
-        exponent *= p
-        exponent *= self.norm
+        # apart can underflow and overflow at the same r
+        values = self.norm * (p * np.exp(x * self.beta_exp + log_v * self.zeta_exp
+                                          + log_scale))
         if np.ndim(r) == 0:
-            return float(exponent)
-        return exponent
+            return float(values)
+        return values
 
 
 def build_wave(
@@ -206,47 +199,33 @@ def _log_gamma_ratio(z: float, d: float) -> float:
     )
 
 
-def _jacobi_scaled(n: int, a, b, sigma):
+def _jacobi_scaled(n: int, a: float, b: float, sigma):
     """P_n^{(a,b)}(1 - 2 sigma) and P_{n-1}^{(a,b)}(1 - 2 sigma), P_{-1} = 0.
 
     Returns (p_n, p_n_minus_1, log_scale) with both values = mantissa *
-    e^{log_scale}; a and b may be arrays broadcasting against sigma.  This
-    is the three-term recurrence (DLMF 18.9.2) with x = 1 - 2 sigma substituted
-    and its constant term expanded, so nothing cancels near sigma = 0 and small
+    e^{log_scale}, arrays of sigma's shape for floats a and b.  This is the
+    three-term recurrence (DLMF 18.9.2) with x = 1 - 2 sigma substituted and
+    its constant term expanded, so nothing cancels near sigma = 0 and small
     sigma keeps its relative precision.  Where P_n(1) = binom(n + a, n)
     could overflow (deep wells) the mantissas are rescaled as they grow.
     """
-    shape = np.broadcast_shapes(np.shape(sigma), np.shape(a), np.shape(b))
-    # three buffers rotate through the loop, each step written in place: on
-    # node-grid arrays (160 KB) a fresh temporary costs more than its arithmetic
-    p_prev, p_curr, spare = np.zeros(shape), np.ones(shape), np.empty(shape)
+    p_prev, p_curr = np.zeros(np.shape(sigma)), np.ones(np.shape(sigma))
     if n > 0:
-        np.multiply(a + b + 2.0, sigma, out=p_prev)
-        np.subtract(a + 1.0, p_prev, out=p_prev)
-        p_prev, p_curr = p_curr, p_prev
+        p_prev, p_curr = p_curr, (a + 1.0) - (a + b + 2.0) * sigma
     # on [-1, 1], |P_n| <= binom(n + max(a, b), n) < (n + max(a, b) + 2)^n
-    rescale = n * math.log(n + max(np.maximum(a, b).max(), 0.0) + 2.0) > 300.0
-    log_scale = np.zeros(shape) if rescale else 0.0
-    # P_k = (c0 - c1 sigma) P_{k-1} - c2 P_{k-2}, the coefficients taken step
-    # by step: for scalar a and b they are plain floats, not arrays
-    for k in range(2, n + 1):
+    rescale = n * math.log(n + max(a, b, 0.0) + 2.0) > 300.0
+    log_scale = 0.0
+    for k in range(2, n + 1):  # P_k = (c0 - c1 sigma) P_{k-1} - c2 P_{k-2}
         s = 2.0 * k + a + b
         lead = 2.0 * k * (k + a + b) * (s - 2.0)
         c0 = (s - 1.0) * (2.0 * (a + b) * (a + 2.0 * k - 1.0) + 4.0 * k * (k - 1.0)) / lead
         c1 = 2.0 * (s - 1.0) * s * (s - 2.0) / lead
         c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s / lead
-        np.multiply(c1, sigma, out=spare)
-        np.subtract(c0, spare, out=spare)
-        spare *= p_curr
-        p_prev *= c2
-        spare -= p_prev
-        p_prev, p_curr, spare = p_curr, spare, p_prev
+        p_curr, p_prev = (c0 - c1 * sigma) * p_curr - c2 * p_prev, p_curr
         if rescale:  # divide both by max(|p_curr|, 1), its log into log_scale
-            np.abs(p_curr, out=spare)
-            np.maximum(spare, 1.0, out=spare)
-            p_curr /= spare
-            p_prev /= spare
-            log_scale += np.log(spare, out=spare)
+            factor = np.maximum(np.abs(p_curr), 1.0)
+            p_curr, p_prev = p_curr / factor, p_prev / factor
+            log_scale = log_scale + np.log(factor)
     return p_curr, p_prev, log_scale
 
 
@@ -378,14 +357,9 @@ def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
             f"the level needs {m} points uniform in theta"
         )
     values = wave.psi(grid)
-    if values.all():  # no zero sample, the usual case: nothing to skip
-        negative = values < 0.0
-        before_change = np.flatnonzero(negative[:-1] != negative[1:])
-    else:
-        keep = values != 0.0
-        idx = np.flatnonzero(keep)
-        negative = values[keep] < 0.0
-        before_change = idx[:-1][negative[:-1] != negative[1:]]  # nonzero sample before it
+    idx = np.flatnonzero(values)  # zero samples neither count nor hide a change
+    negative = values[idx] < 0.0
+    before_change = idx[:-1][negative[:-1] != negative[1:]]  # nonzero sample before it
     if np.any(np.diff(before_change) < 3):
         raise ResolutionError("two sign changes within three samples; refine the grid")
     return before_change.size

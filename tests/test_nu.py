@@ -188,17 +188,16 @@ def test_bracket_free_solver_reports_unbound():
 
 
 def _public_path_root(params, n, l):
-    """The oracle's doubling bracket and brentq, run on the public dataclass path."""
+    """The oracle's bracket and brentq, run on the public dataclass path."""
     mapping = mrey_mapping(params, CONSTS, l)
     e_scale = (CONSTS.hbar * params.alpha) ** 2 / (2.0 * CONSTS.mu)
+    dim = dimensionless_params(params, CONSTS, 0.0)
 
     def residual(xi_sq):
         return quantization_residual(mapping(-xi_sq * e_scale), n)
 
-    assert residual(0.0) < 0.0
-    hi = 1.0
-    while residual(hi) <= 0.0:
-        hi *= 2.0
+    hi = max(1.0, ((dim.x1 + dim.x3) / (2.0 * n + 1.0)) ** 2)
+    assert residual(0.0) < 0.0 < residual(hi)
     root = brentq(
         residual, 0.0, hi,
         xtol=nu._BRENTQ_XTOL, rtol=nu._BRENTQ_RTOL, maxiter=nu._BRENTQ_MAXITER,

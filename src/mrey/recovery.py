@@ -14,10 +14,11 @@ the bound t >= 0.  At fixed t each row's rho + Q3/rho is linear in v, so the
 squared-residual sum is a quartic in v whose minima are the outer real roots
 of a cubic.  Both minima are followed along a fixed grid in t, their cubics
 solved together by one batched eigenvalue call on the companion matrices,
-and each local minimum of either branch seeds one bounded trust-region
-polish in (t, v); the best polish wins.  The three raw couplings are one gauge
-direction short of identifiable: the report gives the exact minimum-norm
-(A1, A2, A3) for the fitted (u, v), plus u and v themselves.
+and each local minimum of either branch seeds one Gauss-Newton polish in
+(t, v) on the closed-form Jacobian, with t clamped at 0; the best polish
+wins.  The three raw couplings are one gauge direction short of
+identifiable: the report gives the exact minimum-norm (A1, A2, A3) for the
+fitted (u, v), plus u and v themselves.
 """
 
 from __future__ import annotations
@@ -92,15 +93,13 @@ def fit_couplings(
     consts: PhysicalConstants = PhysicalConstants(),
 ) -> RecoveryReport:
     """Fit the table at fixed alpha; report the minimum-norm (A1, A2, A3)."""
-    from scipy.optimize import least_squares  # deferred: keeps it out of import mrey
-
     rows = tuple(
-        r if isinstance(r, TableRow) else TableRow(int(r[0]), int(r[1]), float(r[2]))
+        r if isinstance(r, TableRow) else TableRow(r[0], r[1], float(r[2]))
         for r in rows
     )
     if not rows:
         raise DomainError("recovery needs at least one table row")
-    if not (math.isfinite(alpha) and alpha > 0.0):
+    if isinstance(alpha, bool) or not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
 
     targets = np.array([r.energy for r in rows])
@@ -112,36 +111,57 @@ def fit_couplings(
     q2 = h2a2 / (8.0 * consts.mu)
     y = (q1 - targets) / q2  # a row is fitted exactly when (a + b v)^2 = y
 
-    def linear_in_v(t):
-        """(a, b) with rho + Q3/rho = a + b v for each row, per t."""
-        rho = n + 0.5 + 0.5 * np.sqrt(np.square(t)[..., None] + gap)
-        return rho + ll1 / rho, 1.0 / rho
+    def residual_jac(t, v):
+        """Each row's closed-form energy at (t, v) minus its target, and the Jacobian."""
+        w = np.sqrt(t * t + gap)
+        rho = n + 0.5 + 0.5 * w
+        q3 = ll1 + v
+        z = rho + q3 / rho
+        dw_dt = t / w if t > 0.0 else 1.0 * (gap == 0.0)  # t/w is 1 where w = 0
+        slope = -2.0 * q2 * z
+        jac = np.array((slope * (1.0 - q3 / rho**2) * 0.5 * dw_dt, slope / rho))
+        return q1 - q2 * z * z - targets, jac.T
 
-    def residual_vec(p):
-        """Closed-form energy of every row at (t, v) = p, minus its target."""
-        a, b = linear_in_v(p[0])
-        return q1 - q2 * (a + b * p[1]) ** 2 - targets
+    def polish(t, v):
+        """Gauss-Newton in (t, v), t held >= 0: (cost, (t, v), residuals, converged)."""
+        p = np.array([t, v])
+        r, jac = residual_jac(t, v)
+        cost = r @ r
+        for _ in range(50):
+            step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+            if step[0] < -p[0]:  # t would pass 0: clamp it there and refit v alone
+                step[0] = -p[0]
+                step[1:] = np.linalg.lstsq(jac[:, 1:], jac[:, 0] * p[0] - r, rcond=None)[0]
+            if np.all(np.abs(step) <= 1e-15 * np.abs(p)):
+                return cost, p, r, True
+            for _ in range(9):  # the step, then at most 8 halvings
+                trial = p + step
+                r_trial, jac_trial = residual_jac(*trial)
+                cost_trial = r_trial @ r_trial
+                if cost_trial < cost:
+                    break
+                step *= 0.5
+            else:  # no halving lowers the cost: the rounding floor
+                return cost, p, r, True
+            p, r, jac, cost = trial, r_trial, jac_trial, cost_trial
+        return cost, p, r, False
 
-    # sum((a + b v)^2 - y)^2 is a quartic in v; its minima are the outer
-    # real roots of its derivative's cubic (leading term sum(b^4) > 0).
-    a, b = linear_in_v(_T_GRID)
+    # sum((a + b v)^2 - y)^2 is a quartic in v, with rho + Q3/rho = a + b v;
+    # its minima are the outer real roots of its derivative's cubic (leading
+    # term sum(b^4) > 0).
+    rho = n + 0.5 + 0.5 * np.sqrt(np.square(_T_GRID)[:, None] + gap)
+    a, b = rho + ll1 / rho, 1.0 / rho
     terms = [b**4, 3.0 * a * b**3, (3.0 * a**2 - y) * b**2, (a**2 - y) * a * b]
     branches = _outer_real_roots(np.sum(terms, axis=2).T)
     costs = np.sum(((a + b * branches[..., None]) ** 2 - y) ** 2, axis=2)
 
-    best = None
+    polished = []
     for v, cost in zip(branches, costs):
         falls = np.r_[True, cost[1:] < cost[:-1]]
         rises = np.r_[cost[:-1] <= cost[1:], True]
-        for i in np.nonzero(falls & rises)[0]:
-            result = least_squares(
-                residual_vec, (_T_GRID[i], v[i]), bounds=([0.0, -np.inf], np.inf),
-                xtol=1e-15, gtol=1e-15,
-            )
-            if best is None or result.cost < best.cost:
-                best = result
+        polished += [polish(_T_GRID[i], v[i]) for i in np.nonzero(falls & rises)[0]]
+    _, (t, v), residuals, converged = min(polished, key=lambda result: result[0])
 
-    residuals = best.fun
     fitted = targets + residuals
     rms = float(np.sqrt(np.mean(residuals**2)))
     infeasible = tuple(
@@ -164,7 +184,6 @@ def fit_couplings(
 
     # (x1 + x2, x2 - x3) = (u, v) fixes (A1, A2, A3) up to the gauge
     # direction (-c3, c3, c12); lstsq returns the minimum-norm solution.
-    t, v = best.x
     u = 0.25 + ll1.min() - 0.25 * t * t
     c12 = 2.0 * consts.mu / h2a2
     c3 = 2.0 * consts.mu / (consts.hbar**2 * alpha)
@@ -182,6 +201,6 @@ def fit_couplings(
         x2_minus_x3=float(v),
         infeasible_rows=infeasible,
         feasible=feasible,
-        converged=bool(best.success),
+        converged=converged,
         verdict=verdict,
     )

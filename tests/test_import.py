@@ -1,8 +1,10 @@
-"""`import mrey` and `mrey spectrum --n 0 --l 0` load numpy only: no scipy, no mpmath.
+"""`import mrey`, `mrey spectrum --n 0 --l 0` and a coupling fit load numpy only:
+no scipy, no mpmath.
 
-scipy is imported where it is called (the NU root oracle, the coupling fit
+scipy is imported where it is called (the NU root oracle, Dawson's integral
 and the thermodynamic quadrature), mpmath where the 40-digit reference is,
-so a session that never calls them does not pay for loading them.
+so a session that never calls them does not pay for loading them.  The
+coupling fit runs on numpy alone.
 """
 
 import subprocess
@@ -33,3 +35,8 @@ def test_import_loads_no_scipy():
 
 def test_spectrum_command_loads_no_scipy():
     assert _heavy_modules_after(SPECTRUM) == "[]"
+
+
+def test_coupling_fit_loads_no_scipy():
+    fit = "import sys, mrey\nmrey.fit_couplings([(0, 0, -0.28125), (1, 0, -0.02)], 0.5)"
+    assert _heavy_modules_after(fit) == "[]"

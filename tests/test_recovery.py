@@ -27,6 +27,9 @@ CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 
 # l = 0 column of the positive-entry fixture that motivated the bound check
 FIXTURE = (0.109375, 0.046875, -0.078125, -0.265625, -0.515625, -0.828125)
+# x2 - x3 of its best fit, which sits on the bound t = 0 (x1 + x2 = 1/4):
+# the root of the cost's derivative in v at t = 0, to 50 digits with mpmath
+FIXTURE_BEST_V = -0.785145878211361139
 
 
 def test_row_validation():
@@ -77,6 +80,9 @@ def test_positive_entries_are_infeasible():
     # rows 0 and 1 sit above the l = 0 bound E <= 0
     assert set(report.infeasible_rows) == {0, 1}
     assert report.rms >= 0.01
+    # the best fit is on the bound t = 0, where the one channel has gap 0
+    assert report.x1_plus_x2 == 0.25
+    assert report.x2_minus_x3 == pytest.approx(FIXTURE_BEST_V, rel=1e-12)
 
 
 def test_fixture_has_flat_second_differences():
@@ -91,9 +97,14 @@ def test_fit_input_validation():
         fit_couplings([], alpha=0.5, consts=CONSTS)
     with pytest.raises(DomainError):
         fit_couplings([TableRow(0, 0, -0.1)], alpha=0.0, consts=CONSTS)
-    # plain (n, l, E) triples are accepted and coerced
+    with pytest.raises(DomainError):
+        fit_couplings([TableRow(0, 0, -0.1)], alpha=True, consts=CONSTS)
+    # plain (n, l, E) triples are accepted, with n and l checked as given
     report = fit_couplings([(0, 0, -0.28125), (1, 0, -0.02)], alpha=0.5, consts=CONSTS)
     assert report.converged
+    for row in [(1.5, 0, -0.1), (0, True, -0.1)]:
+        with pytest.raises(DomainError):
+            fit_couplings([row], alpha=0.5, consts=CONSTS)
 
 
 def _from_x(x1, x2, x3, alpha):
@@ -155,6 +166,50 @@ def test_best_fit_of_a_perturbed_table_on_the_upper_v_branch():
     report = fit_couplings(rows, alpha=alpha, consts=CONSTS)
     assert report.rms == pytest.approx(0.98852465353584, rel=1e-9)
     assert report.x2_minus_x3 > 0.0
+
+
+@pytest.mark.parametrize("params", [
+    PotentialParams(-2.2727405505718136e-07, -5.921636839535035e-06,
+                    1.0193769081959325, 0.01902852965342139),
+    PotentialParams(1.0294590698719617e-06, 2.748064085393586e-06,
+                    1.0599754461259143, 0.01063717389661884),
+])
+def test_clean_tables_are_fitted_to_the_rounding_floor(params):
+    # two clean 20- and 24-row tables where a fit that stops early leaves an
+    # rms 150-1000 times above the rounding of the energies themselves
+    rows = _valid_rows(params)
+    report = fit_couplings(rows, alpha=params.alpha, consts=CONSTS)
+    assert report.converged
+    assert report.rms <= 4 * np.finfo(float).eps * max(abs(e) for _, _, e in rows)
+
+
+def _seed_at_t0(monkeypatch, shift=0.0):
+    """Scan t = 0 alone, with the scan's best v moved by shift."""
+    batched = recovery._outer_real_roots
+    monkeypatch.setattr(recovery, "_T_GRID", np.array([0.0]))
+    monkeypatch.setattr(recovery, "_outer_real_roots", lambda cubics: batched(cubics) + shift)
+
+
+@pytest.mark.parametrize("shift", [-1.0, 0.3, 10.0])
+def test_polish_from_a_far_seed_holds_t_on_the_bound(monkeypatch, shift):
+    # the infeasible fixture's best fit is on the bound t = 0; from a seed
+    # there with v far off, the polish must reach it without leaving t = 0,
+    # its v as exact as the rounding of the cost allows
+    _seed_at_t0(monkeypatch, shift)
+    report = fit_couplings([(n, 0, e) for n, e in enumerate(FIXTURE)], alpha=0.5, consts=CONSTS)
+    assert report.converged
+    assert report.x1_plus_x2 == 0.25
+    assert report.x2_minus_x3 == pytest.approx(FIXTURE_BEST_V, rel=1e-7)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+def test_polish_from_t0_reaches_an_interior_fit(monkeypatch, shift):
+    # a clean l = 0 table fitted at t = 0.6, seeded at t = 0, where w = |t|
+    # is 0 and the Jacobian takes t/w = 1
+    _seed_at_t0(monkeypatch, shift)
+    x = (0.06, 0.1, 30.0, 0.4)
+    params = _from_x(*x)
+    _assert_recovers([(n, 0, energy(params, CONSTS, n, 0).energy) for n in range(4)], *x)
 
 
 def _np_roots_outer(cubics):

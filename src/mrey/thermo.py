@@ -38,10 +38,14 @@ C stay finite even when Z itself overflows the double range (Z is then
 +inf).
 
 Adaptive quadrature is the oracle only: thermo_direct integrates the literal
-n-space moments integral (E - e_ref)^m e^{-beta (E - e_ref)} dn, m = 0, 1, 2,
-with QUADPACK on panels split at the stationary point of E and through the
-Boltzmann boundary layers, e_ref being the minimum of E, and returns ln Z, U
-and C from them; log_partition_direct is its m = 0 integral alone.
+n-space moments integral g^m e^{-beta g} dn, m = 0, 1, 2, g = E(n) - E(n_ref)
+with n_ref the argmin of E, by one QUADPACK call per moment, breakpoints at the
+stationary point of E and through the Boltzmann boundary layers, and returns
+ln Z, U and C from them; log_partition_direct is its m = 0 integral alone.  g
+is taken in factored form, so it keeps its digits at tiny lambda.  On the
+tests' domain sweep the route fails (NumericalError) at three points only,
+lambda = 1e4 with beta near 513, 3848 and 9812, where QUADPACK meets round-off
+in the boundary layer at n = lambda before its estimate reaches 1e-10.
 """
 
 from __future__ import annotations
@@ -295,85 +299,61 @@ def _split_points(coeffs: SpectralCoefficients, lam: float, beta: float) -> list
     return sorted(points)
 
 
-def _reference_energy(coeffs: SpectralCoefficients, lam: float) -> float:
-    """min of E over [0, lambda] (extrema sit at endpoints or the single
-    interior stationary point)."""
+def _reference_energy(coeffs: SpectralCoefficients, lam: float):
+    """(E(n_ref), n_ref) with n_ref the argmin of E over [0, lambda]
+    (extrema sit at endpoints or the single interior stationary point)."""
     ends = [0.0, lam]
     if coeffs.q3 != 0.0:
         n_star = lambda_max(coeffs)
         if 0.0 < n_star < lam:
             ends.append(n_star)
-    rhos = [n + coeffs.delta for n in ends]
-    return min(coeffs.q1 - coeffs.q2 * (rho + coeffs.q3 / rho) ** 2 for rho in rhos)
-
-
-# Panels whose end weights sit below this are bounded, not integrated: g is
-# monotone between the chosen panel boundaries, so e^{-beta g} peaks at one
-# end and g^m at one end, and such a panel contributes < 1e-20 of S0
-# relative to the layer panel (whose peak weight is 1).
-_PANEL_SKIP = 1e-25
+    return min((compact_energy(coeffs, n), n) for n in ends)
 
 
 def _direct_moments(inp: ThermoInput, count: int):
-    """(e_ref, [S_0 .. S_{count-1}]) with S_m = integral g^m e^{-beta g} dn,
-    g = E(n) - e_ref, each by QUADPACK's adaptive Gauss-Kronrod rule
-    (scipy.integrate.quad) on the _split_points panels.
+    """(e_ref, [S_0 .. S_{count-1}]) with S_m = integral_0^lambda g^m e^{-beta g} dn,
+    g = E(n) - e_ref, each by one call of QUADPACK's QAGP (scipy.integrate.quad)
+    with the interior _split_points cuts as breakpoints; QAGP subdivides from
+    them and its one global error estimate must stay within 1e-10 of S_m.
 
-    Individual panels are allowed to miss their relative target (a boundary
-    layer spanning ~60 e-folds bottoms out near the rule's round-off floor);
-    what must hold, for each moment, is that the accumulated error estimate
-    stays small against the assembled total.
+    e_ref = E(n_ref) is the minimum of E, and g is taken in factored form,
+
+        g = -q2 (n - n_ref)(1 - q3/(rho rho_ref))(t + t_ref),  t = rho + q3/rho,
+
+    so that it keeps its digits where it is far below eps |E| (tiny lambda).
     """
     from scipy.integrate import quad  # deferred: keeps it out of import mrey
 
     coeffs, lam, beta = inp.coeffs, inp.lam, inp.beta
-    e_ref = _reference_energy(coeffs, lam)
-    q2, q3, delta = coeffs.q2, coeffs.q3, coeffs.delta
-    # g in a few float operations, repeated inline in weight: the integrand
-    # is most of the oracle's cost, and a call to gap there costs ~35%
-    c = coeffs.q1 - e_ref
-    minus_beta = -beta
+    e_ref, n_ref = _reference_energy(coeffs, lam)
+    # plain floats: numpy scalars (from couplings drawn with numpy) slow down
+    # every operation of the integrand, which is QUADPACK's inner loop
+    q2, q3, delta, n_ref = (float(v) for v in (coeffs.q2, coeffs.q3, coeffs.delta, n_ref))
+    rho_ref = n_ref + delta
+    t_ref = rho_ref + q3 / rho_ref
+    minus_q2, minus_beta = -q2, -float(beta)
 
-    def gap(n):
+    def moment(n, m, exp=math.exp):
         rho = n + delta
-        t = rho + q3 / rho
-        return c - q2 * t * t
+        g = minus_q2 * (n - n_ref) * (1.0 - q3 / (rho * rho_ref)) * (rho + q3 / rho + t_ref)
+        return g**m * exp(minus_beta * g)
 
-    def weight(n, exp=math.exp):
-        rho = n + delta
-        t = rho + q3 / rho
-        return exp(minus_beta * (c - q2 * t * t))
-
-    def moment(m):
-        def f(n, exp=math.exp):
-            g = gap(n)
-            return g**m * exp(minus_beta * g)
-        return f
-
-    integrands = [weight] + [moment(m) for m in range(1, count)]
-    totals = [0.0] * count
-    err_sums = [0.0] * count
-    points = _split_points(coeffs, lam, beta)
-    for a, b in zip(points[:-1], points[1:]):
-        bound = max(weight(a), weight(b))
-        if bound < _PANEL_SKIP:
-            g_top = max(abs(gap(a)), abs(gap(b)))
-            bounds = [bound * g_top**m * (b - a) for m in range(count)]
-            pieces = zip(bounds, bounds)  # each bound is its own error
-        else:
-            # full_output keeps a missed panel target a number, not a warning
-            pieces = [quad(f, a, b, epsabs=1e-280, epsrel=1e-12, limit=2000,
-                           full_output=1)[:2] for f in integrands]
-        for m, (piece, err) in enumerate(pieces):
-            totals[m] += piece
-            err_sums[m] += err
-    for total, err_sum in zip(totals, err_sums):
-        if err_sum > 1e-10 * max(abs(total), 1e-300):
+    cuts = _split_points(coeffs, lam, beta)[1:-1]
+    totals = []
+    for m in range(count):
+        # full_output keeps a missed target a number, not a warning
+        total, err = quad(moment, 0.0, lam, args=(m,), points=cuts, epsabs=1e-280,
+                          epsrel=1e-12, limit=2000, full_output=1)[:2]
+        if err > 1e-10 * max(abs(total), 1e-300):
             raise NumericalError(
-                f"quadrature error {err_sum:.2e} too large for integral {abs(total):.2e}"
+                f"quadrature error {err:.2e} too large for S{m} = {total:.2e}"
+                f" at lambda = {lam!r}, beta = {beta!r}"
             )
+        totals.append(total)
     if totals[0] <= 0.0:
-        raise NumericalError("shifted integrand summed to zero")
+        raise NumericalError(
+            f"shifted integrand summed to zero at lambda = {lam!r}, beta = {beta!r}"
+        )
     return e_ref, totals
 
 

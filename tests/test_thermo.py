@@ -17,6 +17,7 @@ from scipy.integrate import quad
 
 from mrey import (
     DomainError,
+    NumericalError,
     PhysicalConstants,
     PotentialParams,
     RangeError,
@@ -110,6 +111,17 @@ def test_integral_keeps_small_lambda(lam):
     # a rho-space interval [delta, lambda + delta] rounds off lambda's digits
     reference = _mp_thermo(COEFFS, lam, 1.0)[0]
     assert abs(thermo_state(ThermoInput(COEFFS, lam, 1.0)).ln_z - reference) <= 1e-10
+
+
+@pytest.mark.parametrize("lam, beta", [(1e-9, 1.0), (1e-8, 10.0), (4e-8, 100.0)])
+def test_direct_moments_keep_small_lambda(lam, beta):
+    # g = E(n) - E(n_ref) lies far below eps |E| here; formed as a difference
+    # of energies it is rounding noise, and S1, S2 miss the 1e-10 gate
+    ln_z, u, c = thermo_direct(ThermoInput(COEFFS, lam, beta))
+    ln_z_ref, u_ref, c_ref = _mp_thermo(COEFFS, lam, beta)
+    assert abs(ln_z - ln_z_ref) <= 1e-13 * max(1.0, abs(ln_z_ref))
+    assert abs(u - u_ref) <= 1e-13 * max(1.0, abs(u_ref))
+    assert abs(c - c_ref) <= 1e-13 * c_ref
 
 
 def test_mean_energy_constant_and_bounds():
@@ -440,10 +452,14 @@ def test_thermo_domain_sweep():
     # alpha in [0.01, 0.5], a3 in [0.1, 100], |x1|, |x2| <= 0.05, l <= 3: no
     # MreyError, C >= 0, F = U - S/beta, and ln Z non-decreasing in lambda
     # (not rising: it stays flat in doubles once the added stretch weighs
-    # under an ulp of Z)
+    # under an ulp of Z).  Wherever thermo_direct returns, U and C hold to
+    # check 07's limits and ln Z to 1e-10 on Z, or to its round-off floor
+    # 4 eps |ln Z| where that floor is above 1e-10.
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(5)
     lams = np.geomspace(1e-9, 1e4, 9)
-    for _ in range(20):
+    uncovered = []
+    for i in range(20):
         alpha = math.exp(rng.uniform(math.log(0.01), math.log(0.5)))
         a3 = math.exp(rng.uniform(math.log(0.1), math.log(100.0)))
         x1, x2 = rng.uniform(-0.05, 0.05, 2)
@@ -451,11 +467,32 @@ def test_thermo_domain_sweep():
         coeffs = spectral_coefficients(params, CONSTS, int(rng.integers(0, 4)))
         betas = [0.0] + list(np.exp(rng.uniform(math.log(1e-6), math.log(1e4), 5)))
         for beta in betas:
-            states = [thermo_state(ThermoInput(coeffs, float(lam), beta)) for lam in lams]
+            inputs = [ThermoInput(coeffs, float(lam), beta) for lam in lams]
+            states = [thermo_state(inp) for inp in inputs]
             ln_z = [state.ln_z for state in states]
             assert all(b >= a for a, b in zip(ln_z, ln_z[1:])), (params, beta, ln_z)
-            for lam, state in zip(lams, states):
-                assert state.c >= 0.0, (params, lam, beta)
+            for inp, state in zip(inputs, states):
+                where = (params, inp.lam, beta)
+                assert state.c >= 0.0, where
                 if beta > 0.0:
                     gap = abs(state.f - (state.u - state.s / beta))
-                    assert gap <= 1e-9 * max(1.0, abs(state.f)), (params, lam, beta)
+                    assert gap <= 1e-9 * max(1.0, abs(state.f)), where
+                try:
+                    ln_z_direct, u, c = thermo_direct(inp)
+                except NumericalError as exc:
+                    assert f"at lambda = {inp.lam!r}, beta = {beta!r}" in str(exc)
+                    uncovered.append((i, inp.lam, round(beta)))
+                    continue
+                assert abs(state.u - u) <= 1e-9 * max(1.0, abs(state.u)), where
+                assert abs(state.c - c) <= 1e-6 * max(abs(state.c), 1e-300), where
+                diff = state.ln_z - ln_z_direct
+                floor = 4.0 * eps * abs(ln_z_direct)
+                if floor <= 1e-10:
+                    assert abs(math.expm1(diff)) <= 1e-10, where
+                else:
+                    assert abs(diff) <= floor, where
+    # the points the direct route does not cover: at lambda = 1e4 the
+    # Boltzmann layer at n = lambda is 4e-7 to 5e-6 wide while doubles there
+    # are 1.8e-12 apart, and QUADPACK's estimate for S0 stalls at 2e-10 to
+    # 1.4e-8 of it, reporting round-off
+    assert uncovered == [(0, 1e4, 9812), (8, 1e4, 3848), (15, 1e4, 513)]

@@ -11,21 +11,21 @@ quantization condition, and the eigenfunctions are weighted Jacobi
 polynomials.  This module implements that recipe generically plus the mapping
 from the screened radial problem onto it, and solve_bound_state, a root
 finder that brackets the quantization condition itself (no closed-form input)
-and solves it numerically.  It is the independent oracle used to validate
-every closed-form energy expression in spectrum.py.  c4..c9, the residual and
-xi1..xi3 are each coded once, in float helpers that the dataclass API wraps
-and solve_bound_state calls directly.
+and solves it numerically by _brent, a pure-Python port of scipy's brentq.
+It is the independent oracle used to validate every closed-form energy
+expression in spectrum.py.  c4..c9, the residual and xi1..xi3 are each coded
+once, in float helpers that the dataclass API wraps and solve_bound_state
+calls directly.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .errors import ComplexBranchError, DomainError, NoRootError
+from .errors import ComplexBranchError, DomainError, NoRootError, NumericalError
 from .potential import (
     PhysicalConstants,
     PotentialParams,
@@ -34,7 +34,7 @@ from .potential import (
     xi_squared,
 )
 
-_BRENTQ_RTOL = 4.0 * np.finfo(float).eps
+_BRENTQ_RTOL = 4.0 * sys.float_info.epsilon
 _BRENTQ_XTOL = 1e-14
 _BRENTQ_MAXITER = 200
 
@@ -180,6 +180,84 @@ def mrey_mapping(
     return mapping
 
 
+def _brent(f, xa, xb, level):
+    """The root of f in [xa, xb] by Brent's method, as scipy's brentq finds it.
+
+    A port of scipy's Zeros/brentq.c (after Brent 1973, ch. 4) that does the
+    same float operations in the same order, so its root and every point at
+    which it calls f are bit-identical to brentq(f, xa, xb, xtol=_BRENTQ_XTOL,
+    rtol=_BRENTQ_RTOL, maxiter=_BRENTQ_MAXITER).  Where brentq raises, this
+    raises NumericalError naming `level` (the label of the level, "n=.., l=..")
+    and the xi^2 reached: when f returns NaN (checked on every call, as
+    brentq's NaN guard does), when f(xa) and f(xb) have the same sign, and
+    when _BRENTQ_MAXITER steps do not converge.
+    """
+    xtol, rtol = _BRENTQ_XTOL, _BRENTQ_RTOL
+
+    def value(x):
+        fx = float(f(x))  # as brentq's C converts it
+        if math.isnan(fx):
+            raise NumericalError(f"root search for {level}: NaN residual at xi^2 = {x!r}")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # C compares signbit; on nonzero, non-NaN values (f < 0.0) is the same
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericalError(
+            f"root search for {level}: residual {fpre!r} at xi^2 = {xpre!r} and "
+            f"{fcur!r} at xi^2 = {xcur!r} have the same sign")
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant through the two points
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation through the three points
+                try:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:
+                    # C's quotient is inf or NaN there, which fails the test below
+                    stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # short enough to stay well inside the bracket: take it
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NumericalError(
+        f"root search for {level}: not converged at xi^2 = {xcur!r} "
+        f"after {_BRENTQ_MAXITER} steps")
+
+
 def solve_bound_state(
     params: PotentialParams,
     consts: PhysicalConstants,
@@ -191,9 +269,12 @@ def solve_bound_state(
     Works in xi^2 = -2 mu E / (hbar alpha)^2, where the residual is strictly
     increasing: a bound state exists iff the residual is negative at xi^2 = 0,
     and its own terms make it positive at xi^2 = max(1, ((x1 + x3) / (2n + 1))^2).
-    Raises NoRootError when the level is unbound.  This never consults the
-    closed-form spectrum; it runs the generic recipe through the float helpers,
-    bit-identical to the dataclass path quantization_residual(mrey_mapping(...)(E), n).
+    Raises NoRootError when the level is unbound, and NumericalError when the
+    root search breaks down (see _brent).  This never consults the closed-form
+    spectrum: it runs the generic recipe through the float helpers and solves
+    it with _brent, the in-repo port of scipy's brentq, so each root is
+    bit-identical to brentq's on the dataclass path
+    quantization_residual(mrey_mapping(...)(E), n).
 
     Precision limit: with c1 = c2 = c3 = 1, c9 = radicand/4 is formed from
     xi1, xi2 and xi3, each of size xi^2, so the root's relative error grows
@@ -201,8 +282,6 @@ def solve_bound_state(
     at n = l = 0 of (a1, a2, a3, alpha) = (1.3038747019433676e-06,
     -2.993045207634939e-07, 76.21960089335214, 0.01370259605402353).
     """
-    from scipy.optimize import brentq  # deferred: keeps it out of import mrey
-
     QuantumNumbers(n, l)
     ll1 = float(l * (l + 1))
     dim = dimensionless_params(params, consts, 0.0)  # x1..x3 do not depend on E
@@ -224,8 +303,4 @@ def solve_bound_state(
     # least (2n + 1)/2 once (2n + 1) xi >= x1 + x3.  That slack outlasts the
     # rounding of its xi^2-sized terms, a few eps xi^2, for xi^2 < 1e14.
     hi = max(1.0, ((x1 + x3) / (2.0 * n + 1.0)) ** 2)
-    xi_sq_root = brentq(
-        residual_of_xi_sq, 0.0, hi,
-        xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL, maxiter=_BRENTQ_MAXITER,
-    )
-    return -float(xi_sq_root) * e_scale
+    return -_brent(residual_of_xi_sq, 0.0, hi, f"n={n}, l={l}") * e_scale

@@ -222,14 +222,15 @@ def spectral_coefficients(
     QuantumNumbers(0, l)
     dim = dimensionless_params(params, consts, 0.0)
     ll1 = float(l * (l + 1))
-    radicand = 1.0 + 4.0 * ll1 - 4.0 * dim.x1 - 4.0 * dim.x2
+    # float() once here: numpy-scalar couplings give plain-float coefficients
+    radicand = float(1.0 + 4.0 * ll1 - 4.0 * dim.x1 - 4.0 * dim.x2)
     if radicand < 0.0:
         raise NoRealDeltaError(radicand)
     h2a2 = (consts.hbar * params.alpha) ** 2
     return SpectralCoefficients(
-        q1=h2a2 * ll1 / (2.0 * consts.mu),
-        q2=h2a2 / (8.0 * consts.mu),
-        q3=dim.x2 - dim.x3 + ll1,
+        q1=float(h2a2 * ll1 / (2.0 * consts.mu)),
+        q2=float(h2a2 / (8.0 * consts.mu)),
+        q3=float(dim.x2 - dim.x3 + ll1),
         delta=0.5 + 0.5 * math.sqrt(radicand),
         radicand=radicand,
     )

@@ -15,6 +15,7 @@ from mrey import (
     ComplexBranchError,
     DomainError,
     NoRootError,
+    NumericalError,
     PhysicalConstants,
     PotentialParams,
 )
@@ -236,3 +237,90 @@ def test_oracle_reports_complex_branch():
 def test_oracle_rejects_bad_quantum_numbers(n, l, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         solve_bound_state(UNIT_YUKAWA, CONSTS, n, l)
+
+
+def _logged(f):
+    """f, and the list of float.hex of every point it is called at."""
+    points = []
+
+    def logged(x):
+        points.append(x.hex())
+        return f(x)
+
+    return logged, points
+
+
+def _brent_cases():
+    """(f, a, b): a seeded generic family of brackets."""
+    cases = [
+        (lambda x: x - 0.3, 0.3, 2.0),  # exact zero at the lower end
+        (lambda x: x - 0.3, -1.0, 0.3),  # exact zero at the upper end
+        (lambda x: x * (2.0 + math.cos(x)), -0.7, 1.9),  # root at 0
+    ]
+    rng = np.random.default_rng(25)
+    for _ in range(30):
+        r = float(rng.uniform(-5.0, 5.0))
+        width = 10.0 ** float(rng.uniform(-3.0, 2.0))
+        a = r - width * float(rng.uniform(0.05, 3.0))
+        b = r + width * float(rng.uniform(0.05, 3.0))
+        if rng.uniform() < 0.5:
+            a, b = b, a
+        cases += [
+            (lambda x, r=r: math.expm1(x - r) + 0.1 * (x - r), a, b),
+            (lambda x, r=r: math.tanh(1e3 * (x - r)), a, b),  # steep
+            (lambda x, r=r: 1e-8 * (x - r) * (1.0 + (x - r) ** 2), a, b),  # flat
+            (lambda x, r=r: (x - r) ** 3, a, b),  # triple root: bisection steps
+            # the extrapolation's denominator underflows to 0: a bisection
+            (lambda x, r=r: 1e-300 * (x - r) * (1.0 + (x - r) ** 2), a, b),
+        ]
+    return cases
+
+
+def test_brent_is_bit_identical_to_brentq():
+    for f, a, b in _brent_cases():
+        ours, our_points = _logged(f)
+        ref, ref_points = _logged(f)
+        root = nu._brent(ours, a, b, "n=0, l=0")
+        expected = brentq(
+            ref, a, b,
+            xtol=nu._BRENTQ_XTOL, rtol=nu._BRENTQ_RTOL, maxiter=nu._BRENTQ_MAXITER,
+        )
+        assert type(root) is float
+        assert root.hex() == expected.hex(), (a, b)
+        assert our_points == ref_points, (a, b)
+
+
+def test_brent_rejects_a_nan_residual():
+    def f(x):  # the secant step from the ends lands on 0.7
+        return math.nan if 0.65 < x < 0.75 else x - 0.7
+
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(f, 0.0, 1.0, xtol=nu._BRENTQ_XTOL, rtol=nu._BRENTQ_RTOL)
+    message = r"^root search for n=2, l=1: NaN residual at xi\^2 = 0\.7\d*$"
+    with pytest.raises(NumericalError, match=message):
+        nu._brent(f, 0.0, 1.0, "n=2, l=1")
+    with pytest.raises(NumericalError, match=r"NaN residual at xi\^2 = 1\.0$"):
+        nu._brent(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0, "n=0, l=0")
+
+
+def test_brent_rejects_a_same_signed_bracket():
+    with pytest.raises(ValueError):
+        brentq(lambda x: x + 1.0, 0.0, 1.0)
+    message = (r"^root search for n=0, l=3: residual 1\.0 at xi\^2 = 0\.0 and "
+               r"2\.0 at xi\^2 = 1\.0 have the same sign$")
+    with pytest.raises(NumericalError, match=message):
+        nu._brent(lambda x: x + 1.0, 0.0, 1.0, "n=0, l=3")
+
+
+def test_brent_reports_running_out_of_steps(monkeypatch):
+    def f(x):
+        return x**3 - 0.3
+
+    with pytest.raises(RuntimeError):
+        brentq(f, 0.0, 1.0, xtol=nu._BRENTQ_XTOL, rtol=nu._BRENTQ_RTOL, maxiter=1)
+    monkeypatch.setattr(nu, "_BRENTQ_MAXITER", 1)
+    message = r"^root search for n=1, l=0: not converged at xi\^2 = \S+ after 1 steps$"
+    with pytest.raises(NumericalError, match=message):
+        nu._brent(f, 0.0, 1.0, "n=1, l=0")
+    with pytest.raises(NumericalError, match=r"^root search for n=0, l=0: not converged"):
+        solve_bound_state(UNIT_YUKAWA, CONSTS, 0, 0)

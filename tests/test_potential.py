@@ -151,6 +151,21 @@ def test_spectral_coefficients_negative_radicand():
     assert info.value.radicand == pytest.approx(-63.0, rel=1e-12)
 
 
+def test_spectral_coefficients_are_plain_floats_from_numpy_inputs():
+    # bit-identical to the plain-float inputs, and plain floats themselves
+    plain = PotentialParams(0.001, -0.002, 1.0, 0.3)
+    scalars = PotentialParams(*(np.float64(v) for v in (0.001, -0.002, 1.0, 0.3)))
+    consts = PhysicalConstants(*(np.float64(v) for v in (1.0, 1.0, 1.0)))
+    for l in range(3):
+        expected = spectral_coefficients(plain, CONSTS, l)
+        for params, c in ((scalars, CONSTS), (plain, consts), (scalars, consts)):
+            coeffs = spectral_coefficients(params, c, l)
+            for field in ("q1", "q2", "q3", "delta", "radicand"):
+                value = getattr(coeffs, field)
+                assert type(value) is float, (field, type(value))
+                assert value.hex() == getattr(expected, field).hex(), field
+
+
 def test_spectral_coefficient_invariants():
     rng = np.random.default_rng(7)
     for _ in range(200):

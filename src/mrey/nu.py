@@ -180,13 +180,14 @@ def mrey_mapping(
     return mapping
 
 
-def _brent(f, xa, xb, level):
+def _brent(f, xa, xb, level, fa=None):
     """The root of f in [xa, xb] by Brent's method, as scipy's brentq finds it.
 
     A port of scipy's Zeros/brentq.c (after Brent 1973, ch. 4) that does the
     same float operations in the same order, so its root and every point at
     which it calls f are bit-identical to brentq(f, xa, xb, xtol=_BRENTQ_XTOL,
-    rtol=_BRENTQ_RTOL, maxiter=_BRENTQ_MAXITER).  Where brentq raises, this
+    rtol=_BRENTQ_RTOL, maxiter=_BRENTQ_MAXITER).  fa, when given, is f(xa)
+    already evaluated, and f is not called at xa again.  Where brentq raises, this
     raises NumericalError naming `level` (the label of the level, "n=.., l=..")
     and the xi^2 reached: when f returns NaN (checked on every call, as
     brentq's NaN guard does), when f(xa) and f(xb) have the same sign, and
@@ -194,15 +195,15 @@ def _brent(f, xa, xb, level):
     """
     xtol, rtol = _BRENTQ_XTOL, _BRENTQ_RTOL
 
-    def value(x):
-        fx = float(f(x))  # as brentq's C converts it
+    def value(x, fx=None):
+        fx = float(f(x) if fx is None else fx)  # as brentq's C converts it
         if math.isnan(fx):
             raise NumericalError(f"root search for {level}: NaN residual at xi^2 = {x!r}")
         return fx
 
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
+    fpre = value(xpre, fa)
     fcur = value(xcur)
     if fpre == 0.0:
         return xpre
@@ -303,4 +304,4 @@ def solve_bound_state(
     # least (2n + 1)/2 once (2n + 1) xi >= x1 + x3.  That slack outlasts the
     # rounding of its xi^2-sized terms, a few eps xi^2, for xi^2 < 1e14.
     hi = max(1.0, ((x1 + x3) / (2.0 * n + 1.0)) ** 2)
-    return -_brent(residual_of_xi_sq, 0.0, hi, f"n={n}, l={l}") * e_scale
+    return -_brent(residual_of_xi_sq, 0.0, hi, f"n={n}, l={l}", r0) * e_scale

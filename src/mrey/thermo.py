@@ -19,23 +19,23 @@ convex, so the weight peaks at an end, and e^{a (phi - phi_p)} <= 1):
     C = k a^2 (S2/S0 - (S1/S0)^2)     S = k ln Z + k beta U,  F = -ln Z / beta
 
 with E_p the energy at that end.  S_m is exact through Dawson's integral
-dawsn(z) = e^{-z^2} integral_0^z e^{u^2} du (DLMF 7.2.5): with
+dawson(z) = e^{-z^2} integral_0^z e^{u^2} du (DLMF 7.2.5): with
 x = rho + b/rho and y = rho - b/rho, phi = x^2 - 2b = y^2 + 2b and
 d rho = (dx + dy)/2, so
 
     integral f(phi) d rho = 1/2 integral f(x^2 - 2b) dx + 1/2 integral f(y^2 + 2b) dy,
 
-and integral e^{a t^2} dt = e^{a t^2} h(a, t), h = dawsn(sqrt(a) t)/sqrt(a).  Each
+and integral e^{a t^2} dt = e^{a t^2} h(a, t), h = dawson(sqrt(a) t)/sqrt(a).  Each
 S_m is then a signed sum over the two ends and over t in {x, y} of
 e^{-a D} {h, h' - D h, h'' - 2 D h' + D^2 h}, D = phi_p - phi at that end and
 ' = d/da.  h and its a-derivatives come from the power series for
-z = sqrt(a)|t| < 1, scipy's dawsn for 1 <= z < 9 and the asymptotic series
-for z >= 9, each with a fixed number of terms.  A window lambda <= delta/4
-over which the weight changes by at most two e-folds, where the two ends'
-terms nearly cancel, is integrated by a fixed 16-point Gauss-Legendre rule
-instead.  Every exponential is taken against the peak, so ln Z, U, S, F and
-C stay finite even when Z itself overflows the double range (Z is then
-+inf).
+z = sqrt(a)|t| < 1, a Taylor series of dawson about the nearest of 65
+tabulated points for 1 <= z < 9 and the asymptotic series for z >= 9, each
+with a fixed number of terms.  A window lambda <= delta/4 over which the
+weight changes by at most two e-folds, where the two ends' terms nearly
+cancel, is integrated by a fixed 16-point Gauss-Legendre rule instead.  Every
+exponential is taken against the peak, so ln Z, U, S, F and C stay finite
+even when Z itself overflows the double range (Z is then +inf).
 
 Adaptive quadrature is the oracle only: thermo_direct integrates the literal
 n-space moments integral g^m e^{-beta g} dn, m = 0, 1, 2, g = E(n) - E(n_ref)
@@ -115,13 +115,15 @@ class ThermoCurve:
     errors: list = field(default_factory=list)
 
 
-# h(a, t) = dawsn(sqrt(a) t)/sqrt(a) = integral_0^t e^{a (s^2 - t^2)} ds.  The
+# h(a, t) = dawson(sqrt(a) t)/sqrt(a) = integral_0^t e^{a (s^2 - t^2)} ds.  The
 # branch follows z^2 = a t^2.  Below _Z2_SERIES, h = t sum_k c_k (a t^2)^k
 # with c_k = (-2)^k/(2k+1)!!; 22 terms leave under 1e-18 of h, h' and h'' at
 # z = 1.  From _Z2_ASYMPTOTIC on, h = sum_k (2k-1)!!/(2^{k+1} t^{2k+1} a^{k+1});
 # 18 terms leave under 1e-17 at z = 9, far before the smallest term (k ~ 81).
 # Rows run from the highest power down, for Horner's rule, and hold the
-# coefficients of h, h' and h''.
+# coefficients of h, h' and h''.  In between, h, h' and h'' follow from
+# dawson(z), which _dawson takes from its Taylor series about the nearest
+# anchor c = 1 + j/8.
 _Z2_SERIES = 1.0
 _Z2_ASYMPTOTIC = 81.0
 _C = [(-2) ** k / math.prod(range(2 * k + 1, 0, -2)) for k in range(22)] + [0.0, 0.0]
@@ -132,6 +134,66 @@ _D = [float(math.prod(range(2 * k - 1, 0, -2))) for k in range(18)]
 _ASYMPTOTIC = tuple(
     (_D[k], (k + 1) * _D[k], (k + 1) * (k + 2) * _D[k]) for k in reversed(range(18))
 )
+
+
+# Dawson's integral F(1 + j/8), j = 0..64, each the double nearest the value
+# (40-digit mpmath).
+_DAWSON_STEP = 8
+_DAWSON_ANCHORS = (
+    0.5380795069127684, 0.5220504950180077, 0.4958270739643261, 0.4634169401539564,
+    0.4282490710853986, 0.3929766153972907, 0.3594364206717429, 0.328724703146287,
+    0.30134038892379195, 0.2773518558940047, 0.25655426284484917, 0.238598345334465,
+    0.2230837221674355, 0.20961840443292779, 0.19785094717415452, 0.1874832020359483,
+    0.1782710306105583, 0.17001871009157668, 0.162570914560687, 0.15580455513085378,
+    0.14962159308075648, 0.14394320022365867, 0.1387052395935912, 0.13385486570593785,
+    0.12934800123600512, 0.12514746807550867, 0.12122159429432365, 0.11754316343739785,
+    0.11408861022682498, 0.11083739520678544, 0.1077715111802445, 0.10487508832225756,
+    0.10213407442427684, 0.09953597324946795, 0.09706962847320189, 0.09472504382758852,
+    0.09249323231075476, 0.09036608895026993, 0.08833628281447531, 0.08639716487021182,
+    0.08454268897454385, 0.0827673438192903, 0.08106609406101173, 0.07943432919452531,
+    0.07786781898606987, 0.07636267448842898, 0.07491531382621561, 0.07352243207385584,
+    0.0721809746582363, 0.07088811380761201, 0.06964122764217069, 0.06843788156270939,
+    0.06727581164463062, 0.0661529097868317, 0.06506721040057242, 0.06401687845328806,
+    0.06300019870755338, 0.06201556601679339, 0.06106147655752788, 0.060136519893456565,
+    0.05923937177997214, 0.05836878762908806, 0.057523596564578366, 0.056702696005594515,
+    0.05590504672435046,
+)
+
+
+def _dawson_rows():
+    """13 Taylor coefficients of F about each anchor, highest power first.
+
+    F' = 1 - 2xF (DLMF 7.2.5) gives F^(k+1) = -2x F^(k) - 2k F^(k-1).  With
+    c = p/8 and F(c) = num/den, N_k = F^(k)(c) den 8^k is an integer, so each
+    coefficient F^(k)(c)/k! = N_k/(den 8^k k!) is rounded once, from exact
+    integers.  13 terms leave under 2e-19 of F at |x - c| <= 1/16.
+    """
+    terms, rows = 13, []
+    for j, f in enumerate(_DAWSON_ANCHORS):
+        num, den = f.as_integer_ratio()
+        p = _DAWSON_STEP + j
+        n = [num, _DAWSON_STEP * den - 2 * p * num]
+        for k in range(1, terms - 1):
+            n.append(-2 * (p * n[k] + _DAWSON_STEP**2 * k * n[k - 1]))
+        rows.append(tuple(n[k] / (den * _DAWSON_STEP**k * math.factorial(k))
+                          for k in reversed(range(terms))))
+    return tuple(rows)
+
+
+_DAWSON_ROWS = _dawson_rows()
+
+
+def _dawson(x: float) -> float:
+    """Dawson's integral F(x) = e^{-x^2} integral_0^x e^{u^2} du for 1 <= |x| <= 9."""
+    if x < 0.0:
+        return -_dawson(-x)  # F is odd
+    j = int((x - 1.0) * _DAWSON_STEP + 0.5)
+    d = x - (1.0 + j / _DAWSON_STEP)
+    f = 0.0
+    for c in _DAWSON_ROWS[j]:
+        f = f * d + c
+    return f
+
 
 # A window lambda <= _SMALL_WINDOW delta over which the weight changes by at
 # most _SMALL_WINDOW_EFOLDS e-folds: the ends' terms of the closed form cancel
@@ -162,7 +224,7 @@ _GL_RULE = _gauss_legendre(16)
 
 
 def _h(a: float, t: float):
-    """(h, dh/da, d^2h/da^2) of h(a, t) = dawsn(sqrt(a) t)/sqrt(a), a >= 0."""
+    """(h, dh/da, d^2h/da^2) of h(a, t) = dawson(sqrt(a) t)/sqrt(a), a >= 0."""
     w = a * t * t
     if w < _Z2_SERIES:
         p0 = p1 = p2 = 0.0
@@ -173,11 +235,9 @@ def _h(a: float, t: float):
         t2 = t * t
         return t * p0, t * t2 * p1, t * t2 * t2 * p2
     if w < _Z2_ASYMPTOTIC:
-        from scipy.special import dawsn  # deferred: keeps it out of import mrey
-
         root = math.sqrt(a)
         z = root * t
-        f = float(dawsn(z))
+        f = _dawson(z)
         return (
             f / root,
             (z - (2.0 * w + 1.0) * f) / (2.0 * a * root),

@@ -1,10 +1,12 @@
-"""`import mrey`, `mrey spectrum --n 0 --l 0`, a coupling fit and one well's
-levels-and-waves analysis load numpy only: no scipy, no mpmath.
+"""`import mrey`, `mrey spectrum --n 0 --l 0`, a coupling fit, one well's
+levels-and-waves analysis, a thermodynamic curve and `mrey figures` load
+numpy only: no scipy, no mpmath.
 
-scipy is imported where it is called (Dawson's integral and the thermodynamic
-quadrature), mpmath where the 40-digit reference is, so a session that never
-calls them does not pay for loading them.  The NU root oracle, the waves and
-the coupling fit run on numpy alone.
+scipy is imported where the thermodynamic quadrature (the oracle) is called,
+mpmath where the 40-digit reference is, so a session that never calls them
+does not pay for loading them.  The NU root oracle, the waves, the coupling
+fit and the closed-form thermodynamics, Dawson's integral included, run on
+numpy alone.
 """
 
 import subprocess
@@ -32,6 +34,33 @@ for level in valid:
     wavefunction.ode_residual(wave)
 mrey.fit_couplings([(r.n, r.l, r.energy) for r in valid], params.alpha, consts)
 """
+# a beta sweep through all three branches of h: power series, Dawson's
+# integral, asymptotic series
+CURVE = """
+import sys, numpy as np, mrey
+from mrey import thermo
+branches = set()
+h = thermo._h
+
+def spy(a, t):
+    w = a * t * t
+    branches.add(0 if w < thermo._Z2_SERIES else 1 if w < thermo._Z2_ASYMPTOTIC else 2)
+    return h(a, t)
+
+thermo._h = spy
+coeffs = mrey.spectral_coefficients(mrey.PotentialParams(0.0, 0.0, 1.0, 0.5),
+                                    mrey.PhysicalConstants(1.0, 1.0, 1.0), 0)
+curve = mrey.thermo_curve(coeffs, "beta", np.geomspace(1e-3, 1e2, 30), fixed_lambda=20.0)
+assert branches == {0, 1, 2} and not curve.errors, (branches, curve.errors)
+"""
+FIGURES = """
+import runpy, sys
+sys.argv = ["mrey", "figures", "--output-dir", {out!r}]
+try:
+    runpy.run_module("mrey", run_name="__main__")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+"""
 
 
 def _heavy_modules_after(code):
@@ -57,3 +86,24 @@ def test_coupling_fit_loads_no_scipy():
 
 def test_levels_and_waves_load_no_scipy():
     assert _heavy_modules_after(LEVELS) == "[]"
+
+
+def test_thermo_curve_loads_no_scipy():
+    assert _heavy_modules_after(CURVE) == "[]"
+
+
+def test_figures_command_loads_no_scipy(tmp_path):
+    assert _heavy_modules_after(FIGURES.format(out=str(tmp_path))) == "[]"
+    assert len(list(tmp_path.iterdir())) == 11  # ten curve files and the config
+
+
+def test_direct_route_still_loads_scipy_integrate():
+    # the quadrature oracle stays independent of the closed form's code
+    direct = """
+import sys, mrey
+from mrey import thermo
+coeffs = mrey.spectral_coefficients(mrey.PotentialParams(0.0, 0.0, 1.0, 0.5),
+                                    mrey.PhysicalConstants(1.0, 1.0, 1.0), 0)
+thermo.thermo_direct(mrey.ThermoInput(coeffs, 20.0, 0.5))
+"""
+    assert "'scipy.integrate'" in _heavy_modules_after(direct)

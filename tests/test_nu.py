@@ -222,6 +222,37 @@ def test_oracle_is_bit_identical_to_the_public_path():
         checked += 1
 
 
+def test_oracle_evaluates_the_residual_once_at_zero(monkeypatch):
+    # brentq over [0, hi] evaluates f(0) itself; the oracle hands its own
+    # unbound test's f(0) to _brent, so it makes exactly brentq's evaluations,
+    # one fewer than its unbound test plus brentq's
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    residual = nu._residual
+    monkeypatch.setattr(nu, "_residual", counted)
+    rng = np.random.default_rng(26)
+    levels = 0
+    while levels < 100:
+        alpha = rng.uniform(0.01, 0.5)
+        a3 = math.exp(rng.uniform(math.log(0.5), math.log(500.0)))
+        a1, a2 = rng.uniform(-0.05, 0.05, size=2) * alpha**2
+        params = PotentialParams(float(a1), float(a2), a3, alpha)
+        n, l = int(rng.integers(0, 30)), int(rng.integers(0, 4))
+        if not energy(params, CONSTS, n, l).valid_bound_state:
+            continue
+        calls.clear()
+        solve_bound_state(params, CONSTS, n, l)
+        made = len(calls)
+        calls.clear()
+        _public_path_root(params, n, l)  # its bracket check, then brentq
+        assert made == len(calls) - 2, (params, n, l)
+        levels += 1
+
+
 def test_oracle_reports_complex_branch():
     # x1 = x2 = 1.6, x3 = 4 at l = 0: xi^2 = 0 gives c8 = 0, c9 = 2.65 - 5.6
     with pytest.raises(ComplexBranchError) as info:

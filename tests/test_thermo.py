@@ -383,6 +383,50 @@ def test_dawson_branches_match_mpmath(a, z):
     assert thermo._h(a, -t) == tuple(-v for v in got)
 
 
+def _mp_dawson(x):
+    """Dawson's integral F(x) = sqrt(pi)/2 e^{-x^2} erfi(x) in 40 digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        return mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x * x) * mpmath.erfi(x)
+
+
+def test_dawson_anchors_are_correctly_rounded():
+    anchors = thermo._DAWSON_ANCHORS
+    assert len(anchors) == 65 and thermo._DAWSON_STEP == 8  # 1, 1 + 1/8, ..., 9
+    for j, f in enumerate(anchors):
+        assert f == float(_mp_dawson(mpmath.mpf(1) + mpmath.mpf(j) / 8)), j
+
+
+def test_dawson_matches_mpmath_and_scipy():
+    # |F - F_40 digits| <= 4e-16 F, under 2 ulp; scipy's dawsn is a second
+    # reference, itself good to about 6e-16 on these points
+    from scipy.special import dawsn
+
+    xs = np.random.default_rng(26).uniform(1.0, 9.0, 3000)
+    worst = worst_scipy = 0.0
+    for x in map(float, xs):
+        ref = _mp_dawson(x)
+        got = thermo._dawson(x)
+        worst = max(worst, float(abs((got - ref) / ref)))
+        worst_scipy = max(worst_scipy, abs(got - float(dawsn(x))) / got)
+    assert worst <= 4e-16
+    assert worst_scipy <= 1e-15
+
+
+def test_dawson_end_anchors_and_odd_symmetry():
+    assert thermo._dawson(1.0) == thermo._DAWSON_ANCHORS[0]
+    # z = sqrt(a) t may round just past either end of the branch 1 <= z^2 < 81
+    for x in (math.nextafter(1.0, 0.0), 1.0, 9.0 - 1e-12, math.nextafter(9.0, 0.0), 9.0):
+        ref = _mp_dawson(x)
+        assert float(abs((thermo._dawson(x) - ref) / ref)) <= 4e-16, x
+        assert thermo._dawson(-x) == -thermo._dawson(x)
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        a = math.exp(rng.uniform(math.log(1e-4), math.log(50.0)))
+        t = math.sqrt(rng.uniform(1.0, 81.0) / a)  # in the Dawson branch
+        assert thermo._h(a, -t) == tuple(-v for v in thermo._h(a, t))
+
+
 def _benchmark_domain_points(seed, potentials):
     """(coeffs, lambda, beta) over the thermo-sweep benchmark's domain: alpha
     log-uniform in [0.01, 0.25], |x1|, |x2| <= 0.05, l <= 3, Q3 log-uniform

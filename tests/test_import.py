@@ -13,14 +13,15 @@ import subprocess
 import sys
 
 HEAVY = "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
-SPECTRUM = """
+CLI = """
 import runpy, sys
-sys.argv = ["mrey", "spectrum", "--n", "0", "--l", "0"]
+sys.argv = {argv!r}
 try:
     runpy.run_module("mrey", run_name="__main__")
 except SystemExit as exc:
     assert not exc.code, exc.code
 """
+SPECTRUM = CLI.format(argv=["mrey", "spectrum", "--n", "0", "--l", "0"])
 LEVELS = """
 import sys, mrey
 from mrey import nu, wavefunction
@@ -52,14 +53,6 @@ coeffs = mrey.spectral_coefficients(mrey.PotentialParams(0.0, 0.0, 1.0, 0.5),
                                     mrey.PhysicalConstants(1.0, 1.0, 1.0), 0)
 curve = mrey.thermo_curve(coeffs, "beta", np.geomspace(1e-3, 1e2, 30), fixed_lambda=20.0)
 assert branches == {0, 1, 2} and not curve.errors, (branches, curve.errors)
-"""
-FIGURES = """
-import runpy, sys
-sys.argv = ["mrey", "figures", "--output-dir", {out!r}]
-try:
-    runpy.run_module("mrey", run_name="__main__")
-except SystemExit as exc:
-    assert not exc.code, exc.code
 """
 
 
@@ -93,7 +86,8 @@ def test_thermo_curve_loads_no_scipy():
 
 
 def test_figures_command_loads_no_scipy(tmp_path):
-    assert _heavy_modules_after(FIGURES.format(out=str(tmp_path))) == "[]"
+    figures = CLI.format(argv=["mrey", "figures", "--output-dir", str(tmp_path)])
+    assert _heavy_modules_after(figures) == "[]"
     assert len(list(tmp_path.iterdir())) == 11  # ten curve files and the config
 
 

@@ -169,14 +169,14 @@ def _dawson_rows():
     integers.  13 terms leave under 2e-19 of F at |x - c| <= 1/16.
     """
     terms, rows = 13, []
+    scale = [_DAWSON_STEP**k * math.factorial(k) for k in range(terms)]
     for j, f in enumerate(_DAWSON_ANCHORS):
         num, den = f.as_integer_ratio()
         p = _DAWSON_STEP + j
         n = [num, _DAWSON_STEP * den - 2 * p * num]
         for k in range(1, terms - 1):
             n.append(-2 * (p * n[k] + _DAWSON_STEP**2 * k * n[k - 1]))
-        rows.append(tuple(n[k] / (den * _DAWSON_STEP**k * math.factorial(k))
-                          for k in reversed(range(terms))))
+        rows.append(tuple(n[k] / (den * scale[k]) for k in reversed(range(terms))))
     return tuple(rows)
 
 
@@ -185,6 +185,7 @@ _DAWSON_ROWS = _dawson_rows()
 
 def _dawson(x: float) -> float:
     """Dawson's integral F(x) = e^{-x^2} integral_0^x e^{u^2} du for 1 <= |x| <= 9."""
+    x = float(x)  # on a numpy scalar the loop below takes several times longer
     if x < 0.0:
         return -_dawson(-x)  # F is odd
     j = int((x - 1.0) * _DAWSON_STEP + 0.5)

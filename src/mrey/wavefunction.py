@@ -25,14 +25,16 @@ one with weight s^{a - 1} (1 - s)^b, Gamma(n + a + 1) Gamma(n + b + 1) /
 (n! a Gamma(n + a + b + 1)), less the Jacobi norm h_n (DLMF Table 18.3.1).
 build_wave takes it in logs through _log_gamma_ratio, which keeps its digits
 in deep wells (2 beta up to ~4e5).  The same integral over (0, s_R),
-s_R = e^{-alpha R} <= e^{-10}, is the tail beyond R, and it is a short power
-series in s_R: P_n(1 - 2 s) is a terminating 2F1, a degree-n polynomial in s
-(DLMF 18.5.7).  From it comes r_tail, the radius past which doubling R adds
-under 1e-13 of the norm.  The CLI's r range and both checks end there (the
-node grid is uniform in theta = arccos(1 - 2 s)): ode_residual takes psi''
-exactly, and verification.check_wavefunctions rechecks every norm by
-Simpson's rule in ln r, both log-spaced in r from alpha r = 1e-12 however
-narrow the wave.
+s_R = e^{-alpha R} <= e^{-10}, is the tail T(R) beyond R; r_tail is the
+radius past which doubling R adds under 1e-13 of the norm.  As |P_n| <=
+binom(n + q, n) on [-1, 1] for q = max(a, b) >= -1/2 (DLMF 18.14.1 with the
+reflection 18.6.1; Szego, Orthogonal Polynomials, Thm 7.32.1) and
+(1 - s)^{2 zeta} <= 1, T(R) <= B(R) = binom(n + q, n)^2 s_R^{2 beta} /
+(2 beta alpha), which settles the first rung of nearly every level.  Only
+where it does not is T summed as a power series in s_R (P_n(1 - 2 s) is a
+terminating 2F1, DLMF 18.5.7).  The CLI's r range and both checks of a wave,
+ode_residual and verification.check_wavefunctions' Simpson rule in ln r,
+end at r_tail, log-spaced in r from alpha r = 1e-12.
 
 default_node_grid sizes a level's grid by Sturm comparison in theta.  With
 N = n + (a + b + 1) / 2, u(theta) = sin(theta/2)^{a+1/2} cos(theta/2)^{b+1/2}
@@ -134,7 +136,7 @@ def build_wave(
     The exponents come from the NU shape evaluated at the level's energy;
     marginal and invalid levels are rejected (u > 0 and xi^2 > 0 are needed
     for normalizability).  The norm is the closed form of the module
-    docstring, in logs; r_tail comes from the tail's power series.
+    docstring, in logs; r_tail comes from the tail's bound or its power series.
     """
     if not level.valid_bound_state:
         raise DomainError(
@@ -230,14 +232,27 @@ def _jacobi_scaled(n: int, a: float, b: float, sigma):
 
 
 def _tail_radius(wave: RadialWave, log_total: float) -> float:
-    """R past which the tail of (psi / norm)^2 is negligible.
+    """R past which the tail of (psi / norm)^2 is negligible: R_0 = max(2,
+    10/alpha), doubled until a doubling adds at most _TAIL_FRACTION of the
+    running total.  As the piece over [R_0, 2 R_0] is at most B(R_0) (module
+    docstring) and the running total at least total - B(R_0), B(R_0) <=
+    _TAIL_FRACTION (total - B(R_0)) passes rung 0; in logs, with 16 ulp of the
+    largest term for rounding.  Only where that declines does _series_rung decide."""
+    alpha, two_beta, n = wave.params.alpha, 2.0 * wave.beta_exp, wave.jacobi.n
+    r_0 = max(2.0, 10.0 / alpha)
+    terms = (2.0 * _log_gamma_ratio(max(wave.jacobi.a, wave.jacobi.b) + 1.0, n),  # ln B(R_0)
+             -2.0 * math.lgamma(n + 1.0), -two_beta * alpha * r_0,
+             -math.log(two_beta * alpha), -log_total)  # less ln total
+    margin = 16.0 * np.finfo(float).eps * max(map(abs, terms))
+    if sum(terms) + margin <= math.log(_TAIL_FRACTION / (1.0 + _TAIL_FRACTION)):
+        return 2.0 * r_0
+    return _series_rung(wave, log_total)
 
-    R starts at max(2, 10/alpha) and doubles until the doubling adds at most
-    _TAIL_FRACTION of the running total.  The piece over [R, 2R] is
-    T(R) - T(2R); it is taken at its largest and the running total at its
-    smallest within _log_tail's error bound, so a rung whose series has lost
-    its digits never passes and R doubles on.
-    """
+
+def _series_rung(wave: RadialWave, log_total: float) -> float:
+    """_tail_radius by _log_tail's series: a piece T(R) - T(2R) at its largest
+    and the running total at its smallest within the series' error bound, so
+    a rung whose series has lost its digits never passes and R doubles on."""
     alpha = wave.params.alpha
     uppers = max(2.0, 10.0 / alpha) * 2.0 ** np.arange(_TAIL_DOUBLINGS + 1)
     log_tail, rel = _log_tail(wave, -alpha * uppers)

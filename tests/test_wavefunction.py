@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
-from scipy.special import binom
+from scipy.special import binom, gammaln
 
 from mrey import (
     DomainError,
@@ -683,16 +683,136 @@ def test_tail_series_matches_mpmath(params, n):
     assert rel[0] < 1e-11
 
 
-def test_tail_rung_with_lost_series_fails():
+# tail-bound levels: at n = 1410 the first rung's series has lost its digits;
+# at l = 3 the bound declines (b > a in the second), the series picks rung 0
+LOST_SERIES_LEVEL = (PotentialParams(0.0, 0.0, 1e4, 0.01), 1410, 0)
+DECLINED_LEVEL = (PotentialParams(0.0, 0.0, 50.0, 0.02), 63, 3)
+B_OVER_A_LEVEL = (PotentialParams(-0.002, -0.006, 4.0, 0.01), 13, 3)
+
+
+@pytest.fixture
+def tail_calls(monkeypatch):
+    """(wave, ln total, r_tail, whether the bound proved rung 0) of every
+    build_wave, recorded around wavefunction._tail_radius."""
+    calls, declined = [], []
+    tail, series = wavefunction._tail_radius, wavefunction._series_rung
+
+    def spy(wave, log_total):
+        declined.clear()
+        r_tail = tail(wave, log_total)
+        calls.append((wave, log_total, r_tail, not declined))
+        return r_tail
+
+    monkeypatch.setattr(wavefunction, "_tail_radius", spy)
+    monkeypatch.setattr(wavefunction, "_series_rung",
+                        lambda *args: declined.append(True) or series(*args))
+    return calls
+
+
+def _log_bound(wave, q):
+    """ln B(R_0) = ln[binom(n + q, n)^2 s_R^{2 beta} / (2 beta alpha)] by
+    scipy's gammaln, and ln s_R, at the first rung R_0 = max(2, 10/alpha)."""
+    n, alpha, two_beta = wave.jacobi.n, wave.params.alpha, 2.0 * wave.beta_exp
+    log_s = -alpha * max(2.0, 10.0 / alpha)
+    log_binom = gammaln(n + q + 1.0) - gammaln(q + 1.0) - gammaln(n + 1.0)
+    return 2.0 * log_binom + two_beta * log_s - math.log(two_beta * alpha), log_s
+
+
+def _pass_line():
+    """B <= f (total - B), f = _TAIL_FRACTION, as ln B - ln total <= this."""
+    return math.log(wavefunction._TAIL_FRACTION / (1.0 + wavefunction._TAIL_FRACTION))
+
+
+def _bound_levels():
+    """Seeded valid levels of the stated box (alpha in [0.01, 0.5], a3 in
+    [1, 100], |x1|, |x2| <= 0.05, n <= 5, l <= 3), the deepest well at
+    n = 0 and 150, levels with b > a, the declined level and n = 1410."""
+    rng = np.random.default_rng(27)
+    levels = []
+    while len(levels) < 80:
+        alpha = math.exp(rng.uniform(math.log(0.01), math.log(0.5)))
+        a1, a2 = rng.uniform(-0.05, 0.05, 2) * alpha**2 / 2.0
+        params = PotentialParams(a1, a2, math.exp(rng.uniform(0.0, math.log(100.0))), alpha)
+        try:
+            level = energy(params, CONSTS, int(rng.integers(0, 6)), int(rng.integers(0, 4)))
+        except NoRealDeltaError:
+            continue
+        if level.valid_bound_state:
+            levels.append((params, level))
+    return levels + [
+        (params, energy(params, CONSTS, n, l))
+        for params, n, l in ((DEEPEST_WELL, 0, 0), (DEEPEST_WELL, 150, 0), SMALL_A_LEVEL,
+                             (PotentialParams(0.0, 0.0, 15.25, 0.1), 10, 3), B_OVER_A_LEVEL,
+                             DECLINED_LEVEL, LOST_SERIES_LEVEL)
+    ]
+
+
+def test_tail_bound_holds_and_keeps_the_series_rung(tail_calls):
+    # B(R_0) bounds the series' T(R_0), to within its error bound and the
+    # rounding of ln T (4e6 at the deepest well); wherever the bound proves
+    # rung 0, the series picks that rung too
+    levels = _bound_levels()
+    for params, level in levels:
+        build_wave(params, CONSTS, level)
+    assert len(tail_calls) == len(levels)
+    for wave, log_total, r_tail, proved in tail_calls:
+        log_bound, log_s = _log_bound(wave, max(wave.jacobi.a, wave.jacobi.b))
+        log_tail, rel = wavefunction._log_tail(wave, np.array([log_s]))
+        if rel[0] < 1.0:
+            slack = 8.0 * np.finfo(float).eps * abs(log_tail[0])
+            assert log_bound >= log_tail[0] + math.log1p(-rel[0]) - slack, wave.jacobi
+        assert r_tail == wavefunction._series_rung(wave, log_total), wave.jacobi
+    # the bound settles most box levels and both deep ones; SMALL_A_LEVEL
+    # (2 beta = 0.2) ends on a later rung
+    proved = [call[3] for call in tail_calls]
+    assert sum(proved[:80]) >= 72
+    assert proved[80:] == [True, True, False, True, False, False, False]
+
+
+def test_tail_rung_with_lost_series_fails(tail_calls):
     # near threshold at n = 1410, S_abs / S reaches 1e13 at the first rung:
     # its error bound exceeds T itself, so that rung cannot pass and the
     # next one decides.  Simpson pieces of psi^2 agree: [R_0, 2 R_0] holds
-    # most of the norm, [2 R_0, 4 R_0] under 1e-13 of it.
-    params = PotentialParams(0.0, 0.0, 1e4, 0.01)
-    wave = build_wave(params, CONSTS, energy(params, CONSTS, 1410, 0))
+    # most of the norm, [2 R_0, 4 R_0] under 1e-13 of it.  The bound
+    # exceeds the whole norm here, and the proof declines without raising.
+    params, n, l = LOST_SERIES_LEVEL
+    wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
     _, rel = wavefunction._log_tail(wave, -params.alpha * np.array([1000.0, 2000.0]))
     assert rel[0] > 1.0 and rel[1] < 1e-10
     assert wave.r_tail == 4000.0
+    (unit_wave, log_total, _, proved), = tail_calls
+    q = max(unit_wave.jacobi.a, unit_wave.jacobi.b)
+    assert not proved and _log_bound(unit_wave, q)[0] > log_total + 10.0
     for lo, hi, piece in ((1000.0, 2000.0, 0.78), (2000.0, 4000.0, 0.0)):
         r = np.linspace(lo, hi, 20001)
         assert simpson(wave.psi(r) ** 2, x=r) == pytest.approx(piece, abs=1e-2 * piece + 1e-13)
+
+
+def test_tail_bound_declines_where_the_series_passes_rung_0(tail_calls):
+    params, n, l = DECLINED_LEVEL
+    wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
+    (unit_wave, log_total, _, proved), = tail_calls
+    q = max(unit_wave.jacobi.a, unit_wave.jacobi.b)
+    assert not proved and _log_bound(unit_wave, q)[0] - log_total > _pass_line()
+    assert wave.r_tail == 2.0 * 10.0 / params.alpha
+
+
+def test_tail_bound_takes_the_larger_jacobi_index(tail_calls):
+    # b > a: P_n(-1) = (-1)^n binom(n + b, n) (DLMF 18.6.1) exceeds
+    # P_n(1) = binom(n + a, n), so binom(n + a, n) bounds |P_n| on [-1, 1]
+    # only for a >= b (DLMF 18.14.1).  A bound taken with it would prove
+    # rung 0 here; binom(n + b, n) does not, and the series decides.  (On
+    # the tail itself, x >= 1 - 2 e^{-10}, T stays under the a-bound too.)
+    params, n, l = B_OVER_A_LEVEL
+    wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
+    jac = wave.jacobi
+    assert jac.b > jac.a + 18.0
+    p, _, log_scale = wavefunction._jacobi_scaled(n, jac.a, jac.b, np.linspace(0.0, 1.0, 2001))
+    values = np.abs(p) * np.exp(log_scale)
+    assert values[-1] == pytest.approx(binom(n + jac.b, n), rel=1e-12)
+    assert values[0] == pytest.approx(binom(n + jac.a, n), rel=1e-12)
+    assert values[-1] > 1e3 * values[0] and np.all(values <= values[-1] * (1.0 + 1e-12))
+    (unit_wave, log_total, _, proved), = tail_calls
+    assert _log_bound(unit_wave, jac.a)[0] - log_total < _pass_line() - 10.0
+    assert not proved and _log_bound(unit_wave, jac.b)[0] - log_total > _pass_line()
+    assert wave.r_tail == 2.0 * 10.0 / params.alpha

@@ -13,9 +13,9 @@ from the screened radial problem onto it, and solve_bound_state, a root
 finder that brackets the quantization condition itself (no closed-form input)
 and solves it numerically by _brent, a pure-Python port of scipy's brentq.
 It is the independent oracle used to validate every closed-form energy
-expression in spectrum.py.  c4..c9, the residual and xi1..xi3 are each coded
-once, in float helpers that the dataclass API wraps and solve_bound_state
-calls directly.
+expression in spectrum.py.  c4..c13, the residual, xi1..xi3 and the wave
+shape are each coded once, in float helpers that the dataclass API wraps and
+solve_bound_state and wavefunction.build_wave call directly.
 """
 
 from __future__ import annotations
@@ -108,22 +108,22 @@ def _residual(c1, c2, c3, xi1, xi2, xi3, n):
     )
 
 
+def _derived(c1, c2, c3, xi1, xi2, xi3):
+    """c4..c13 on plain floats; ComplexBranchError if c8 < 0 or c9 < 0."""
+    c4, c5, c6, c7, c8, c9, sqrt_c8, sqrt_c9 = _constants(c1, c2, c3, xi1, xi2, xi3)
+    return (c4, c5, c6, c7, c8, c9, c1 + 2.0 * c4 + 2.0 * sqrt_c8,
+            c2 - 2.0 * c5 + 2.0 * (sqrt_c9 + c3 * sqrt_c8), c4 + sqrt_c8,
+            c5 - (sqrt_c9 + c3 * sqrt_c8))
+
+
 def derive_constants(coeffs: NuCoefficients) -> NuDerived:
     """c4..c13 from the NU inputs.
 
     Raises ComplexBranchError when c8 < 0 or c9 < 0 (the square roots in
     c10..c13 would leave the real axis).
     """
-    c1, c2, c3 = coeffs.c1, coeffs.c2, coeffs.c3
-    c4, c5, c6, c7, c8, c9, sqrt_c8, sqrt_c9 = _constants(
-        c1, c2, c3, coeffs.xi1, coeffs.xi2, coeffs.xi3)
-    return NuDerived(
-        c4, c5, c6, c7, c8, c9,
-        c10=c1 + 2.0 * c4 + 2.0 * sqrt_c8,
-        c11=c2 - 2.0 * c5 + 2.0 * (sqrt_c9 + c3 * sqrt_c8),
-        c12=c4 + sqrt_c8,
-        c13=c5 - (sqrt_c9 + c3 * sqrt_c8),
-    )
+    c = coeffs
+    return NuDerived(*_derived(c.c1, c.c2, c.c3, c.xi1, c.xi2, c.xi3))
 
 
 def quantization_residual(coeffs: NuCoefficients, n: int) -> float:
@@ -138,22 +138,29 @@ def quantization_residual(coeffs: NuCoefficients, n: int) -> float:
     return _residual(c.c1, c.c2, c.c3, c.xi1, c.xi2, c.xi3, n)
 
 
+def _wave_shape(c1, c2, c3, xi1, xi2, xi3):
+    """WaveShape's four fields on plain floats, c3 != 0."""
+    *_, c10, c11, c12, c13 = _derived(c1, c2, c3, xi1, xi2, xi3)
+    return c12, -c12 - c13 / c3, c10 - 1.0, c11 / c3 - c10 - 1.0
+
+
 def wave_shape(coeffs: NuCoefficients) -> WaveShape:
     """Eigenfunction exponents and Jacobi indices from the derived constants."""
     if coeffs.c3 == 0.0:
         raise DomainError("wave shape requires c3 != 0 (the 1 - c3 s factor degenerates)")
-    derived = derive_constants(coeffs)
-    return WaveShape(
-        s_exponent=derived.c12,
-        one_minus_s_exponent=-derived.c12 - derived.c13 / coeffs.c3,
-        jacobi_a=derived.c10 - 1.0,
-        jacobi_b=derived.c11 / coeffs.c3 - derived.c10 - 1.0,
-    )
+    c = coeffs
+    return WaveShape(*_wave_shape(c.c1, c.c2, c.c3, c.xi1, c.xi2, c.xi3))
 
 
 def _screened_xi(x1, x2, x3, ll1, xi_sq):
     """(xi1, xi2, xi3) of the screened radial problem, ll1 = l(l+1)."""
     return xi_sq - x2 + x3, 2.0 * xi_sq + x1 + x3, xi_sq + ll1
+
+
+def _mrey_xi(params, consts, ll1, energy):
+    """(xi1, xi2, xi3) of mrey_mapping at this energy, ll1 = l(l+1)."""
+    dim = dimensionless_params(params, consts, energy)
+    return _screened_xi(dim.x1, dim.x2, dim.x3, ll1, dim.xi_sq)
 
 
 def mrey_mapping(
@@ -173,8 +180,7 @@ def mrey_mapping(
     ll1 = float(l * (l + 1))
 
     def mapping(energy: float) -> NuCoefficients:
-        dim = dimensionless_params(params, consts, energy)
-        xi1, xi2, xi3 = _screened_xi(dim.x1, dim.x2, dim.x3, ll1, dim.xi_sq)
+        xi1, xi2, xi3 = _mrey_xi(params, consts, ll1, energy)
         return NuCoefficients(c1=1.0, c2=1.0, c3=1.0, xi1=xi1, xi2=xi2, xi3=xi3)
 
     return mapping

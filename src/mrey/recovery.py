@@ -132,7 +132,7 @@ def fit_couplings(
             if step[0] < -p[0]:  # t would pass 0: clamp it there and refit v alone
                 step[0] = -p[0]
                 step[1:] = np.linalg.lstsq(jac[:, 1:], jac[:, 0] * p[0] - r, rcond=None)[0]
-            if np.all(np.abs(step) <= 1e-15 * np.abs(p)):
+            if (np.abs(step) <= 1e-15 * np.abs(p)).all():
                 return cost, p, r, True
             for _ in range(9):  # the step, then at most 8 halvings
                 trial = p + step
@@ -157,8 +157,8 @@ def fit_couplings(
 
     polished = []
     for v, cost in zip(branches, costs):
-        falls = np.r_[True, cost[1:] < cost[:-1]]
-        rises = np.r_[cost[:-1] <= cost[1:], True]
+        falls = np.concatenate(([True], cost[1:] < cost[:-1]))
+        rises = np.concatenate((cost[:-1] <= cost[1:], [True]))
         polished += [polish(_T_GRID[i], v[i]) for i in np.nonzero(falls & rises)[0]]
     _, (t, v), residuals, converged = min(polished, key=lambda result: result[0])
 

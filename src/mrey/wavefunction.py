@@ -7,11 +7,12 @@ reduced radial wavefunction
 
 where beta = sqrt(xi^2 + l(l+1)) equals the closed-form u of the level and
 zeta = 1/2 + sqrt(1/4 + l(l+1) - x1 - x2) equals the spectral delta.  The
-exponents and Jacobi indices are taken from the generic NU shape (nu.wave_shape)
-rather than re-derived here, so the zeta = delta identity is a genuine
-cross-module check.  N is the wave's only scale, and one three-term
-recurrence for P_n, written in s rather than in x = 1 - 2 s, serves psi and
-ode_residual.
+exponents and Jacobi indices come from the generic NU shape (nu._wave_shape,
+the float helper that nu.wave_shape wraps), not re-derived here, so the
+zeta = delta identity is a genuine cross-module check.  N is the wave's only
+scale; one three-term recurrence for P_n, in s rather than x = 1 - 2 s,
+serves psi and ode_residual; psi's formula is RadialWave._psi_at, which
+count_nodes calls with the s and 1 - s of its theta-step rule.
 
 Normalization is exact.  With s = e^{-alpha r}, a = 2 beta and
 b = 2 zeta - 1 the norm integral is
@@ -26,15 +27,19 @@ one with weight s^{a - 1} (1 - s)^b, Gamma(n + a + 1) Gamma(n + b + 1) /
 build_wave takes it in logs through _log_gamma_ratio, which keeps its digits
 in deep wells (2 beta up to ~4e5).  The same integral over (0, s_R),
 s_R = e^{-alpha R} <= e^{-10}, is the tail T(R) beyond R; r_tail is the
-radius past which doubling R adds under 1e-13 of the norm.  As |P_n| <=
+radius past which doubling R adds under 1e-13 of the norm.  |P_n| <=
 binom(n + q, n) on [-1, 1] for q = max(a, b) >= -1/2 (DLMF 18.14.1 with the
-reflection 18.6.1; Szego, Orthogonal Polynomials, Thm 7.32.1) and
-(1 - s)^{2 zeta} <= 1, T(R) <= B(R) = binom(n + q, n)^2 s_R^{2 beta} /
-(2 beta alpha), which settles the first rung of nearly every level.  Only
-where it does not is T summed as a power series in s_R (P_n(1 - 2 s) is a
-terminating 2F1, DLMF 18.5.7).  The CLI's r range and both checks of a wave,
-ode_residual and verification.check_wavefunctions' Simpson rule in ln r,
-end at r_tail, log-spaced in r from alpha r = 1e-12.
+reflection 18.6.1; Szego, Orthogonal Polynomials, Thm 7.32.1), and q = a
+serves on x >= (b - a)/(a + b + 1): there Szego's f = P_n^2 + (1 - x^2)
+P_n'^2 / (n (n + a + b + 1)), with f' = 2 P_n'^2 ((a + b + 1) x - b + a) /
+(n (n + a + b + 1)), rises to f(1) = P_n(1)^2.  That range holds the tail,
+x >= 1 - 2 e^{-10}, unless b >~ e^{10} (a + 1/2).  With (1 - s)^{2 zeta} <= 1,
+T(R) <= B(R) = binom(n + q, n)^2 s_R^{2 beta} / (2 beta alpha), which
+settles the first rung of nearly every level; elsewhere T is summed as a
+power series in s_R (P_n(1 - 2 s) is a terminating 2F1, DLMF 18.5.7).  The
+CLI's r range and both checks of a wave, ode_residual and the Simpson rule
+in ln r of verification.check_wavefunctions, end at r_tail, log-spaced in r
+from alpha r = 1e-12.
 
 default_node_grid sizes a level's grid by Sturm comparison in theta.  With
 N = n + (a + b + 1) / 2, u(theta) = sin(theta/2)^{a+1/2} cos(theta/2)^{b+1/2}
@@ -56,12 +61,12 @@ test_wavefunction.py::test_same_l_levels_are_orthogonal holds that to 1e-10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResolutionError
-from .nu import mrey_mapping, wave_shape
+from .nu import _mrey_xi, _wave_shape
 from .potential import PhysicalConstants, PotentialParams
 from .spectrum import EnergyLevel
 
@@ -74,6 +79,7 @@ _NODE_MIN, _NODE_MAX = 64, 20001
 _NODE_STEP_SLACK = 1e-9
 # ode_residual samples the equation at this many log-spaced radii.
 _ODE_SAMPLES = 150
+_ODE_STEPS = np.arange(_ODE_SAMPLES, dtype=float)  # linspace's k, for _ode_radii
 
 
 @dataclass(frozen=True)
@@ -113,19 +119,20 @@ class RadialWave:
 
     def psi(self, r):
         r_arr = np.asarray(r, dtype=float)
-        if not np.all(r_arr > 0.0):
+        if not (r_arr > 0.0).all():
             raise DomainError("r must be > 0 (and not NaN)")
         x = -self.params.alpha * r_arr
-        log_v = np.log(-np.expm1(x))  # ln(1 - s), with its digits where s is near 1
-        p, _, log_scale = _jacobi_scaled(self.jacobi.n, self.jacobi.a, self.jacobi.b,
-                                         np.exp(x))
+        # 1 - s as -expm1, with its digits where s is near 1
+        values = self._psi_at(x, np.exp(x), -np.expm1(x))
+        return float(values) if np.ndim(r) == 0 else values
+
+    def _psi_at(self, x, s, one_minus):
+        """psi at x = -alpha r, given s = e^x and one_minus = 1 - s."""
+        p, _, log_scale = _jacobi_scaled(self.jacobi.n, self.jacobi.a, self.jacobi.b, s)
         # s^beta (1 - s)^zeta e^{log_scale} in one exponent: the factors
         # apart can underflow and overflow at the same r
-        values = self.norm * (p * np.exp(x * self.beta_exp + log_v * self.zeta_exp
-                                          + log_scale))
-        if np.ndim(r) == 0:
-            return float(values)
-        return values
+        return self.norm * (p * np.exp(x * self.beta_exp + np.log(one_minus) * self.zeta_exp
+                                       + log_scale))
 
 
 def build_wave(
@@ -139,38 +146,21 @@ def build_wave(
     docstring, in logs; r_tail comes from the tail's bound or its power series.
     """
     if not level.valid_bound_state:
-        raise DomainError(
-            f"level (n={level.n}, l={level.l}) is not a strictly valid bound "
-            f"state (u = {level.u_value:g}, xi^2 = {level.xi_sq:g})"
-        )
-    nu_coeffs = mrey_mapping(params, consts, level.l)(level.energy)
-    shape = wave_shape(nu_coeffs)
-    n, beta, zeta = level.n, shape.s_exponent, shape.one_minus_s_exponent
-    # the unit-scale wave (norm 1) that the norm integral is taken over
-    wave = RadialWave(
-        params=params,
-        consts=consts,
-        level=level,
-        beta_exp=beta,
-        zeta_exp=zeta,
-        jacobi=JacobiParams(n=n, a=shape.jacobi_a, b=shape.jacobi_b),
-        norm=1.0,
-        r_tail=math.nan,
-    )
+        raise DomainError(f"level (n={level.n}, l={level.l}) is not a strictly valid bound "
+                          f"state (u = {level.u_value:g}, xi^2 = {level.xi_sq:g})")
+    n, ll1 = level.n, float(level.l * (level.l + 1))
+    beta, zeta, jac_a, jac_b = _wave_shape(1.0, 1.0, 1.0,
+                                           *_mrey_xi(params, consts, ll1, level.energy))
     # the norm integral in closed form, with a = 2 beta and b = 2 zeta - 1
     b = 2.0 * zeta - 1.0
-    log_total = (
-        _log_gamma_ratio(n + 1.0, b) - _log_gamma_ratio(n + 2.0 * beta + 1.0, b)
-        + math.log((n + zeta) / (2.0 * params.alpha * beta * (n + beta + zeta)))
-    )
+    log_total = (_log_gamma_ratio(n + 1.0, b) - _log_gamma_ratio(n + 2.0 * beta + 1.0, b)
+                 + math.log((n + zeta) / (2.0 * params.alpha * beta * (n + beta + zeta))))
     if not abs(log_total) < 1400.0:  # N = e^{-log_total / 2} must be a double
-        raise NumericalError(
-            f"norm integral e^{log_total:.6g} of level (n={level.n}, l={level.l}) "
-            "is outside double range"
-        )
-    return replace(
-        wave, norm=math.exp(-0.5 * log_total), r_tail=_tail_radius(wave, log_total)
-    )
+        raise NumericalError(f"norm integral e^{log_total:.6g} of level (n={level.n}, "
+                             f"l={level.l}) is outside double range")
+    jacobi = JacobiParams(n, jac_a, jac_b)
+    return RadialWave(params, consts, level, beta, zeta, jacobi, math.exp(-0.5 * log_total),
+                      _tail_radius(params.alpha, beta, zeta, jacobi, log_total))
 
 
 # Stirling coefficients B_2k / (2k (2k - 1)), highest order first; seven
@@ -231,44 +221,45 @@ def _jacobi_scaled(n: int, a: float, b: float, sigma):
     return p_curr, p_prev, log_scale
 
 
-def _tail_radius(wave: RadialWave, log_total: float) -> float:
-    """R past which the tail of (psi / norm)^2 is negligible: R_0 = max(2,
-    10/alpha), doubled until a doubling adds at most _TAIL_FRACTION of the
-    running total.  As the piece over [R_0, 2 R_0] is at most B(R_0) (module
-    docstring) and the running total at least total - B(R_0), B(R_0) <=
-    _TAIL_FRACTION (total - B(R_0)) passes rung 0; in logs, with 16 ulp of the
-    largest term for rounding.  Only where that declines does _series_rung decide."""
-    alpha, two_beta, n = wave.params.alpha, 2.0 * wave.beta_exp, wave.jacobi.n
+def _tail_radius(alpha, beta, zeta, jac: JacobiParams, log_total: float) -> float:
+    """R past which the tail of (psi / norm)^2 is negligible, for the wave of
+    these exponents: R_0 = max(2, 10/alpha), doubled until a doubling adds at
+    most _TAIL_FRACTION of the running total.  As the piece over [R_0, 2 R_0]
+    is at most B(R_0) (module docstring) and the running total at least
+    total - B(R_0), B(R_0) <= _TAIL_FRACTION (total - B(R_0)) passes rung 0;
+    in logs, with 16 ulp of the largest term for rounding.  Only where that
+    declines does _series_rung decide."""
+    two_beta, n, a, b = 2.0 * beta, jac.n, jac.a, jac.b
     r_0 = max(2.0, 10.0 / alpha)
-    terms = (2.0 * _log_gamma_ratio(max(wave.jacobi.a, wave.jacobi.b) + 1.0, n),  # ln B(R_0)
+    # q = a where the tail, x >= 1 - 2 s_{R_0}, lies in x >= (b - a)/(a + b + 1)
+    q = a if (1.0 - 2.0 * math.exp(-alpha * r_0)) * (a + b + 1.0) >= b - a else b
+    terms = (2.0 * _log_gamma_ratio(q + 1.0, n),  # ln B(R_0)
              -2.0 * math.lgamma(n + 1.0), -two_beta * alpha * r_0,
              -math.log(two_beta * alpha), -log_total)  # less ln total
     margin = 16.0 * np.finfo(float).eps * max(map(abs, terms))
     if sum(terms) + margin <= math.log(_TAIL_FRACTION / (1.0 + _TAIL_FRACTION)):
         return 2.0 * r_0
-    return _series_rung(wave, log_total)
+    return _series_rung(alpha, beta, zeta, jac, log_total)
 
 
-def _series_rung(wave: RadialWave, log_total: float) -> float:
+def _series_rung(alpha, beta, zeta, jac: JacobiParams, log_total: float) -> float:
     """_tail_radius by _log_tail's series: a piece T(R) - T(2R) at its largest
     and the running total at its smallest within the series' error bound, so
     a rung whose series has lost its digits never passes and R doubles on."""
-    alpha = wave.params.alpha
     uppers = max(2.0, 10.0 / alpha) * 2.0 ** np.arange(_TAIL_DOUBLINGS + 1)
-    log_tail, rel = _log_tail(wave, -alpha * uppers)
+    log_tail, rel = _log_tail(alpha, beta, zeta, jac, -alpha * uppers)
     step = log_tail[1:] - log_tail[:-1]
     with np.errstate(invalid="ignore"):  # NaN where the bounds swamp T: the rung fails
         log_piece = log_tail[:-1] + np.log(-np.expm1(step) + rel[:-1] + rel[1:] * np.exp(step))
         log_running = log_total + np.log1p(-np.exp(log_tail[1:] - log_total) * (1.0 + rel[1:]))
     done = np.nonzero(log_piece <= math.log(_TAIL_FRACTION) + log_running)[0]
     if done.size == 0:
-        raise NumericalError(
-            f"normalization tail did not converge within {_TAIL_DOUBLINGS} doublings"
-        )
+        raise NumericalError(f"normalization tail did not converge within {_TAIL_DOUBLINGS} "
+                             "doublings")
     return float(uppers[done[0] + 1])
 
 
-def _log_tail(wave: RadialWave, log_s: np.ndarray):
+def _log_tail(alpha, beta, zeta, jac: JacobiParams, log_s: np.ndarray):
     """(ln T(R), bound on the relative error of T(R)) at s_R = e^{log_s}, for
     e^{-10} >= s_{R_0} >= s_R with s_{R_0} = e^{log_s[0]}, where
 
@@ -296,12 +287,11 @@ def _log_tail(wave: RadialWave, log_s: np.ndarray):
     - Truncation: c keeps 32 terms.  |c_m| <= (2 zeta + m)^m / m!, so the
       dropped terms sum to under 1e-17 of S_abs for zeta up to 4e4.
     """
-    n, a, b = wave.jacobi.n, wave.jacobi.a, wave.jacobi.b
-    two_beta = 2.0 * wave.beta_exp
+    n, a, b, two_beta = jac.n, jac.a, jac.b, 2.0 * beta
     s0, j, m = math.exp(log_s[0]), np.arange(n), np.arange(31)
     q = np.cumprod(np.concatenate(([1.0], s0 * (j - n) * (j + n + a + b + 1.0)
                                    / ((j + a + 1.0) * (j + 1.0)))))
-    c = np.cumprod(np.concatenate(([1.0], s0 * (m - 2.0 * wave.zeta_exp) / (m + 1.0))))
+    c = np.cumprod(np.concatenate(([1.0], s0 * (m - 2.0 * zeta) / (m + 1.0))))
     g = np.array([np.convolve(np.convolve(u, u), v) for u, v in ((q, c), (np.abs(q), np.abs(c)))])
     k = np.arange(g.shape[1])
     # row R, column k: (s_R / s_{R_0})^k / (2 beta + k), built for the live
@@ -315,7 +305,7 @@ def _log_tail(wave: RadialWave, log_s: np.ndarray):
     log_p1 = _log_gamma_ratio(a + 1.0, n) - math.lgamma(n + 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # S <= 0: all digits lost
         log_sums = np.log(sums)
-    log_tail = two_beta * log_s + 2.0 * log_p1 - math.log(wave.params.alpha) + log_sums
+    log_tail = two_beta * log_s + 2.0 * log_p1 - math.log(alpha) + log_sums
     return log_tail, 16.0 * (n + 10) * np.finfo(float).eps * bounds / sums
 
 
@@ -344,10 +334,15 @@ def default_node_grid(wave: RadialWave) -> np.ndarray:
     """
     m = _node_points(wave)
     half = np.pi * np.arange(m, 0, -1) / (2 * (m + 1))  # theta_k / 2, k = M .. 1
-    # alpha r = -ln s at s = sin^2(theta_k / 2), as -ln(1 - cos^2) where s is near 1
-    alpha_r = np.where(half > 0.25 * np.pi, -np.log1p(-np.cos(half) ** 2),
-                       -np.log(np.sin(half) ** 2))
-    return alpha_r / wave.params.alpha
+    return _alpha_r(half) / wave.params.alpha
+
+
+def _alpha_r(half: np.ndarray) -> np.ndarray:
+    """alpha r = -ln s at s = sin^2(half) for decreasing half in (0, pi/2),
+    as -ln(1 - cos^2) on the prefix half > pi/4, where s is near 1."""
+    near_one = np.count_nonzero(half > 0.25 * np.pi)
+    head, tail = half[:near_one], half[near_one:]
+    return np.concatenate((-np.log1p(-np.cos(head) ** 2), -np.log(np.sin(tail) ** 2)))
 
 
 def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
@@ -359,23 +354,22 @@ def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
     ResolutionError since the grid cannot separate the roots.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(grid[1:] <= grid[:-1]):
+    if grid.ndim != 1 or grid.size < 2 or (grid[1:] <= grid[:-1]).any():
         raise DomainError("grid must be strictly increasing with >= 2 points")
-    if not np.all(grid > 0.0):
+    if not (grid > 0.0).all():
         raise DomainError("grid must lie in (0, R]")
     x = -wave.params.alpha * grid
-    theta = 2.0 * np.arctan2(np.sqrt(np.exp(x)), np.sqrt(-np.expm1(x)))
-    step, m = np.max(theta[:-1] - theta[1:]), _node_points(wave)
+    s, one_minus = np.exp(x), -np.expm1(x)
+    theta = 2.0 * np.arctan2(np.sqrt(s), np.sqrt(one_minus))
+    step, m = (theta[:-1] - theta[1:]).max(), _node_points(wave)
     if not step <= math.pi / (m + 1) * (1.0 + _NODE_STEP_SLACK):
-        raise ResolutionError(
-            f"largest theta-step {step:.6g} of the grid is over pi/{m + 1}: "
-            f"the level needs {m} points uniform in theta"
-        )
-    values = wave.psi(grid)
-    idx = np.flatnonzero(values)  # zero samples neither count nor hide a change
+        raise ResolutionError(f"largest theta-step {step:.6g} of the grid is over "
+                              f"pi/{m + 1}: the level needs {m} points uniform in theta")
+    values = wave._psi_at(x, s, one_minus)
+    idx = values.nonzero()[0]  # zero samples neither count nor hide a change
     negative = values[idx] < 0.0
     before_change = idx[:-1][negative[:-1] != negative[1:]]  # nonzero sample before it
-    if np.any(np.diff(before_change) < 3):
+    if (before_change[1:] - before_change[:-1] < 3).any():
         raise ResolutionError("two sign changes within three samples; refine the grid")
     return before_change.size
 
@@ -385,23 +379,25 @@ def _stiffness(wave: RadialWave, r, s, one_minus, screened: bool):
     s = e^{-alpha r} and one_minus = 1 - s as the caller has them."""
     p, c = wave.params, wave.consts
     ll1 = float(wave.level.l * (wave.level.l + 1))
+    one_minus_sq = one_minus**2
     if screened:
         yukawa = p.a3 * p.alpha * s / one_minus
-        centrifugal = ll1 * p.alpha**2 / one_minus**2
+        centrifugal = ll1 * p.alpha**2 / one_minus_sq
     else:
         yukawa = p.a3 * s / r
         centrifugal = ll1 / r**2
     two_mu = 2.0 * c.mu / c.hbar**2
-    well = (p.a1 * s + p.a2 * s**2) / one_minus**2
+    well = (p.a1 * s + p.a2 * s**2) / one_minus_sq
     return two_mu * (wave.level.energy + well + yukawa) - centrifugal
 
 
 def _ode_radii(alpha: float, r_tail: float) -> np.ndarray:
-    """np.geomspace(1e-12 / alpha, r_tail, _ODE_SAMPLES) as numpy builds it,
-    10^linspace of the log10 ends with both ends pinned, without its argument
-    checks, which cost more than the radii."""
+    """np.geomspace(1e-12 / alpha, r_tail, _ODE_SAMPLES) as numpy builds it:
+    10^linspace of the log10 ends, k step + start, with both ends pinned, and
+    without the argument checks of either, which cost more than the radii."""
     lo = 1e-12 / alpha
-    r = 10.0 ** np.linspace(np.log10(lo), np.log10(r_tail), _ODE_SAMPLES)
+    start = np.log10(lo)
+    r = 10.0 ** (_ODE_STEPS * ((np.log10(r_tail) - start) / (_ODE_SAMPLES - 1)) + start)
     r[0], r[-1] = lo, r_tail
     return r
 
@@ -420,17 +416,19 @@ def ode_residual(wave: RadialWave, screened: bool = True) -> float:
     alpha, beta, zeta = wave.params.alpha, wave.beta_exp, wave.zeta_exp
     n, a, b = wave.jacobi.n, wave.jacobi.a, wave.jacobi.b
     r = _ode_radii(alpha, wave.r_tail)
-    s, v = np.exp(-alpha * r), -np.expm1(-alpha * r)
+    x = -alpha * r
+    s, v = np.exp(x), -np.expm1(x)
     p, _, log_scale = _jacobi_scaled(n, a, b, s)
     # s^k d^k P / ds^k = s^k c_k P_{n-k}^{(a+k,b+k)}, on the scale of P
-    c, s_derivs = np.cumprod([-(n + a + b + 1.0), -(n + a + b + 2.0)]), [0.0, 0.0]
+    c, s_derivs = (-(n + a + b + 1.0), (n + a + b + 1.0) * (n + a + b + 2.0)), [0.0, 0.0]
     for k in range(1, min(n, 2) + 1):
         q, _, log_q = _jacobi_scaled(n - k, a + k, b + k, s)
         s_derivs[k - 1] = c[k - 1] * q * np.exp(log_q - log_scale) * s**k
     log_w = beta * -alpha * r + zeta * np.log(v) + log_scale
-    weight = np.exp(log_w - np.max(log_w))  # w e^{log_scale}, one scale for all r
+    weight = np.exp(log_w - log_w.max())  # w e^{log_scale}, one scale for all r
     va = beta * v - zeta * s  # v A
     second = alpha**2 * weight * ((va**2 - zeta * s) * p + v * (2.0 * va + v) * s_derivs[0]
                                   + v**2 * s_derivs[1])
     k_psi = _stiffness(wave, r, s, v, screened) * v**2 * weight * p
-    return float(np.max(np.abs(second + k_psi)) / np.max(np.abs([second, k_psi])))
+    return float(np.abs(second + k_psi).max()
+                 / np.maximum(np.abs(second).max(), np.abs(k_psi).max()))

@@ -24,6 +24,7 @@ from mrey import (
     spectral_coefficients,
 )
 from mrey import wavefunction
+from mrey.nu import mrey_mapping, wave_shape
 from mrey.verification import _recheck_norm
 from mrey.wavefunction import JacobiParams, ode_residual
 
@@ -151,6 +152,17 @@ def test_exponent_tracks_delta():
         level = energy(DEEP_YUKAWA, CONSTS, 0, l)
         wave = build_wave(DEEP_YUKAWA, CONSTS, level)
         assert abs(wave.zeta_exp - coeffs.delta) <= 1e-12
+
+
+def test_build_wave_shape_is_the_public_nu_shape():
+    # build_wave takes its exponents from nu's float helper; the dataclass
+    # path wave_shape(mrey_mapping(...)(E)) that the zeta = delta check
+    # rests on gives the same four numbers, bit for bit
+    for params, level in _parity_levels():
+        wave = build_wave(params, CONSTS, level)
+        shape = wave_shape(mrey_mapping(params, CONSTS, level.l)(level.energy))
+        assert (wave.beta_exp, wave.zeta_exp, wave.jacobi.a, wave.jacobi.b) == (
+            shape.s_exponent, shape.one_minus_s_exponent, shape.jacobi_a, shape.jacobi_b)
 
 
 def test_normalization_self_consistent():
@@ -358,8 +370,8 @@ class _SignPattern:
         self.values = np.array([values[0]] * lead + list(values), dtype=float)
         self.grid = np.arange(1, self.values.size + 1) * 1e-4
 
-    def psi(self, r):
-        return self.values[np.rint(r * 1e4).astype(int) - 1]
+    def _psi_at(self, x, s, one_minus):  # count_nodes hands it x = -alpha r, alpha = 1
+        return self.values[np.rint(-x * 1e4).astype(int) - 1]
 
 
 @pytest.mark.parametrize("lead", [1, 2, 3, 5, 64])
@@ -461,6 +473,31 @@ def test_count_nodes_rejects_nan_grid():
     grid[grid.size // 2] = math.nan
     with pytest.raises(DomainError):
         count_nodes(wave, grid)
+
+
+def test_node_grid_is_the_where_form():
+    # default_node_grid evaluates each branch of alpha r only on its own
+    # points: the log1p prefix (theta_k / 2 > pi/4) and the rest.  That is
+    # the former np.where of both branches on every point, byte for byte,
+    # at every M that _node_points gives; and _alpha_r on the grids where
+    # no point, and where every point, takes the log1p branch
+    def where_form(half):
+        return np.where(half > 0.25 * np.pi, -np.log1p(-np.cos(half) ** 2),
+                        -np.log(np.sin(half) ** 2))
+
+    stand_in = _SignPattern([1.0])
+    # N = m / 16, and at the cap indices below the Sturm bound's 1/2
+    sizes = [(m, JacobiParams(m // 16 - 1, 0.5, 0.5)) for m in range(64, 20001, 16)]
+    for m, jacobi in sizes + [(20001, JacobiParams(0, 0.0, 0.0))]:
+        stand_in.jacobi = jacobi
+        assert wavefunction._node_points(stand_in) == m
+        half = np.pi * np.arange(m, 0, -1) / (2 * (m + 1))
+        grid = default_node_grid(stand_in)
+        assert grid.tobytes() == where_form(half).tobytes(), m
+        lo, hi = half[half <= 0.25 * np.pi], half[half > 0.25 * np.pi]
+        for part in (lo, hi):
+            assert part.size
+            assert wavefunction._alpha_r(part).tobytes() == where_form(part).tobytes(), m
 
 
 def test_ode_radii_are_geomspace():
@@ -677,30 +714,36 @@ def test_tail_series_matches_mpmath(params, n):
     # the rounding of ln T's prefactor 2 beta ln s_R (-4e6 at the deepest well)
     wave = build_wave(params, CONSTS, energy(params, CONSTS, n, 0))
     log_s = -params.alpha * max(2.0, 10.0 / params.alpha)
-    log_tail, rel = wavefunction._log_tail(wave, np.array([log_s]))
+    log_tail, rel = wavefunction._log_tail(*_tail_args(wave), np.array([log_s]))
     exact = _mp_log_tail(wave, log_s)
     assert abs(float(log_tail[0] - exact)) < 1e-12 + 4.0 * np.finfo(float).eps * abs(float(exact))
     assert rel[0] < 1e-11
 
 
 # tail-bound levels: at n = 1410 the first rung's series has lost its digits;
-# at l = 3 the bound declines (b > a in the second), the series picks rung 0
+# at l = 3 the bound declines in the second, and the series picks rung 0;
+# the third has b > a
 LOST_SERIES_LEVEL = (PotentialParams(0.0, 0.0, 1e4, 0.01), 1410, 0)
 DECLINED_LEVEL = (PotentialParams(0.0, 0.0, 50.0, 0.02), 63, 3)
 B_OVER_A_LEVEL = (PotentialParams(-0.002, -0.006, 4.0, 0.01), 13, 3)
 
 
+def _tail_args(wave):
+    """(alpha, beta, zeta, jacobi): the wave as the tail helpers take it."""
+    return wave.params.alpha, wave.beta_exp, wave.zeta_exp, wave.jacobi
+
+
 @pytest.fixture
 def tail_calls(monkeypatch):
-    """(wave, ln total, r_tail, whether the bound proved rung 0) of every
-    build_wave, recorded around wavefunction._tail_radius."""
+    """(_tail_args, ln total, r_tail, whether the bound proved rung 0) of
+    every build_wave, recorded around wavefunction._tail_radius."""
     calls, declined = [], []
     tail, series = wavefunction._tail_radius, wavefunction._series_rung
 
-    def spy(wave, log_total):
+    def spy(*args):
         declined.clear()
-        r_tail = tail(wave, log_total)
-        calls.append((wave, log_total, r_tail, not declined))
+        r_tail = tail(*args)
+        calls.append((args[:-1], args[-1], r_tail, not declined))
         return r_tail
 
     monkeypatch.setattr(wavefunction, "_tail_radius", spy)
@@ -709,13 +752,22 @@ def tail_calls(monkeypatch):
     return calls
 
 
-def _log_bound(wave, q):
+def _log_bound(args, q):
     """ln B(R_0) = ln[binom(n + q, n)^2 s_R^{2 beta} / (2 beta alpha)] by
     scipy's gammaln, and ln s_R, at the first rung R_0 = max(2, 10/alpha)."""
-    n, alpha, two_beta = wave.jacobi.n, wave.params.alpha, 2.0 * wave.beta_exp
+    alpha, beta, _, jac = args
+    n, two_beta = jac.n, 2.0 * beta
     log_s = -alpha * max(2.0, 10.0 / alpha)
     log_binom = gammaln(n + q + 1.0) - gammaln(q + 1.0) - gammaln(n + 1.0)
     return 2.0 * log_binom + two_beta * log_s - math.log(two_beta * alpha), log_s
+
+
+def _tail_q(args):
+    """a where the tail x = 1 - 2 s >= 1 - 2 s_{R_0} lies in Szego's range
+    x >= (b - a)/(a + b + 1), in which |P_n| <= P_n(1); max(a, b) elsewhere."""
+    alpha, _, _, jac = args
+    x_0 = 1.0 - 2.0 * math.exp(-alpha * max(2.0, 10.0 / alpha))
+    return jac.a if x_0 >= (jac.b - jac.a) / (jac.a + jac.b + 1.0) else max(jac.a, jac.b)
 
 
 def _pass_line():
@@ -748,25 +800,26 @@ def _bound_levels():
 
 
 def test_tail_bound_holds_and_keeps_the_series_rung(tail_calls):
-    # B(R_0) bounds the series' T(R_0), to within its error bound and the
-    # rounding of ln T (4e6 at the deepest well); wherever the bound proves
-    # rung 0, the series picks that rung too
+    # B(R_0), with q = a where Szego's range holds the tail, bounds the
+    # series' T(R_0), to within its error bound and the rounding of ln T
+    # (4e6 at the deepest well); wherever the bound proves rung 0, the
+    # series picks that rung too
     levels = _bound_levels()
     for params, level in levels:
         build_wave(params, CONSTS, level)
     assert len(tail_calls) == len(levels)
-    for wave, log_total, r_tail, proved in tail_calls:
-        log_bound, log_s = _log_bound(wave, max(wave.jacobi.a, wave.jacobi.b))
-        log_tail, rel = wavefunction._log_tail(wave, np.array([log_s]))
+    for args, log_total, r_tail, proved in tail_calls:
+        log_bound, log_s = _log_bound(args, _tail_q(args))
+        log_tail, rel = wavefunction._log_tail(*args, np.array([log_s]))
         if rel[0] < 1.0:
             slack = 8.0 * np.finfo(float).eps * abs(log_tail[0])
-            assert log_bound >= log_tail[0] + math.log1p(-rel[0]) - slack, wave.jacobi
-        assert r_tail == wavefunction._series_rung(wave, log_total), wave.jacobi
-    # the bound settles most box levels and both deep ones; SMALL_A_LEVEL
-    # (2 beta = 0.2) ends on a later rung
+            assert log_bound >= log_tail[0] + math.log1p(-rel[0]) - slack, args[3]
+        assert r_tail == wavefunction._series_rung(*args, log_total), args[3]
+    # the bound settles most box levels, both deep ones and B_OVER_A_LEVEL;
+    # SMALL_A_LEVEL (2 beta = 0.2) ends on a later rung
     proved = [call[3] for call in tail_calls]
     assert sum(proved[:80]) >= 72
-    assert proved[80:] == [True, True, False, True, False, False, False]
+    assert proved[80:] == [True, True, False, True, True, False, False]
 
 
 def test_tail_rung_with_lost_series_fails(tail_calls):
@@ -777,12 +830,12 @@ def test_tail_rung_with_lost_series_fails(tail_calls):
     # exceeds the whole norm here, and the proof declines without raising.
     params, n, l = LOST_SERIES_LEVEL
     wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
-    _, rel = wavefunction._log_tail(wave, -params.alpha * np.array([1000.0, 2000.0]))
+    _, rel = wavefunction._log_tail(*_tail_args(wave),
+                                    -params.alpha * np.array([1000.0, 2000.0]))
     assert rel[0] > 1.0 and rel[1] < 1e-10
     assert wave.r_tail == 4000.0
-    (unit_wave, log_total, _, proved), = tail_calls
-    q = max(unit_wave.jacobi.a, unit_wave.jacobi.b)
-    assert not proved and _log_bound(unit_wave, q)[0] > log_total + 10.0
+    (args, log_total, _, proved), = tail_calls
+    assert not proved and _log_bound(args, _tail_q(args))[0] > log_total + 10.0
     for lo, hi, piece in ((1000.0, 2000.0, 0.78), (2000.0, 4000.0, 0.0)):
         r = np.linspace(lo, hi, 20001)
         assert simpson(wave.psi(r) ** 2, x=r) == pytest.approx(piece, abs=1e-2 * piece + 1e-13)
@@ -791,28 +844,51 @@ def test_tail_rung_with_lost_series_fails(tail_calls):
 def test_tail_bound_declines_where_the_series_passes_rung_0(tail_calls):
     params, n, l = DECLINED_LEVEL
     wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
-    (unit_wave, log_total, _, proved), = tail_calls
-    q = max(unit_wave.jacobi.a, unit_wave.jacobi.b)
-    assert not proved and _log_bound(unit_wave, q)[0] - log_total > _pass_line()
+    (args, log_total, _, proved), = tail_calls
+    assert not proved and _log_bound(args, _tail_q(args))[0] - log_total > _pass_line()
     assert wave.r_tail == 2.0 * 10.0 / params.alpha
 
 
-def test_tail_bound_takes_the_larger_jacobi_index(tail_calls):
+def test_tail_bound_takes_p_n_at_1_on_the_tail(tail_calls):
     # b > a: P_n(-1) = (-1)^n binom(n + b, n) (DLMF 18.6.1) exceeds
-    # P_n(1) = binom(n + a, n), so binom(n + a, n) bounds |P_n| on [-1, 1]
-    # only for a >= b (DLMF 18.14.1).  A bound taken with it would prove
-    # rung 0 here; binom(n + b, n) does not, and the series decides.  (On
-    # the tail itself, x >= 1 - 2 e^{-10}, T stays under the a-bound too.)
+    # P_n(1) = binom(n + a, n), so binom(n + a, n) bounds |P_n| on all of
+    # [-1, 1] only for a >= b (DLMF 18.14.1).  On x >= (b - a)/(a + b + 1),
+    # though, Szego's f = P_n^2 + (1 - x^2) P_n'^2 / (n (n + a + b + 1))
+    # increases, so |P_n| <= P_n(1) there, and the tail, x >= 1 - 2 e^{-10},
+    # lies in that range: the bound takes binom(n + a, n), which proves
+    # rung 0 where binom(n + b, n) would not, and the series is not called.
     params, n, l = B_OVER_A_LEVEL
     wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
     jac = wave.jacobi
     assert jac.b > jac.a + 18.0
-    p, _, log_scale = wavefunction._jacobi_scaled(n, jac.a, jac.b, np.linspace(0.0, 1.0, 2001))
+    sigma = np.linspace(0.0, 1.0, 2001)
+    p, _, log_scale = wavefunction._jacobi_scaled(n, jac.a, jac.b, sigma)
     values = np.abs(p) * np.exp(log_scale)
     assert values[-1] == pytest.approx(binom(n + jac.b, n), rel=1e-12)
     assert values[0] == pytest.approx(binom(n + jac.a, n), rel=1e-12)
     assert values[-1] > 1e3 * values[0] and np.all(values <= values[-1] * (1.0 + 1e-12))
-    (unit_wave, log_total, _, proved), = tail_calls
-    assert _log_bound(unit_wave, jac.a)[0] - log_total < _pass_line() - 10.0
-    assert not proved and _log_bound(unit_wave, jac.b)[0] - log_total > _pass_line()
-    assert wave.r_tail == 2.0 * 10.0 / params.alpha
+    szego = 1.0 - 2.0 * sigma >= (jac.b - jac.a) / (jac.a + jac.b + 1.0)
+    assert 0.2 < szego.mean() < 0.3
+    assert np.all(values[szego] <= values[0] * (1.0 + 1e-12))
+    (args, log_total, _, proved), = tail_calls
+    assert _tail_q(args) == jac.a
+    assert _log_bound(args, jac.a)[0] - log_total < _pass_line() - 10.0
+    assert _log_bound(args, jac.b)[0] - log_total > _pass_line()
+    assert proved and wave.r_tail == 2.0 * 10.0 / params.alpha == 2000.0
+
+
+def test_tail_bound_takes_the_larger_jacobi_index(monkeypatch):
+    # where b is so far above a that the tail leaves Szego's range, about
+    # b > (2 a + 1) / (2 s_{R_0}) - a - 1, the bound takes binom(n + b, n).
+    # At alpha = 0.5, a = 0.2 the edge is b = 0.7 e^{10} - 1.2; with this
+    # ln total the a-bound passes and the b-bound does not
+    monkeypatch.setattr(wavefunction, "_series_rung", lambda *args: -1.0)
+    alpha, a, n, log_total = 0.5, 0.2, 2, 35.0
+    edge = 0.7 * math.exp(10.0) - 1.2
+    for b, inside in ((edge * (1.0 - 1e-6), True), (edge * (1.0 + 1e-6), False)):
+        args = (alpha, a / 2.0, (b + 1.0) / 2.0, JacobiParams(n, a, b))
+        q = a if inside else b
+        assert _tail_q(args) == q
+        proved = _log_bound(args, q)[0] - log_total <= _pass_line()
+        assert proved == (q == a)
+        assert wavefunction._tail_radius(*args, log_total) == (40.0 if proved else -1.0)

@@ -30,7 +30,8 @@ from .potential import (
     PhysicalConstants,
     PotentialParams,
     QuantumNumbers,
-    dimensionless_params,
+    _couplings,
+    _xi_sq,
     xi_squared,
 )
 
@@ -159,8 +160,8 @@ def _screened_xi(x1, x2, x3, ll1, xi_sq):
 
 def _mrey_xi(params, consts, ll1, energy):
     """(xi1, xi2, xi3) of mrey_mapping at this energy, ll1 = l(l+1)."""
-    dim = dimensionless_params(params, consts, energy)
-    return _screened_xi(dim.x1, dim.x2, dim.x3, ll1, dim.xi_sq)
+    xi_sq = xi_squared(params, consts, energy)
+    return _screened_xi(*_couplings(params, consts)[1:], ll1, xi_sq)
 
 
 def mrey_mapping(
@@ -291,13 +292,13 @@ def solve_bound_state(
     """
     QuantumNumbers(n, l)
     ll1 = float(l * (l + 1))
-    dim = dimensionless_params(params, consts, 0.0)  # x1..x3 do not depend on E
-    x1, x2, x3 = dim.x1, dim.x2, dim.x3
-    e_scale = (consts.hbar * params.alpha) ** 2 / (2.0 * consts.mu)
+    mu = consts.mu
+    h2a2, x1, x2, x3 = _couplings(params, consts)  # x1..x3 do not depend on E
+    e_scale = h2a2 / (2.0 * mu)
 
     def residual_of_xi_sq(xi_sq):
         # mrey_mapping's energy round trip, so roots match the public path
-        mapped = xi_squared(params, consts, -xi_sq * e_scale)
+        mapped = _xi_sq(mu, h2a2, -xi_sq * e_scale)
         return _residual(1.0, 1.0, 1.0, *_screened_xi(x1, x2, x3, ll1, mapped), n)
 
     r0 = residual_of_xi_sq(0.0)

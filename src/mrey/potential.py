@@ -172,25 +172,33 @@ class DimensionlessParams:
     x3: float
 
 
+def _xi_sq(mu: float, h2a2: float, energy: float) -> float:
+    """xi_squared on floats, with h2a2 = (hbar alpha)^2."""
+    if not math.isfinite(energy):
+        raise DomainError(f"energy must be finite, got {energy!r}")
+    return -2.0 * mu * energy / h2a2
+
+
 def xi_squared(
     params: PotentialParams, consts: PhysicalConstants, energy: float
 ) -> float:
     """xi^2 = -2 mu E / (hbar alpha)^2; DomainError unless E is finite."""
-    if not math.isfinite(energy):
-        raise DomainError(f"energy must be finite, got {energy!r}")
-    return -2.0 * consts.mu * energy / (consts.hbar * params.alpha) ** 2
+    return _xi_sq(consts.mu, (consts.hbar * params.alpha) ** 2, energy)
+
+
+def _couplings(params: PotentialParams, consts: PhysicalConstants):
+    """(hbar alpha)^2 and the couplings x1, x2, x3 on floats: the part of
+    dimensionless_params that does not depend on the energy."""
+    h2a2 = (consts.hbar * params.alpha) ** 2
+    return (h2a2, 2.0 * consts.mu * params.a1 / h2a2, 2.0 * consts.mu * params.a2 / h2a2,
+            2.0 * consts.mu * params.a3 / (consts.hbar**2 * params.alpha))
 
 
 def dimensionless_params(
     params: PotentialParams, consts: PhysicalConstants, energy: float
 ) -> DimensionlessParams:
-    h2a2 = (consts.hbar * params.alpha) ** 2
-    return DimensionlessParams(
-        xi_sq=xi_squared(params, consts, energy),
-        x1=2.0 * consts.mu * params.a1 / h2a2,
-        x2=2.0 * consts.mu * params.a2 / h2a2,
-        x3=2.0 * consts.mu * params.a3 / (consts.hbar**2 * params.alpha),
-    )
+    xi_sq = xi_squared(params, consts, energy)
+    return DimensionlessParams(xi_sq, *_couplings(params, consts)[1:])
 
 
 @dataclass(frozen=True)
@@ -220,17 +228,16 @@ def spectral_coefficients(
     negative (too-strong attractive Manning-Rosen part for this l).
     """
     QuantumNumbers(0, l)
-    dim = dimensionless_params(params, consts, 0.0)
+    h2a2, x1, x2, x3 = _couplings(params, consts)
     ll1 = float(l * (l + 1))
     # float() once here: numpy-scalar couplings give plain-float coefficients
-    radicand = float(1.0 + 4.0 * ll1 - 4.0 * dim.x1 - 4.0 * dim.x2)
+    radicand = float(1.0 + 4.0 * ll1 - 4.0 * x1 - 4.0 * x2)
     if radicand < 0.0:
         raise NoRealDeltaError(radicand)
-    h2a2 = (consts.hbar * params.alpha) ** 2
     return SpectralCoefficients(
         q1=float(h2a2 * ll1 / (2.0 * consts.mu)),
         q2=float(h2a2 / (8.0 * consts.mu)),
-        q3=float(dim.x2 - dim.x3 + ll1),
+        q3=float(x2 - x3 + ll1),
         delta=0.5 + 0.5 * math.sqrt(radicand),
         radicand=radicand,
     )

@@ -78,13 +78,18 @@ def compact_energy(coeffs: SpectralCoefficients, n):
     return value
 
 
-def closed_form_u(coeffs: SpectralCoefficients, n):
-    """u = -(rho^2 + Q3) / (2 rho); positive exactly for normalizable levels."""
-    rho = np.asarray(n, dtype=float) + coeffs.delta
-    value = -(rho**2 + coeffs.q3) / (2.0 * rho)
-    if np.ndim(n) == 0:
-        return float(value)
-    return value
+def _level(coeffs: SpectralCoefficients, n: int, l: int, ll1: float) -> EnergyLevel:
+    """Level (n, l) with its flags from l's coefficients, with u = -(rho^2 +
+    Q3) / (2 rho) positive exactly for normalizable levels.  rho is a numpy
+    float, as in compact_energy: ** 2 is C's pow, which z * z can miss by
+    an ulp, and a huge n overflows to inf, not to OverflowError."""
+    rho = np.float64(n) + coeffs.delta
+    u = float(-(rho**2 + coeffs.q3) / (2.0 * rho))
+    xi_sq = u * u - ll1
+    valid = u > 0.0 and xi_sq > 0.0
+    marginal = (u >= 0.0 and xi_sq >= 0.0) and not valid
+    e = float(coeffs.q1 - coeffs.q2 * (rho + coeffs.q3 / rho) ** 2)
+    return EnergyLevel(n, l, e, valid, marginal, u, xi_sq)
 
 
 def energy(
@@ -92,17 +97,7 @@ def energy(
 ) -> EnergyLevel:
     """Closed-form level (compact route) with validity flags."""
     QuantumNumbers(n, l)
-    coeffs = spectral_coefficients(params, consts, l)
-    ll1 = float(l * (l + 1))
-    e = compact_energy(coeffs, n)
-    u = closed_form_u(coeffs, n)
-    xi_sq = u * u - ll1
-    valid = u > 0.0 and xi_sq > 0.0
-    marginal = (u >= 0.0 and xi_sq >= 0.0) and not valid
-    return EnergyLevel(
-        n=n, l=l, energy=e, valid_bound_state=valid, marginal=marginal,
-        u_value=u, xi_sq=xi_sq,
-    )
+    return _level(spectral_coefficients(params, consts, l), n, l, float(l * (l + 1)))
 
 
 def energy_long_form(
@@ -209,10 +204,13 @@ def spectrum_table(
     rows = []
     errors = {}
     for l in range(l_max + 1):
-        try:  # NoRealDeltaError depends on l alone and is raised at n = 0
-            rows.extend([energy(params, consts, n, l) for n in range(n_max + 1)])
+        try:  # NoRealDeltaError depends on l alone
+            coeffs = spectral_coefficients(params, consts, l)
         except NoRealDeltaError as exc:
             errors[l] = str(exc)
+            continue
+        ll1 = float(l * (l + 1))
+        rows.extend([_level(coeffs, n, l, ll1) for n in range(n_max + 1)])
     return SpectrumTable(
         params=params, consts=consts, n_max=n_max, l_max=l_max,
         rows=tuple(rows), errors=errors,

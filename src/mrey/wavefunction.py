@@ -11,8 +11,9 @@ exponents and Jacobi indices come from the generic NU shape (nu._wave_shape,
 the float helper that nu.wave_shape wraps), not re-derived here, so the
 zeta = delta identity is a genuine cross-module check.  N is the wave's only
 scale; one three-term recurrence for P_n, in s rather than x = 1 - 2 s,
-serves psi and ode_residual; psi's formula is RadialWave._psi_at, which
-count_nodes calls with the s and 1 - s of its theta-step rule.
+serves psi and, differentiated in s in the same loop, gives ode_residual
+P_n's derivatives; psi's formula is RadialWave._psi_at, which count_nodes
+calls with the s and 1 - s of its theta-step rule.
 
 Normalization is exact.  With s = e^{-alpha r}, a = 2 beta and
 b = 2 zeta - 1 the norm integral is
@@ -191,17 +192,22 @@ def _log_gamma_ratio(z: float, d: float) -> float:
     )
 
 
-def _jacobi_scaled(n: int, a: float, b: float, sigma):
+def _jacobi_scaled(n: int, a: float, b: float, sigma, derivs: int = 0):
     """P_n^{(a,b)}(1 - 2 sigma) and P_{n-1}^{(a,b)}(1 - 2 sigma), P_{-1} = 0.
 
-    Returns (p_n, p_n_minus_1, log_scale) with both values = mantissa *
-    e^{log_scale}, arrays of sigma's shape for floats a and b.  This is the
-    three-term recurrence (DLMF 18.9.2) with x = 1 - 2 sigma substituted and
-    its constant term expanded, so nothing cancels near sigma = 0 and small
-    sigma keeps its relative precision.  Where P_n(1) = binom(n + a, n)
-    could overflow (deep wells) the mantissas are rescaled as they grow.
+    Returns (p_n, p_n_minus_1, log_scale), with derivs = 2 then dP_n/dsigma
+    and d^2 P_n/dsigma^2, each value = mantissa * e^{log_scale}, arrays of
+    sigma's shape for floats a and b.  This is the three-term recurrence
+    (DLMF 18.9.2) with x = 1 - 2 sigma substituted and its constant term
+    expanded, so nothing cancels near sigma = 0 and small sigma keeps its
+    relative precision; the derivatives run the same loop differentiated in
+    sigma.  Where P_n(1) = binom(n + a, n) could overflow (deep wells) the
+    mantissas are rescaled as they grow, every row by the same factor.
     """
     p_prev, p_curr = np.zeros(np.shape(sigma)), np.ones(np.shape(sigma))
+    if derivs:  # their sigma-derivatives: all zero but P_1' = -(a + b + 2)
+        d_prev = e_prev = p_prev
+        d_curr, e_curr = np.full_like(p_prev, -(a + b + 2.0) if n else 0.0), np.zeros_like(p_prev)
     if n > 0:
         p_prev, p_curr = p_curr, (a + 1.0) - (a + b + 2.0) * sigma
     # on [-1, 1], |P_n| <= binom(n + max(a, b), n) < (n + max(a, b) + 2)^n
@@ -213,12 +219,19 @@ def _jacobi_scaled(n: int, a: float, b: float, sigma):
         c0 = (s - 1.0) * (2.0 * (a + b) * (a + 2.0 * k - 1.0) + 4.0 * k * (k - 1.0)) / lead
         c1 = 2.0 * (s - 1.0) * s * (s - 2.0) / lead
         c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s / lead
-        p_curr, p_prev = (c0 - c1 * sigma) * p_curr - c2 * p_prev, p_curr
-        if rescale:  # divide both by max(|p_curr|, 1), its log into log_scale
+        step = c0 - c1 * sigma
+        if derivs:  # it differentiated in sigma; e, d, then p, each from the old rows
+            e_curr, e_prev = step * e_curr - 2.0 * c1 * d_curr - c2 * e_prev, e_curr
+            d_curr, d_prev = step * d_curr - c1 * p_curr - c2 * d_prev, d_curr
+        p_curr, p_prev = step * p_curr - c2 * p_prev, p_curr
+        if rescale:  # divide every row by max(|p_curr|, 1), its log into log_scale
             factor = np.maximum(np.abs(p_curr), 1.0)
             p_curr, p_prev = p_curr / factor, p_prev / factor
+            if derivs:
+                d_curr, d_prev = d_curr / factor, d_prev / factor
+                e_curr, e_prev = e_curr / factor, e_prev / factor
             log_scale = log_scale + np.log(factor)
-    return p_curr, p_prev, log_scale
+    return (p_curr, p_prev, log_scale) + ((d_curr, e_curr) if derivs else ())
 
 
 def _tail_radius(alpha, beta, zeta, jac: JacobiParams, log_total: float) -> float:
@@ -354,14 +367,15 @@ def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
     ResolutionError since the grid cannot separate the roots.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or (grid[1:] <= grid[:-1]).any():
+    # a NaN fails the order test; in order, the first point is the least
+    if grid.ndim != 1 or grid.size < 2 or not (grid[1:] > grid[:-1]).all():
         raise DomainError("grid must be strictly increasing with >= 2 points")
-    if not (grid > 0.0).all():
+    if not grid[0] > 0.0:
         raise DomainError("grid must lie in (0, R]")
     x = -wave.params.alpha * grid
     s, one_minus = np.exp(x), -np.expm1(x)
-    theta = 2.0 * np.arctan2(np.sqrt(s), np.sqrt(one_minus))
-    step, m = (theta[:-1] - theta[1:]).max(), _node_points(wave)
+    half = np.arctan2(np.sqrt(s), np.sqrt(one_minus))  # theta / 2; doubling is exact
+    step, m = 2.0 * (half[:-1] - half[1:]).max(), _node_points(wave)
     if not step <= math.pi / (m + 1) * (1.0 + _NODE_STEP_SLACK):
         raise ResolutionError(f"largest theta-step {step:.6g} of the grid is over "
                               f"pi/{m + 1}: the level needs {m} points uniform in theta")
@@ -372,23 +386,6 @@ def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
     if (before_change[1:] - before_change[:-1] < 3).any():
         raise ResolutionError("two sign changes within three samples; refine the grid")
     return before_change.size
-
-
-def _stiffness(wave: RadialWave, r, s, one_minus, screened: bool):
-    """Coefficient k(r) of psi in psi'' + k(r) psi = 0 for this level, with
-    s = e^{-alpha r} and one_minus = 1 - s as the caller has them."""
-    p, c = wave.params, wave.consts
-    ll1 = float(wave.level.l * (wave.level.l + 1))
-    one_minus_sq = one_minus**2
-    if screened:
-        yukawa = p.a3 * p.alpha * s / one_minus
-        centrifugal = ll1 * p.alpha**2 / one_minus_sq
-    else:
-        yukawa = p.a3 * s / r
-        centrifugal = ll1 / r**2
-    two_mu = 2.0 * c.mu / c.hbar**2
-    well = (p.a1 * s + p.a2 * s**2) / one_minus_sq
-    return two_mu * (wave.level.energy + well + yukawa) - centrifugal
 
 
 def _ode_radii(alpha: float, r_tail: float) -> np.ndarray:
@@ -406,29 +403,32 @@ def ode_residual(wave: RadialWave, screened: bool = True) -> float:
     """Normalized residual of the radial equation at sampled radii.
 
     psi'' = alpha^2 norm w [(A^2 + s A_s) P + (2 A + 1) s P_s + s^2 P_ss]
-    exactly, with w = s^beta v^zeta, v = 1 - s, A = beta - zeta s / v and P's
-    derivatives from DLMF 18.9.15.  At radii log-spaced from alpha r = 1e-12
-    to r_tail, on one scale and times v^2 (its 1/v^2 terms cancel as r -> 0),
-    it returns max |psi'' + k psi| / max(|psi''|, |k psi|): the rounding floor
-    for the screened equation the closed form solves, and the O(alpha^2 r^2)
-    error of the screened stand-ins with screened=False (exact 1/r, 1/r^2).
+    exactly, with w = s^beta v^zeta, v = 1 - s, A = beta - zeta s / v, and
+    P_s, P_ss from _jacobi_scaled's differentiated recurrence, not from the
+    Jacobi equation this checks.  At radii log-spaced from alpha r = 1e-12 to
+    r_tail, on one scale and times v^2, it returns max |psi'' + k psi| /
+    max(|psi''|, |k psi|): the rounding floor for the screened equation the
+    closed form solves, where k v^2 is a polynomial in s and v (no 1/v left
+    to cancel as r -> 0), and the O(alpha^2 r^2) error of the screened
+    stand-ins with screened=False (exact 1/r, 1/r^2).
     """
-    alpha, beta, zeta = wave.params.alpha, wave.beta_exp, wave.zeta_exp
-    n, a, b = wave.jacobi.n, wave.jacobi.a, wave.jacobi.b
+    pot, level, c = wave.params, wave.level, wave.consts
+    alpha, beta, zeta = pot.alpha, wave.beta_exp, wave.zeta_exp
     r = _ode_radii(alpha, wave.r_tail)
     x = -alpha * r
     s, v = np.exp(x), -np.expm1(x)
-    p, _, log_scale = _jacobi_scaled(n, a, b, s)
-    # s^k d^k P / ds^k = s^k c_k P_{n-k}^{(a+k,b+k)}, on the scale of P
-    c, s_derivs = (-(n + a + b + 1.0), (n + a + b + 1.0) * (n + a + b + 2.0)), [0.0, 0.0]
-    for k in range(1, min(n, 2) + 1):
-        q, _, log_q = _jacobi_scaled(n - k, a + k, b + k, s)
-        s_derivs[k - 1] = c[k - 1] * q * np.exp(log_q - log_scale) * s**k
-    log_w = beta * -alpha * r + zeta * np.log(v) + log_scale
+    p, _, log_scale, p_s, p_ss = _jacobi_scaled(wave.jacobi.n, wave.jacobi.a, wave.jacobi.b, s,
+                                                derivs=2)
+    log_w = beta * x + zeta * np.log(v) + log_scale
     weight = np.exp(log_w - log_w.max())  # w e^{log_scale}, one scale for all r
-    va = beta * v - zeta * s  # v A
-    second = alpha**2 * weight * ((va**2 - zeta * s) * p + v * (2.0 * va + v) * s_derivs[0]
-                                  + v**2 * s_derivs[1])
-    k_psi = _stiffness(wave, r, s, v, screened) * v**2 * weight * p
-    return float(np.abs(second + k_psi).max()
-                 / np.maximum(np.abs(second).max(), np.abs(k_psi).max()))
+    zs, vs, vv = zeta * s, v * s, v * v
+    va = beta * v - zs  # v A
+    second = alpha**2 * weight * ((va * va - zs) * p + vs * ((2.0 * va + v) * p_s + vs * p_ss))
+    ll1 = float(level.l * (level.l + 1))
+    if screened:
+        yukawa, centrifugal = pot.a3 * alpha * v, ll1 * alpha**2
+    else:
+        yukawa, centrifugal = pot.a3 * vv / r, ll1 * vv / r**2
+    k_vv = 2.0 * c.mu / c.hbar**2 * (level.energy * vv + s * (pot.a1 + pot.a2 * s + yukawa))
+    k_psi = (k_vv - centrifugal) * weight * p
+    return float(np.abs(second + k_psi).max() / max(np.abs(second).max(), np.abs(k_psi).max()))

@@ -196,3 +196,23 @@ def test_zero_q3_second_difference_is_constant():
     column = [energy(params, CONSTS, n, 0).energy for n in range(6)]
     second = np.diff(column, n=2)
     np.testing.assert_allclose(second, -0.0625, rtol=1e-12)
+
+
+def test_table_rows_are_energy_bit_for_bit():
+    # spectrum_table takes each l's coefficients once; each row equals
+    # energy() at (n, l), and its E and u equal the numpy route
+    # (compact_energy, and u on a numpy rho) bit for bit.  The last
+    # potential skips l = 0 (negative radicand)
+    rng = np.random.default_rng(29)
+    potentials = [_random_params(rng) for _ in range(40)]
+    potentials += [PotentialParams(0.05, 0.0, 1.0, 0.5)]
+    for params in potentials:
+        table = spectrum_table(params, CONSTS, 7, 3)
+        for row in table.rows:
+            assert row == energy(params, CONSTS, row.n, row.l), (params, row)
+            coeffs = spectral_coefficients(params, CONSTS, row.l)
+            rho = np.asarray(row.n, dtype=float) + coeffs.delta
+            assert row.energy.hex() == compact_energy(coeffs, row.n).hex(), (params, row)
+            assert row.u_value.hex() == float(-(rho**2 + coeffs.q3) / (2.0 * rho)).hex()
+        assert len(table.rows) == 8 * (4 - len(table.errors))
+    assert list(table.errors) == [0]

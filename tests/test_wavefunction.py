@@ -107,6 +107,67 @@ def test_jacobi_buffers_are_private(n, a, b, sigma):
         assert np.max(log_scale) > 0.0  # the rescale path ran
 
 
+DERIV_CASES = [(0, 2.3, 0.4), (1, 2.3, 0.4), (2, 2.3, 0.4), (7, 2.3, 0.4), (60, 2.3, 0.4),
+               (150, 2.3, 0.4), DEEPEST_JACOBI]
+DERIV_SIGMA = np.concatenate((np.geomspace(1e-12, 0.5, 16),
+                              1.0 - np.geomspace(0.5, 1e-12, 16)[1:]))
+# x = 1 - 2 sigma near -1, where at n = 150 the recurrence keeps fewer
+# digits of P_n itself (against mpmath: ~2e-12 at a = 2.3, ~6e-10 at
+# DEEPEST_JACOBI); there the derivative rows are held to P_n's own error
+NEAR_ONE = DERIV_SIGMA > 0.99
+
+
+def _derivative_rows(n, a, b, sigma):
+    """(P, dP/dsigma, d^2P/dsigma^2, log_scale) from the kernel at derivs = 2,
+    with its P and P_{n-1} checked against the kernel at derivs = 0."""
+    p, p_prev, log_scale, d, e = wavefunction._jacobi_scaled(n, a, b, sigma, derivs=2)
+    for got, want in zip((p, p_prev, log_scale), wavefunction._jacobi_scaled(n, a, b, sigma)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.shape(d) == np.shape(e) == sigma.shape
+    return p, d, e, np.broadcast_to(log_scale, sigma.shape)
+
+
+def _row_error(got, want):
+    """max |got - want| over the largest |want|; max |got| where want is 0."""
+    scale = np.abs(want).max()
+    return np.abs(got - want).max() / scale if scale else float(np.abs(got).max())
+
+
+@pytest.mark.parametrize("n, a, b", DERIV_CASES)
+def test_jacobi_derivatives_are_the_shifted_families(n, a, b):
+    # DLMF 18.9.15 in sigma = (1 - x) / 2: d^k P_n / dsigma^k = c_k
+    # P_{n-k}^{(a+k,b+k)}, c_1 = -(n + a + b + 1), c_2 = (n + a + b + 1)(n + a
+    # + b + 2); the families by the kernel at derivs = 0, on P_n's scale
+    sigma = DERIV_SIGMA[~NEAR_ONE] if (n, a, b) == DEEPEST_JACOBI else DERIV_SIGMA
+    _, d, e, log_scale = _derivative_rows(n, a, b, sigma)
+    c = (-(n + a + b + 1.0), (n + a + b + 1.0) * (n + a + b + 2.0))
+    for k, got in ((1, d), (2, e)):
+        want = np.zeros(sigma.size)
+        if n >= k:
+            q, _, log_q = wavefunction._jacobi_scaled(n - k, a + k, b + k, sigma)
+            want = c[k - 1] * q * np.exp(log_q - log_scale)
+        assert _row_error(got, want) <= 1e-12, (n, k)
+
+
+@pytest.mark.parametrize("n, a, b", DERIV_CASES)
+def test_jacobi_derivatives_match_mpmath(n, a, b):
+    # 30-digit derivatives of mpmath.jacobi in sigma, on the kernel's scale:
+    # within 1e-12 of each row's max, or within twice P_n's own error where
+    # that is larger, on sigma <= 0.99 and on sigma > 0.99 apart
+    rows = _derivative_rows(n, a, b, DERIV_SIGMA)
+    want = np.zeros((3, DERIV_SIGMA.size))
+    with mpmath.workdps(30):
+        for i, (t, scale) in enumerate(zip(DERIV_SIGMA, rows[3])):
+            jacobi = lambda u: mpmath.jacobi(n, a, b, 1 - 2 * u)  # noqa: E731
+            values = mpmath.diffs(jacobi, mpmath.mpf(float(t)), 2)
+            want[:, i] = [float(v / mpmath.exp(scale)) for v in values]
+    for part in (~NEAR_ONE, NEAR_ONE):
+        p_error = _row_error(rows[0][part], want[0][part])
+        assert p_error < (1e-8 if (n, a, b) == DEEPEST_JACOBI else 1e-11)
+        for k in (1, 2):
+            assert _row_error(rows[k][part], want[k][part]) <= max(1e-12, 2.0 * p_error), (n, k)
+
+
 def test_psi_leaves_r_unchanged():
     wave = build_wave(DEEPEST_WELL, CONSTS, energy(DEEPEST_WELL, CONSTS, 50, 0))
     for r in (default_node_grid(wave), np.array(0.2)):
@@ -518,6 +579,17 @@ def test_ode_residual_small_for_true_solution():
     level = energy(UNIT_YUKAWA, CONSTS, 0, 0)
     wave = build_wave(UNIT_YUKAWA, CONSTS, level)
     assert ode_residual(wave) < 1e-6
+
+
+@pytest.mark.parametrize("params, ns", [(UNIT_YUKAWA, (0,)), (DEEP_YUKAWA, (0, 1, 2, 3)),
+                                        (DEEPEST_WELL, (0, 50, 100, 150))])
+def test_ode_residual_at_the_rounding_floor(params, ns):
+    # check 09's nine states: with P_s, P_ss from the differentiated
+    # recurrence and k (1 - s)^2 a polynomial, the screened residual stays
+    # near rounding even at n = 150 of the deepest well
+    for n in ns:
+        wave = build_wave(params, CONSTS, energy(params, CONSTS, n, 0))
+        assert ode_residual(wave) <= 1e-12, (params, n)
 
 
 def test_ode_residual_negative_control():

@@ -42,15 +42,17 @@ CLI's r range and both checks of a wave, ode_residual and the Simpson rule
 in ln r of verification.check_wavefunctions, end at r_tail, log-spaced in r
 from alpha r = 1e-12.
 
-default_node_grid sizes a level's grid by Sturm comparison in theta.  With
-N = n + (a + b + 1) / 2, u(theta) = sin(theta/2)^{a+1/2} cos(theta/2)^{b+1/2}
-P_n(cos theta) solves u'' + [N^2 + (1/4 - a^2) / (4 sin^2(theta/2))
-+ (1/4 - b^2) / (4 cos^2(theta/2))] u = 0 (Szego, Orthogonal Polynomials,
-4.24); for a, b >= 1/2 the bracket is at most N^2, so adjacent nodes are at
-least pi/N apart in theta, and M = clip(16 ceil(N), 64, 20001) points uniform
-in theta put 16 steps between them.  Below a or b = 1/2 the bound fails and
-the grid keeps 20001 points.  count_nodes holds any grid to the same rule:
-no theta-step over pi/(M + 1), with M from _node_points.
+default_node_grid places a level's grid by Sturm comparison in theta.  With
+N = n + (a + b + 1)/2, phi = theta/2, A = (a^2 - 1/4)/4 and B = (b^2 - 1/4)/4,
+u = sin(phi)^{a+1/2} cos(phi)^{b+1/2} P_n(cos theta) solves u'' + f u = 0, f =
+N^2 - A/sin^2(phi) - B/cos^2(phi) (Szego, Orthogonal Polynomials, 4.24).  For
+a, b >= 1/2, f < 0 where sin(phi) < sqrt(A)/N or cos(phi) < sqrt(B)/N, and
+there u'' = -f u keeps u, which grows from 0 at theta = 0 and pi, convex and
+away from 0: every node lies strictly inside (phi_lo, phi_hi), sin(phi_lo) =
+sqrt(A)/N, cos(phi_hi) = sqrt(B)/N.  As A/sin^2 + B/cos^2 >= (sqrt(A) +
+sqrt(B))^2, f <= K^2 = N^2 - (sqrt(A) + sqrt(B))^2 and adjacent nodes are at
+least pi/K apart in theta.  Below a or b = 1/2 the bound fails and the grid
+keeps 20001 points on all of (0, pi).
 
 Levels of one l are orthogonal, although each has its own Jacobi weight
 (beta depends on the energy): all solve -psi'' + U psi = (2 mu E / hbar^2) psi
@@ -73,7 +75,8 @@ from .spectrum import EnergyLevel
 
 _TAIL_FRACTION = 1e-13  # stop extending R once a doubling adds less than this
 _TAIL_DOUBLINGS = 64
-# node grid points: 16 per pi/N in theta, within these bounds
+_EPS = float(np.finfo(float).eps)
+# node grid points: 16 per pi/K in theta, within these bounds
 _NODE_MIN, _NODE_MAX = 64, 20001
 # rounding in a grid's theta-steps, relative; a grid one point short of the
 # rule is 1/M, at least 5e-5, over it
@@ -249,7 +252,7 @@ def _tail_radius(alpha, beta, zeta, jac: JacobiParams, log_total: float) -> floa
     terms = (2.0 * _log_gamma_ratio(q + 1.0, n),  # ln B(R_0)
              -2.0 * math.lgamma(n + 1.0), -two_beta * alpha * r_0,
              -math.log(two_beta * alpha), -log_total)  # less ln total
-    margin = 16.0 * np.finfo(float).eps * max(map(abs, terms))
+    margin = 16.0 * _EPS * max(map(abs, terms))
     if sum(terms) + margin <= math.log(_TAIL_FRACTION / (1.0 + _TAIL_FRACTION)):
         return 2.0 * r_0
     return _series_rung(alpha, beta, zeta, jac, log_total)
@@ -319,34 +322,34 @@ def _log_tail(alpha, beta, zeta, jac: JacobiParams, log_s: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):  # S <= 0: all digits lost
         log_sums = np.log(sums)
     log_tail = two_beta * log_s + 2.0 * log_p1 - math.log(alpha) + log_sums
-    return log_tail, 16.0 * (n + 10) * np.finfo(float).eps * bounds / sums
+    return log_tail, 16.0 * (n + 10) * _EPS * bounds / sums
 
 
-def _node_points(wave: RadialWave) -> int:
-    """M, the points of the level's node grid (module docstring)."""
-    n, a, b = wave.jacobi.n, wave.jacobi.a, wave.jacobi.b
-    if min(a, b) < 0.5:  # the Sturm bound does not hold
-        return _NODE_MAX
-    return min(max(16 * math.ceil(n + (a + b + 1.0) / 2.0), _NODE_MIN), _NODE_MAX)
+def _node_span(jac: JacobiParams):
+    """(phi_lo, phi_hi, M) of the level's node grid, M + 1 = ceil(32 K (phi_hi -
+    phi_lo) / pi) with M in [64, 20001] (module docstring)."""
+    n, a, b = jac.n, jac.a, jac.b
+    if min(a, b) < 0.5:  # the Sturm bound does not hold: all of (0, pi/2)
+        return 0.0, 0.5 * math.pi, _NODE_MAX
+    root_a, root_b = 0.5 * math.sqrt(a * a - 0.25), 0.5 * math.sqrt(b * b - 0.25)
+    big_n, least = n + 0.5 * (a + b + 1.0), root_a + root_b
+    lo, hi = math.asin(root_a / big_n), math.acos(root_b / big_n)
+    k = math.sqrt((big_n - least) * (big_n + least))
+    return lo, hi, min(max(math.ceil(32.0 * k * (hi - lo) / math.pi) - 1, _NODE_MIN), _NODE_MAX)
 
 
 def default_node_grid(wave: RadialWave) -> np.ndarray:
-    """M points uniform in theta, x = 1 - 2 s = cos(theta), where the zeros of
-    P_n^{(2 beta, 2 zeta - 1)}(x) spread out: theta_k = pi k / (M + 1), with
-    M = clip(16 ceil(N), 64, 20001) and N = n + beta + zeta, 16 points per
-    pi/N, the least theta-gap between nodes (module docstring); M = 20001
-    where 2 beta or 2 zeta - 1 is below 1/2.  A new array on every call.
-
-    Both Jacobi indices are >= 0, so every zero has s and 1 - s >= c / N^2,
-    c from 1.1 at n = 1 to j_{0,1}^2 / 4 = 1.45 for large n (Bessel-zero
-    asymptotics, DLMF 18.16).  Below the cap the grid's ends, s and 1 - s
-    about (pi / 32 N)^2, lie outside every node; at M = 20001, s and 1 - s =
-    6.2e-9, they miss a node only past N = 1.3e4.  Nodes within three
-    theta-steps make count_nodes raise ResolutionError, which takes
-    2 beta n >~ 5e7.
+    """M points uniform in phi = theta/2, x = 1 - 2 s = cos(theta), strictly
+    inside the span (phi_lo, phi_hi) of the zeros of P_n^{(2 beta, 2 zeta - 1)}:
+    phi_k = phi_lo + (phi_hi - phi_lo) k / (M + 1), 16 steps per pi/K, the least
+    theta-gap between nodes (module docstring).  Where 2 beta or 2 zeta - 1 is
+    below 1/2 it is theta_k = pi k / 20002, whose ends, s and 1 - s = 6.2e-9,
+    miss a node only past N = 1.3e4 (DLMF 18.16).  A new array on every call.
+    Nodes within three theta-steps, which needs M at the cap, make count_nodes
+    raise ResolutionError.
     """
-    m = _node_points(wave)
-    half = np.pi * np.arange(m, 0, -1) / (2 * (m + 1))  # theta_k / 2, k = M .. 1
+    lo, hi, m = _node_span(wave.jacobi)
+    half = lo + (hi - lo) * np.arange(m, 0, -1) / (m + 1)  # phi_k, k = M .. 1
     return _alpha_r(half) / wave.params.alpha
 
 
@@ -362,9 +365,10 @@ def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
     """Strict sign changes of psi over the grid interior.
 
     Requires every theta-step of the grid, theta = 2 atan2(sqrt(s),
-    sqrt(1 - s)), to be at most pi/(M + 1) for the level's M, the step of
-    default_node_grid; adjacent sign changes closer than three samples raise
-    ResolutionError since the grid cannot separate the roots.
+    sqrt(1 - s)), to be at most 2 (phi_hi - phi_lo)/(M + 1) for the level's
+    span, the step of default_node_grid; adjacent sign changes closer than
+    three samples raise ResolutionError since the grid cannot separate the
+    roots.
     """
     grid = np.asarray(grid, dtype=float)
     # a NaN fails the order test; in order, the first point is the least
@@ -375,10 +379,11 @@ def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
     x = -wave.params.alpha * grid
     s, one_minus = np.exp(x), -np.expm1(x)
     half = np.arctan2(np.sqrt(s), np.sqrt(one_minus))  # theta / 2; doubling is exact
-    step, m = 2.0 * (half[:-1] - half[1:]).max(), _node_points(wave)
-    if not step <= math.pi / (m + 1) * (1.0 + _NODE_STEP_SLACK):
-        raise ResolutionError(f"largest theta-step {step:.6g} of the grid is over "
-                              f"pi/{m + 1}: the level needs {m} points uniform in theta")
+    lo, hi, m = _node_span(wave.jacobi)
+    step, limit = 2.0 * (half[:-1] - half[1:]).max(), 2.0 * (hi - lo) / (m + 1)
+    if not step <= limit * (1.0 + _NODE_STEP_SLACK):
+        raise ResolutionError(f"largest theta-step {step:.6g} of the grid is over {limit:.6g}: "
+                              f"the level needs {m} points uniform in theta")
     values = wave._psi_at(x, s, one_minus)
     idx = values.nonzero()[0]  # zero samples neither count nor hide a change
     negative = values[idx] < 0.0

@@ -8,6 +8,7 @@ any fit and be called out as such.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,24 +213,33 @@ def test_polish_from_t0_reaches_an_interior_fit(monkeypatch, shift):
     _assert_recovers([(n, 0, energy(params, CONSTS, n, 0).energy) for n in range(4)], *x)
 
 
-def _np_roots_outer(cubics):
-    """Smallest and largest real root of each row, one np.roots call a row."""
-    out = np.empty((2, len(cubics)))
-    for i, coefficients in enumerate(cubics):
-        roots = np.roots(coefficients)
-        real = roots.real[roots.imag == 0.0]
-        out[:, i] = real.min(), real.max()
-    return out
+def _pool_table(rng):
+    """A valid-level table of a seeded well in the benchmark's box: a3 in
+    [1, 2], alpha in [0.01, 0.03], x1 and x2 in [-0.05, 0.05]."""
+    alpha = math.exp(rng.uniform(math.log(0.01), math.log(0.03)))
+    x1, x2 = rng.uniform(-0.05, 0.05, 2)
+    return _valid_rows(_from_x(x1, x2, 2.0 * math.exp(rng.uniform(0.0, math.log(2.0))) / alpha,
+                               alpha)), alpha
 
 
-@pytest.mark.parametrize("table", [
+_SCAN_TABLES = [
     lambda: ([(0, 0, -0.28125)], 0.5),  # one row
     lambda: (_valid_rows(_from_x(0.03, -0.04, 22600.0, 0.0232)), 0.0232),  # deep well
     _perturbed_upper_branch_rows,
     lambda: ([(n, 0, e) for n, e in enumerate(FIXTURE)], 0.5),  # complex pairs at every t
-], ids=["one-row", "deep-well", "perturbed-upper-branch", "infeasible-fixture"])
-def test_batched_cubic_roots_equal_np_roots(monkeypatch, table):
-    # the fit's one batched eigvals call returns np.roots' roots bit for bit
+] + [lambda seed=seed: _pool_table(np.random.default_rng(seed)) for seed in range(3)]
+
+
+@pytest.mark.parametrize("table", _SCAN_TABLES, ids=[
+    "one-row", "deep-well", "perturbed-upper-branch", "infeasible-fixture",
+    "pool-0", "pool-1", "pool-2"])
+def test_outer_real_roots_match_mpmath(monkeypatch, table):
+    # the scan's outer real roots against 50-digit mpmath.polyroots on the
+    # same float cubics: each within 4 eps times the root's condition number
+    # sum |c_k x^k| / |x c'(x)|, a few roundings of each coefficient.  On
+    # 3660 cubics of seeded pool scans the closed form with its two Newton
+    # steps reached 0.98 eps times it, and np.roots, the eigenvalues of the
+    # companion matrix, 5.7.
     rows, alpha = table()
     batched, seen = recovery._outer_real_roots, []
 
@@ -241,7 +251,35 @@ def test_batched_cubic_roots_equal_np_roots(monkeypatch, table):
     fit_couplings(rows, alpha=alpha, consts=CONSTS)
     [(cubics, roots)] = seen
     assert cubics.shape == (recovery._T_GRID.size, 4)
-    np.testing.assert_array_equal(roots, _np_roots_outer(cubics))
+    with mpmath.workdps(50):
+        for c, outer in zip(cubics, roots.T):
+            found = mpmath.polyroots([mpmath.mpf(float(x)) for x in c], maxsteps=200,
+                                     extraprec=200)
+            real = [mpmath.re(x) for x in found if abs(mpmath.im(x)) <= 1e-40 * abs(x)]
+            for x, exact in zip(outer, (min(real), max(real))):
+                exact = float(exact)
+                powers = exact ** np.arange(3.0, -1.0, -1.0)
+                slope = abs(exact * (3.0 * c[0] * exact**2 + 2.0 * c[1] * exact + c[2]))
+                cond = np.abs(c * powers).sum() / slope
+                assert abs(x - exact) <= 4.0 * np.finfo(float).eps * cond * abs(exact), (
+                    c, x, exact)
+
+
+def test_fit_runs_without_lapack(monkeypatch):
+    # the fit's roots, steps and couplings are all closed forms: the
+    # round-trip tables pass with numpy's eigvals and lstsq made to raise
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_couplings called LAPACK")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    for x in [(0.0625, 0.025, 6.0, 0.4), (0.01, -0.02, 200.0, 0.1),
+              (0.03, -0.04, 22600.0, 0.0232)]:
+        _assert_recovers(_valid_rows(_from_x(*x)), *x)
+    rows, alpha = _pool_table(np.random.default_rng(0))
+    report = fit_couplings(rows, alpha=alpha, consts=CONSTS)
+    assert report.converged
+    assert report.rms <= 4 * np.finfo(float).eps * max(abs(e) for _, _, e in rows)
 
 
 def test_couplings_are_minimum_norm():

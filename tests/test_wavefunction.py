@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import binom, gammaln
 
 from mrey import (
@@ -304,10 +305,24 @@ SMALL_B_LEVEL = (PotentialParams(0.009, 0.0, 20.0, 0.3), 3, 0)
 def _theta_grid(alpha, points):
     """points uniform in theta, theta_k = pi k / (points + 1), as r: -ln s at
     s = sin^2(theta_k / 2), as -ln(1 - cos^2) where s is near 1."""
-    half = np.pi * np.arange(points, 0, -1) / (2 * (points + 1))
+    return _span_grid(alpha, 0.0, 0.5 * np.pi, points)
+
+
+def _span_grid(alpha, lo, hi, points):
+    """points uniform in phi = theta/2 strictly inside (lo, hi), phi_k = lo +
+    (hi - lo) k / (points + 1), as r, the log1p form where s is near 1."""
+    half = lo + (hi - lo) * np.arange(points, 0, -1) / (points + 1)
     alpha_r = np.where(half > 0.25 * np.pi, -np.log1p(-np.cos(half) ** 2),
                        -np.log(np.sin(half) ** 2))
     return alpha_r / alpha
+
+
+def _sturm_span(n, a, b):
+    """(phi_lo, phi_hi, K) of the module docstring for a, b >= 1/2."""
+    big_n = n + (a + b + 1.0) / 2.0
+    root_a, root_b = math.sqrt(a * a - 0.25) / 2.0, math.sqrt(b * b - 0.25) / 2.0
+    return (math.asin(root_a / big_n), math.acos(root_b / big_n),
+            math.sqrt(big_n**2 - (root_a + root_b) ** 2))
 
 
 def _parity_levels():
@@ -340,28 +355,69 @@ def _verdict(wave, grid):
 
 def test_node_grid_verdicts_match_the_full_theta_grid():
     # the level's grid of M points gives the verdict of 20001 points uniform
-    # in theta: the count, or the error.  The grid is theta_k = pi k / (M + 1),
-    # s = e^{-alpha r} = sin^2(theta / 2), and 1 - s = cos^2(theta / 2) keeps
-    # its digits where alpha r is small; at the cap it is the 20001-point
-    # grid byte for byte.  Every call makes a new, writable array.
+    # in theta, read by a plain scan: the count, or nodes too close.  (On a
+    # narrow span count_nodes itself holds the 20001 points to the finer
+    # theta-step of the level's grid and rejects them.)  The grid is
+    # phi_k = phi_lo + (phi_hi - phi_lo) k / (M + 1), phi = theta / 2,
+    # s = e^{-alpha r} = sin^2(phi), and 1 - s = cos^2(phi) keeps its digits
+    # where alpha r is small; where the Sturm bound fails it is the
+    # 20001-point grid byte for byte.  Every call makes a new, writable array.
     sizes = set()
     for params, level in _parity_levels():
         wave = build_wave(params, CONSTS, level)
         grid, full = default_node_grid(wave), _theta_grid(params.alpha, 20001)
         where = (params, level.n, level.l)
-        jac = wave.jacobi  # 16 points per pi/N, N = n + (a + b + 1) / 2
-        sturm = min(max(16 * math.ceil(jac.n + (jac.a + jac.b + 1.0) / 2.0), 64), 20001)
-        assert grid.size == (sturm if min(jac.a, jac.b) >= 0.5 else 20001), where
-        assert _verdict(wave, grid) == _verdict(wave, full), where
-        half = np.pi * np.arange(grid.size, 0, -1) / (2 * (grid.size + 1))
+        jac = wave.jacobi
+        if min(jac.a, jac.b) >= 0.5:  # 16 points per pi/K inside the span
+            lo, hi, k = _sturm_span(jac.n, jac.a, jac.b)
+            assert grid.size == min(max(math.ceil(32 * k * (hi - lo) / math.pi) - 1, 64),
+                                    20001), where
+        else:
+            lo, hi = 0.0, 0.5 * np.pi
+            assert grid.size == 20001, where
+            assert grid.tobytes() == full.tobytes(), where
+        verdict = _verdict(wave, grid)
+        if verdict == "two sign changes within three samples; refine the grid":
+            verdict = "too close"
+        assert verdict == _plain_scan(wave.psi(full).tolist()), where
+        half = lo + (hi - lo) * np.arange(grid.size, 0, -1) / (grid.size + 1)
         np.testing.assert_allclose(np.exp(-params.alpha * grid), np.sin(half) ** 2, rtol=1e-12)
         np.testing.assert_allclose(-np.expm1(-params.alpha * grid), np.cos(half) ** 2,
                                    rtol=1e-12)
-        if grid.size == 20001:
-            assert grid.tobytes() == full.tobytes(), where
         assert grid.flags.writeable and default_node_grid(wave) is not grid
         sizes.add(grid.size if grid.size in (64, 20001) else "between")
     assert sizes == {64, "between", 20001}  # the floor, the cap and between
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nodes_lie_inside_the_span_and_keep_their_least_gap(seed):
+    # every zero of P_n^{(a, b)} lies strictly inside (phi_lo, phi_hi), and
+    # adjacent zeros are at least pi/K apart in theta, so the grid puts at
+    # least 16 steps between them below its cap.  The zeros are the
+    # eigenvalues of the Jacobi matrix (Golub-Welsch), independent of the
+    # library's recurrence; a, b span 0.5 to 1e5
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        n = int(rng.integers(1, 151))
+        a, b = np.exp(rng.uniform(math.log(0.5), math.log(1e5), 2))
+        k = np.arange(1, n + 1)
+        s = 2.0 * k + a + b  # recurrence in x = cos(theta), DLMF 18.9.2
+        diag = (b * b - a * a) / ((s - 2.0) * s)
+        off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+        x = eigvalsh_tridiagonal(diag, off[:-1])
+        # theta from the half-angle forms, which keep the digits near x = +-1
+        theta = 2.0 * np.arctan2(np.sqrt((1.0 - x) / 2.0), np.sqrt((1.0 + x) / 2.0))
+        lo, hi, big_k = _sturm_span(n, a, b)
+        where = (n, a, b)
+        assert 2.0 * lo < theta.min() and theta.max() < 2.0 * hi, where
+        gaps = np.diff(np.sort(theta))
+        # the bound is nearly tight (to 4e-9) where a and b are large
+        assert (gaps >= math.pi / big_k * (1.0 - 1e-6)).all(), where
+        jac = JacobiParams(n, float(a), float(b))
+        lo_lib, hi_lib, m = wavefunction._node_span(jac)
+        assert (lo_lib, hi_lib) == (lo, hi), where
+        if m < 20001:
+            assert 16.0 * 2.0 * (hi - lo) / (m + 1) <= math.pi / big_k * (1.0 + 1e-12), where
 
 
 @pytest.mark.parametrize("params, n, l", [SMALL_A_LEVEL, SMALL_B_LEVEL])
@@ -376,12 +432,14 @@ def test_node_grid_falls_back_where_the_sturm_bound_fails(params, n, l):
 
 @pytest.mark.parametrize("params, n", [(UNIT_YUKAWA, 0), (DEEP_YUKAWA, 3), (DEEPEST_WELL, 50)])
 def test_node_grid_one_point_short_is_rejected(params, n):
-    # M - 1 points uniform in theta, a step of pi/M: over the rule's pi/(M + 1)
+    # M - 1 points inside the span, a theta-step of 2 (phi_hi - phi_lo) / M:
+    # over the rule's 2 (phi_hi - phi_lo) / (M + 1)
     wave = build_wave(params, CONSTS, energy(params, CONSTS, n, 0))
+    lo, hi, _ = _sturm_span(wave.jacobi.n, wave.jacobi.a, wave.jacobi.b)
     points = default_node_grid(wave).size
-    assert count_nodes(wave, _theta_grid(params.alpha, points)) == n
+    assert count_nodes(wave, _span_grid(params.alpha, lo, hi, points)) == n
     with pytest.raises(ResolutionError, match="theta-step"):
-        count_nodes(wave, _theta_grid(params.alpha, points - 1))
+        count_nodes(wave, _span_grid(params.alpha, lo, hi, points - 1))
 
 
 def test_deep_well_psi_stays_finite():
@@ -538,27 +596,35 @@ def test_count_nodes_rejects_nan_grid():
 
 def test_node_grid_is_the_where_form():
     # default_node_grid evaluates each branch of alpha r only on its own
-    # points: the log1p prefix (theta_k / 2 > pi/4) and the rest.  That is
-    # the former np.where of both branches on every point, byte for byte,
-    # at every M that _node_points gives; and _alpha_r on the grids where
-    # no point, and where every point, takes the log1p branch
+    # points: the log1p prefix (phi_k > pi/4) and the rest.  That is the
+    # former np.where of both branches on every point, byte for byte, on
+    # spans at the floor, between and at the cap, and on the fallback grid;
+    # and _alpha_r on the grids where no point, and where every point, takes
+    # the log1p branch
     def where_form(half):
         return np.where(half > 0.25 * np.pi, -np.log1p(-np.cos(half) ** 2),
                         -np.log(np.sin(half) ** 2))
 
     stand_in = _SignPattern([1.0])
-    # N = m / 16, and at the cap indices below the Sturm bound's 1/2
-    sizes = [(m, JacobiParams(m // 16 - 1, 0.5, 0.5)) for m in range(64, 20001, 16)]
-    for m, jacobi in sizes + [(20001, JacobiParams(0, 0.0, 0.0))]:
+    rng = np.random.default_rng(5)
+    degrees = np.exp(rng.uniform(0.0, math.log(2000.0), 300)).astype(int) - 1
+    indices = np.exp(rng.uniform(math.log(0.5), math.log(1e5), (300, 2)))
+    jacobis = [JacobiParams(int(n), float(a), float(b)) for n, (a, b) in zip(degrees, indices)]
+    sizes, parts = set(), set()
+    for jacobi in jacobis + [JacobiParams(0, 0.0, 0.0)]:  # the last below the bound
         stand_in.jacobi = jacobi
-        assert wavefunction._node_points(stand_in) == m
-        half = np.pi * np.arange(m, 0, -1) / (2 * (m + 1))
+        lo, hi, m = wavefunction._node_span(jacobi)
+        half = lo + (hi - lo) * np.arange(m, 0, -1) / (m + 1)
         grid = default_node_grid(stand_in)
-        assert grid.tobytes() == where_form(half).tobytes(), m
-        lo, hi = half[half <= 0.25 * np.pi], half[half > 0.25 * np.pi]
-        for part in (lo, hi):
-            assert part.size
-            assert wavefunction._alpha_r(part).tobytes() == where_form(part).tobytes(), m
+        assert grid.tobytes() == where_form(half).tobytes(), jacobi
+        head, tail = half[half > 0.25 * np.pi], half[half <= 0.25 * np.pi]
+        for part in (head, tail):
+            if part.size:
+                assert wavefunction._alpha_r(part).tobytes() == where_form(part).tobytes(), jacobi
+        sizes.add(m if m in (64, 20001) else "between")
+        parts.add((head.size > 0, tail.size > 0))
+    assert sizes == {64, "between", 20001}
+    assert parts == {(True, True), (True, False), (False, True)}
 
 
 def test_ode_radii_are_geomspace():

@@ -33,14 +33,14 @@ binom(n + q, n) on [-1, 1] for q = max(a, b) >= -1/2 (DLMF 18.14.1 with the
 reflection 18.6.1; Szego, Orthogonal Polynomials, Thm 7.32.1), and q = a
 serves on x >= (b - a)/(a + b + 1): there Szego's f = P_n^2 + (1 - x^2)
 P_n'^2 / (n (n + a + b + 1)), with f' = 2 P_n'^2 ((a + b + 1) x - b + a) /
-(n (n + a + b + 1)), rises to f(1) = P_n(1)^2.  That range holds the tail,
-x >= 1 - 2 e^{-10}, unless b >~ e^{10} (a + 1/2).  With (1 - s)^{2 zeta} <= 1,
-T(R) <= B(R) = binom(n + q, n)^2 s_R^{2 beta} / (2 beta alpha), which
-settles the first rung of nearly every level; elsewhere T is summed as a
-power series in s_R (P_n(1 - 2 s) is a terminating 2F1, DLMF 18.5.7).  The
-CLI's r range and both checks of a wave, ode_residual and the Simpson rule
-in ln r of verification.check_wavefunctions, end at r_tail, log-spaced in r
-from alpha r = 1e-12.
+(n (n + a + b + 1)), rises to f(1) = P_n(1)^2.  That range holds the tail
+beyond R, x >= 1 - 2 s_R, unless b >~ (a + 1/2) / s_R.  With (1 - s)^{2 zeta}
+<= 1, T(R) <= B(R) = binom(n + q, n)^2 s_R^{2 beta} / (2 beta alpha), a
+proven bound, so r_tail is 2 R at the first R = 2^j max(2, 10/alpha) where
+B(R) settles the doubling (_tail_radius).  The CLI's r range and both checks
+of a wave, ode_residual and the Simpson rule in ln r of
+verification.check_wavefunctions, end at r_tail, log-spaced in r from
+alpha r = 1e-12.
 
 default_node_grid places a level's grid by Sturm comparison in theta.  With
 N = n + (a + b + 1)/2, phi = theta/2, A = (a^2 - 1/4)/4 and B = (b^2 - 1/4)/4,
@@ -78,8 +78,7 @@ _TAIL_DOUBLINGS = 64
 _EPS = float(np.finfo(float).eps)
 # node grid points: 16 per pi/K in theta, within these bounds
 _NODE_MIN, _NODE_MAX = 64, 20001
-# rounding in a grid's theta-steps, relative; a grid one point short of the
-# rule is 1/M, at least 5e-5, over it
+# rounding in a grid's theta-steps, relative
 _NODE_STEP_SLACK = 1e-9
 # ode_residual samples the equation at this many log-spaced radii.
 _ODE_SAMPLES = 150
@@ -108,8 +107,8 @@ class RadialWave:
     """A normalized bound-state radial wavefunction.
 
     psi(r) = norm * s^beta (1 - s)^zeta P_n(1 - 2 s) with s = e^{-alpha r};
-    r_tail is the radius beyond which the tail of psi^2 was found negligible
-    during normalization.
+    r_tail is the radius beyond which the tail of psi^2 is proven negligible
+    by the Jacobi maximum bound (module docstring).
     """
 
     params: PotentialParams
@@ -147,7 +146,7 @@ def build_wave(
     The exponents come from the NU shape evaluated at the level's energy;
     marginal and invalid levels are rejected (u > 0 and xi^2 > 0 are needed
     for normalizability).  The norm is the closed form of the module
-    docstring, in logs; r_tail comes from the tail's bound or its power series.
+    docstring, in logs; r_tail comes from the tail's Jacobi maximum bound.
     """
     if not level.valid_bound_state:
         raise DomainError(f"level (n={level.n}, l={level.l}) is not a strictly valid bound "
@@ -164,7 +163,7 @@ def build_wave(
                              f"l={level.l}) is outside double range")
     jacobi = JacobiParams(n, jac_a, jac_b)
     return RadialWave(params, consts, level, beta, zeta, jacobi, math.exp(-0.5 * log_total),
-                      _tail_radius(params.alpha, beta, zeta, jacobi, log_total))
+                      _tail_radius(params.alpha, beta, jacobi, log_total))
 
 
 # Stirling coefficients B_2k / (2k (2k - 1)), highest order first; seven
@@ -237,105 +236,42 @@ def _jacobi_scaled(n: int, a: float, b: float, sigma, derivs: int = 0):
     return (p_curr, p_prev, log_scale) + ((d_curr, e_curr) if derivs else ())
 
 
-def _tail_radius(alpha, beta, zeta, jac: JacobiParams, log_total: float) -> float:
+def _tail_radius(alpha, beta, jac: JacobiParams, log_total: float) -> float:
     """R past which the tail of (psi / norm)^2 is negligible, for the wave of
-    these exponents: R_0 = max(2, 10/alpha), doubled until a doubling adds at
-    most _TAIL_FRACTION of the running total.  As the piece over [R_0, 2 R_0]
-    is at most B(R_0) (module docstring) and the running total at least
-    total - B(R_0), B(R_0) <= _TAIL_FRACTION (total - B(R_0)) passes rung 0;
-    in logs, with 16 ulp of the largest term for rounding.  Only where that
-    declines does _series_rung decide."""
+    these exponents: 2 R_j at the first R_j = 2^j max(2, 10/alpha), j <=
+    _TAIL_DOUBLINGS, whose doubling adds at most _TAIL_FRACTION of the running
+    total.  As the piece over [R_j, 2 R_j] is at most B(R_j) (module
+    docstring) and the running total at least total - B(R_j),
+    B(R_j) <= _TAIL_FRACTION (total - B(R_j)) passes R_j; in logs, with 16 ulp
+    of the largest term for rounding, and q chosen at each R_j."""
     two_beta, n, a, b = 2.0 * beta, jac.n, jac.a, jac.b
-    r_0 = max(2.0, 10.0 / alpha)
-    # q = a where the tail, x >= 1 - 2 s_{R_0}, lies in x >= (b - a)/(a + b + 1)
-    q = a if (1.0 - 2.0 * math.exp(-alpha * r_0)) * (a + b + 1.0) >= b - a else b
-    terms = (2.0 * _log_gamma_ratio(q + 1.0, n),  # ln B(R_0)
-             -2.0 * math.lgamma(n + 1.0), -two_beta * alpha * r_0,
-             -math.log(two_beta * alpha), -log_total)  # less ln total
-    margin = 16.0 * _EPS * max(map(abs, terms))
-    if sum(terms) + margin <= math.log(_TAIL_FRACTION / (1.0 + _TAIL_FRACTION)):
-        return 2.0 * r_0
-    return _series_rung(alpha, beta, zeta, jac, log_total)
-
-
-def _series_rung(alpha, beta, zeta, jac: JacobiParams, log_total: float) -> float:
-    """_tail_radius by _log_tail's series: a piece T(R) - T(2R) at its largest
-    and the running total at its smallest within the series' error bound, so
-    a rung whose series has lost its digits never passes and R doubles on."""
-    uppers = max(2.0, 10.0 / alpha) * 2.0 ** np.arange(_TAIL_DOUBLINGS + 1)
-    log_tail, rel = _log_tail(alpha, beta, zeta, jac, -alpha * uppers)
-    step = log_tail[1:] - log_tail[:-1]
-    with np.errstate(invalid="ignore"):  # NaN where the bounds swamp T: the rung fails
-        log_piece = log_tail[:-1] + np.log(-np.expm1(step) + rel[:-1] + rel[1:] * np.exp(step))
-        log_running = log_total + np.log1p(-np.exp(log_tail[1:] - log_total) * (1.0 + rel[1:]))
-    done = np.nonzero(log_piece <= math.log(_TAIL_FRACTION) + log_running)[0]
-    if done.size == 0:
-        raise NumericalError(f"normalization tail did not converge within {_TAIL_DOUBLINGS} "
-                             "doublings")
-    return float(uppers[done[0] + 1])
-
-
-def _log_tail(alpha, beta, zeta, jac: JacobiParams, log_s: np.ndarray):
-    """(ln T(R), bound on the relative error of T(R)) at s_R = e^{log_s}, for
-    e^{-10} >= s_{R_0} >= s_R with s_{R_0} = e^{log_s[0]}, where
-
-      T(R) = integral from R to inf of (psi / norm)^2 dr
-           = 1 / alpha * integral over (0, s_R) of s^{2 beta - 1} f(s) ds,
-      f(s) = (1 - s)^{2 zeta} P_n(1 - 2 s)^2 = P_n(1)^2 sum_k g_k s^k.
-
-    P_n(1 - 2 s) / P_n(1) = 2F1(-n, n + a + b + 1; a + 1; s) = sum_j q_j s^j
-    terminates (DLMF 18.5.7), (1 - s)^{2 zeta} = sum_m c_m s^m is the binomial
-    series, g = q * q * c, and term by term
-
-      T(R) = s_R^{2 beta} P_n(1)^2 / alpha * S,  S = sum_k g_k s_R^k / (2 beta + k),
-
-    with P_n(1) = (a + 1)_n / n!.  q and c are taken in units of s_{R_0}, so
-    no coefficient overflows.
-
-    - Rounding: in a term of S, q_i q_j takes at most 2n ratio steps of 10
-      roundings (of eps / 2) and c_m 31 steps of 4; its power of s_R takes
-      under 6n + 93 and the products and the three sums 3n + 66.  That is
-      under 32 (n + 10) in all, so S is within 16 (n + 10) eps S_abs, S_abs
-      the same sum over |q| * |q| * |c|.  q_j has the sign (-1)^j, so S
-      alternates: near threshold (small a) S_abs / S grows as
-      e^{4 n sqrt(s_R)}, to 1e13 at n = 1410 of the well a3 = 1e4,
-      alpha = 0.01.
-    - Truncation: c keeps 32 terms.  |c_m| <= (2 zeta + m)^m / m!, so the
-      dropped terms sum to under 1e-17 of S_abs for zeta up to 4e4.
-    """
-    n, a, b, two_beta = jac.n, jac.a, jac.b, 2.0 * beta
-    s0, j, m = math.exp(log_s[0]), np.arange(n), np.arange(31)
-    q = np.cumprod(np.concatenate(([1.0], s0 * (j - n) * (j + n + a + b + 1.0)
-                                   / ((j + a + 1.0) * (j + 1.0)))))
-    c = np.cumprod(np.concatenate(([1.0], s0 * (m - 2.0 * zeta) / (m + 1.0))))
-    g = np.array([np.convolve(np.convolve(u, u), v) for u, v in ((q, c), (np.abs(q), np.abs(c)))])
-    k = np.arange(g.shape[1])
-    # row R, column k: (s_R / s_{R_0})^k / (2 beta + k), built for the live
-    # rungs only: once s_R / s_{R_0} underflows to 0 (from about the 8th
-    # rung) a row is g[:, 0] / (2 beta) = 1 / (2 beta)
-    ratio = np.exp(log_s) / s0
-    live = np.count_nonzero(ratio)
-    powers = np.vander(ratio[:live], k.size, increasing=True) / (two_beta + k)
-    sums, bounds = table = np.full((2, ratio.size), 1.0 / two_beta)
-    table[:, :live] = g @ powers.T
-    log_p1 = _log_gamma_ratio(a + 1.0, n) - math.lgamma(n + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # S <= 0: all digits lost
-        log_sums = np.log(sums)
-    log_tail = two_beta * log_s + 2.0 * log_p1 - math.log(alpha) + log_sums
-    return log_tail, 16.0 * (n + 10) * _EPS * bounds / sums
+    pass_line = math.log(_TAIL_FRACTION / (1.0 + _TAIL_FRACTION))
+    r = max(2.0, 10.0 / alpha)
+    for _ in range(_TAIL_DOUBLINGS + 1):
+        # q = a where the tail, x >= 1 - 2 s_R, lies in x >= (b - a)/(a + b + 1)
+        q = a if (1.0 - 2.0 * math.exp(-alpha * r)) * (a + b + 1.0) >= b - a else b
+        terms = (2.0 * _log_gamma_ratio(q + 1.0, n),  # ln B(R)
+                 -2.0 * math.lgamma(n + 1.0), -two_beta * alpha * r,
+                 -math.log(two_beta * alpha), -log_total)  # less ln total
+        if sum(terms) + 16.0 * _EPS * max(map(abs, terms)) <= pass_line:
+            return 2.0 * r
+        r *= 2.0
+    raise NumericalError(f"normalization tail did not converge within {_TAIL_DOUBLINGS} "
+                         "doublings")
 
 
 def _node_span(jac: JacobiParams):
-    """(phi_lo, phi_hi, M) of the level's node grid, M + 1 = ceil(32 K (phi_hi -
-    phi_lo) / pi) with M in [64, 20001] (module docstring)."""
+    """(phi_lo, phi_hi, M, K) of the level's node grid, M + 1 = ceil(32 K (phi_hi -
+    phi_lo) / pi) with M in [64, 20001] (module docstring); K = inf where the
+    Sturm bound fails."""
     n, a, b = jac.n, jac.a, jac.b
     if min(a, b) < 0.5:  # the Sturm bound does not hold: all of (0, pi/2)
-        return 0.0, 0.5 * math.pi, _NODE_MAX
+        return 0.0, 0.5 * math.pi, _NODE_MAX, math.inf
     root_a, root_b = 0.5 * math.sqrt(a * a - 0.25), 0.5 * math.sqrt(b * b - 0.25)
     big_n, least = n + 0.5 * (a + b + 1.0), root_a + root_b
     lo, hi = math.asin(root_a / big_n), math.acos(root_b / big_n)
     k = math.sqrt((big_n - least) * (big_n + least))
-    return lo, hi, min(max(math.ceil(32.0 * k * (hi - lo) / math.pi) - 1, _NODE_MIN), _NODE_MAX)
+    return lo, hi, min(max(math.ceil(32.0 * k * (hi - lo) / math.pi) - 1, _NODE_MIN), _NODE_MAX), k
 
 
 def default_node_grid(wave: RadialWave) -> np.ndarray:
@@ -348,7 +284,7 @@ def default_node_grid(wave: RadialWave) -> np.ndarray:
     Nodes within three theta-steps, which needs M at the cap, make count_nodes
     raise ResolutionError.
     """
-    lo, hi, m = _node_span(wave.jacobi)
+    lo, hi, m, _ = _node_span(wave.jacobi)
     half = lo + (hi - lo) * np.arange(m, 0, -1) / (m + 1)  # phi_k, k = M .. 1
     return _alpha_r(half) / wave.params.alpha
 
@@ -365,8 +301,11 @@ def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
     """Strict sign changes of psi over the grid interior.
 
     Requires every theta-step of the grid, theta = 2 atan2(sqrt(s),
-    sqrt(1 - s)), to be at most 2 (phi_hi - phi_lo)/(M + 1) for the level's
-    span, the step of default_node_grid; adjacent sign changes closer than
+    sqrt(1 - s)), that overlaps the level's span (2 phi_lo, 2 phi_hi) to be at
+    most max(2 (phi_hi - phi_lo)/(M + 1), pi/(16 K)): the step of
+    default_node_grid, or 16 steps per least gap between nodes where that is
+    coarser.  Steps outside the span hold no node; where the Sturm bound
+    fails, the span is all of (0, pi).  Adjacent sign changes closer than
     three samples raise ResolutionError since the grid cannot separate the
     roots.
     """
@@ -379,8 +318,12 @@ def count_nodes(wave: RadialWave, grid: np.ndarray) -> int:
     x = -wave.params.alpha * grid
     s, one_minus = np.exp(x), -np.expm1(x)
     half = np.arctan2(np.sqrt(s), np.sqrt(one_minus))  # theta / 2; doubling is exact
-    lo, hi, m = _node_span(wave.jacobi)
-    step, limit = 2.0 * (half[:-1] - half[1:]).max(), 2.0 * (hi - lo) / (m + 1)
+    lo, hi, m, k = _node_span(wave.jacobi)
+    steps = half[:-1] - half[1:]
+    if not (half[0] < hi and half[-1] > lo):  # half decreases: some points lie outside
+        steps = steps[(half[1:] < hi) & (half[:-1] > lo)]
+    step = 2.0 * steps.max(initial=0.0)
+    limit = max(2.0 * (hi - lo) / (m + 1), math.pi / (16.0 * k))
     if not step <= limit * (1.0 + _NODE_STEP_SLACK):
         raise ResolutionError(f"largest theta-step {step:.6g} of the grid is over {limit:.6g}: "
                               f"the level needs {m} points uniform in theta")

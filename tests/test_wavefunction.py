@@ -310,8 +310,13 @@ def _theta_grid(alpha, points):
 
 def _span_grid(alpha, lo, hi, points):
     """points uniform in phi = theta/2 strictly inside (lo, hi), phi_k = lo +
-    (hi - lo) k / (points + 1), as r, the log1p form where s is near 1."""
-    half = lo + (hi - lo) * np.arange(points, 0, -1) / (points + 1)
+    (hi - lo) k / (points + 1), as r."""
+    return _half_grid(alpha, lo + (hi - lo) * np.arange(points, 0, -1) / (points + 1))
+
+
+def _half_grid(alpha, half):
+    """r at phi = half, decreasing in (0, pi/2): -ln s at s = sin^2(phi), as
+    -ln(1 - cos^2) where s is near 1."""
     alpha_r = np.where(half > 0.25 * np.pi, -np.log1p(-np.cos(half) ** 2),
                        -np.log(np.sin(half) ** 2))
     return alpha_r / alpha
@@ -355,13 +360,11 @@ def _verdict(wave, grid):
 
 def test_node_grid_verdicts_match_the_full_theta_grid():
     # the level's grid of M points gives the verdict of 20001 points uniform
-    # in theta, read by a plain scan: the count, or nodes too close.  (On a
-    # narrow span count_nodes itself holds the 20001 points to the finer
-    # theta-step of the level's grid and rejects them.)  The grid is
-    # phi_k = phi_lo + (phi_hi - phi_lo) k / (M + 1), phi = theta / 2,
-    # s = e^{-alpha r} = sin^2(phi), and 1 - s = cos^2(phi) keeps its digits
-    # where alpha r is small; where the Sturm bound fails it is the
-    # 20001-point grid byte for byte.  Every call makes a new, writable array.
+    # in theta, read by count_nodes and by a plain scan: the count, or nodes
+    # too close.  The grid is phi_k = phi_lo + (phi_hi - phi_lo) k / (M + 1),
+    # phi = theta / 2, s = e^{-alpha r} = sin^2(phi), and 1 - s = cos^2(phi)
+    # keeps its digits where alpha r is small; where the Sturm bound fails it
+    # is the 20001-point grid byte for byte.  Every call makes a new, writable array.
     sizes = set()
     for params, level in _parity_levels():
         wave = build_wave(params, CONSTS, level)
@@ -377,6 +380,7 @@ def test_node_grid_verdicts_match_the_full_theta_grid():
             assert grid.size == 20001, where
             assert grid.tobytes() == full.tobytes(), where
         verdict = _verdict(wave, grid)
+        assert verdict == _verdict(wave, full), where
         if verdict == "two sign changes within three samples; refine the grid":
             verdict = "too close"
         assert verdict == _plain_scan(wave.psi(full).tolist()), where
@@ -414,7 +418,7 @@ def test_nodes_lie_inside_the_span_and_keep_their_least_gap(seed):
         # the bound is nearly tight (to 4e-9) where a and b are large
         assert (gaps >= math.pi / big_k * (1.0 - 1e-6)).all(), where
         jac = JacobiParams(n, float(a), float(b))
-        lo_lib, hi_lib, m = wavefunction._node_span(jac)
+        lo_lib, hi_lib, m, _ = wavefunction._node_span(jac)
         assert (lo_lib, hi_lib) == (lo, hi), where
         if m < 20001:
             assert 16.0 * 2.0 * (hi - lo) / (m + 1) <= math.pi / big_k * (1.0 + 1e-12), where
@@ -430,16 +434,40 @@ def test_node_grid_falls_back_where_the_sturm_bound_fails(params, n, l):
     assert count_nodes(wave, grid) == n
 
 
-@pytest.mark.parametrize("params, n", [(UNIT_YUKAWA, 0), (DEEP_YUKAWA, 3), (DEEPEST_WELL, 50)])
-def test_node_grid_one_point_short_is_rejected(params, n):
-    # M - 1 points inside the span, a theta-step of 2 (phi_hi - phi_lo) / M:
-    # over the rule's 2 (phi_hi - phi_lo) / (M + 1)
+@pytest.mark.parametrize("params, n", [(UNIT_YUKAWA, 0), (DEEP_YUKAWA, 3), (DEEPEST_WELL, 50),
+                                       (PotentialParams(0.0, 0.0, 1e4, 0.01), 1410)])
+def test_node_grid_theta_step_limit(params, n):
+    # count_nodes holds the theta-steps that overlap the span (2 phi_lo,
+    # 2 phi_hi) to max(2 (phi_hi - phi_lo)/(M + 1), pi/(16 K)): pi/(16 K)
+    # below the cap, the default grid's own step at it (the last level).
+    # Theta-steps 2h from 2 phi_hi down past 2 phi_lo - 2h count n for 2h
+    # 1e-6 under the limit and raise 1e-6 over it; a last, coarse step below
+    # the span, to half its phi, is free
     wave = build_wave(params, CONSTS, energy(params, CONSTS, n, 0))
-    lo, hi, _ = _sturm_span(wave.jacobi.n, wave.jacobi.a, wave.jacobi.b)
-    points = default_node_grid(wave).size
-    assert count_nodes(wave, _span_grid(params.alpha, lo, hi, points)) == n
-    with pytest.raises(ResolutionError, match="theta-step"):
-        count_nodes(wave, _span_grid(params.alpha, lo, hi, points - 1))
+    lo, hi, k = _sturm_span(wave.jacobi.n, wave.jacobi.a, wave.jacobi.b)
+    m = default_node_grid(wave).size
+    limit = max(2.0 * (hi - lo) / (m + 1), math.pi / (16.0 * k))
+    assert (m == 20001) == (limit > math.pi / (16.0 * k))
+    for scale in (1.0 - 1e-6, 1.0 + 1e-6):
+        h = 0.5 * limit * scale
+        half = hi - h * np.arange(math.ceil((hi - lo) / h) + 2)
+        assert half[-1] > limit  # the theta-step of the coarse step
+        grid = _half_grid(params.alpha, np.append(half, 0.5 * half[-1]))
+        if scale < 1.0:
+            assert count_nodes(wave, grid) == n
+        else:
+            with pytest.raises(ResolutionError, match="theta-step"):
+                count_nodes(wave, grid)
+
+
+def test_fine_theta_grid_is_accepted_on_a_narrow_span():
+    # 20001 points uniform in theta, a theta-step of 1.57e-4: coarser than
+    # the level's own grid (64 points on a span of 6.2e-3 in theta, a step
+    # of 9.7e-5) but under pi/(16 K) = 4.1e-4
+    wave = build_wave(DEEPEST_WELL, CONSTS, energy(DEEPEST_WELL, CONSTS, 0, 0))
+    lo, hi, k = _sturm_span(wave.jacobi.n, wave.jacobi.a, wave.jacobi.b)
+    assert 2.0 * (hi - lo) / 65 < math.pi / 20002 < math.pi / (16.0 * k)
+    assert count_nodes(wave, _theta_grid(DEEPEST_WELL.alpha, 20001)) == 0
 
 
 def test_deep_well_psi_stays_finite():
@@ -613,7 +641,7 @@ def test_node_grid_is_the_where_form():
     sizes, parts = set(), set()
     for jacobi in jacobis + [JacobiParams(0, 0.0, 0.0)]:  # the last below the bound
         stand_in.jacobi = jacobi
-        lo, hi, m = wavefunction._node_span(jacobi)
+        lo, hi, m, _ = wavefunction._node_span(jacobi)
         half = lo + (hi - lo) * np.arange(m, 0, -1) / (m + 1)
         grid = default_node_grid(stand_in)
         assert grid.tobytes() == where_form(half).tobytes(), jacobi
@@ -837,75 +865,63 @@ def _mp_log_tail(wave, log_s):
         return two_beta * log_s - mpmath.log(two_beta * wave.params.alpha) + mpmath.log(integral)
 
 
-@pytest.mark.parametrize(
-    "params, n",
-    [
-        (PotentialParams(0.0, 0.0, 1.5, 0.02), 3),
-        (DEEPEST_WELL, 0),
-        (DEEPEST_WELL, 150),  # n^2 s_R = 1.02
-        (PotentialParams(0.0, 0.0, 100.0, 0.01), 59),  # largest n of the sweep box
-        (PotentialParams(0.0, 0.0, 100.0, 0.01), 140),  # its last level, beta = 0.42
-    ],
-)
-def test_tail_series_matches_mpmath(params, n):
-    # ln T at the first rung, s_R = e^{-10}: the series to 1e-12 of T, plus
-    # the rounding of ln T's prefactor 2 beta ln s_R (-4e6 at the deepest well)
-    wave = build_wave(params, CONSTS, energy(params, CONSTS, n, 0))
-    log_s = -params.alpha * max(2.0, 10.0 / params.alpha)
-    log_tail, rel = wavefunction._log_tail(*_tail_args(wave), np.array([log_s]))
-    exact = _mp_log_tail(wave, log_s)
-    assert abs(float(log_tail[0] - exact)) < 1e-12 + 4.0 * np.finfo(float).eps * abs(float(exact))
-    assert rel[0] < 1e-11
+def _mp_log_bound(wave, log_s, q):
+    """ln B(R) = ln[binom(n + q, n)^2 s_R^{2 beta} / (2 beta alpha)] at
+    s_R = e^{log_s}, at 30 digits."""
+    with mpmath.workdps(30):
+        n, q, two_beta = wave.jacobi.n, mpmath.mpf(q), 2 * mpmath.mpf(wave.beta_exp)
+        log_binom = mpmath.loggamma(n + q + 1) - mpmath.loggamma(q + 1) - mpmath.loggamma(n + 1)
+        return 2 * log_binom + two_beta * log_s - mpmath.log(two_beta * wave.params.alpha)
 
 
-# tail-bound levels: at n = 1410 the first rung's series has lost its digits;
-# at l = 3 the bound declines in the second, and the series picks rung 0;
-# the third has b > a
-LOST_SERIES_LEVEL = (PotentialParams(0.0, 0.0, 1e4, 0.01), 1410, 0)
+# tail-bound levels: at n = 1410, near threshold, the piece [R_0, 2 R_0]
+# holds most of the norm; at l = 3 the bound declines at R_0 although the
+# true tail passes there; the third has b > a
+THRESHOLD_LEVEL = (PotentialParams(0.0, 0.0, 1e4, 0.01), 1410, 0)
 DECLINED_LEVEL = (PotentialParams(0.0, 0.0, 50.0, 0.02), 63, 3)
 B_OVER_A_LEVEL = (PotentialParams(-0.002, -0.006, 4.0, 0.01), 13, 3)
 
 
-def _tail_args(wave):
-    """(alpha, beta, zeta, jacobi): the wave as the tail helpers take it."""
-    return wave.params.alpha, wave.beta_exp, wave.zeta_exp, wave.jacobi
+def _tail_start(alpha):
+    """R_0 = max(2, 10/alpha), the first radius _tail_radius tries."""
+    return max(2.0, 10.0 / alpha)
 
 
 @pytest.fixture
 def tail_calls(monkeypatch):
-    """(_tail_args, ln total, r_tail, whether the bound proved rung 0) of
-    every build_wave, recorded around wavefunction._tail_radius."""
-    calls, declined = [], []
-    tail, series = wavefunction._tail_radius, wavefunction._series_rung
+    """((alpha, beta, jacobi), ln total, r_tail, j) of every build_wave,
+    recorded around wavefunction._tail_radius: the bound proved the tail at
+    R_j = 2^j R_0, and r_tail = 2 R_j."""
+    calls = []
+    tail = wavefunction._tail_radius
 
     def spy(*args):
-        declined.clear()
         r_tail = tail(*args)
-        calls.append((args[:-1], args[-1], r_tail, not declined))
+        j = round(math.log2(r_tail / _tail_start(args[0]))) - 1
+        calls.append((args[:-1], args[-1], r_tail, j))
         return r_tail
 
     monkeypatch.setattr(wavefunction, "_tail_radius", spy)
-    monkeypatch.setattr(wavefunction, "_series_rung",
-                        lambda *args: declined.append(True) or series(*args))
     return calls
 
 
-def _log_bound(args, q):
-    """ln B(R_0) = ln[binom(n + q, n)^2 s_R^{2 beta} / (2 beta alpha)] by
-    scipy's gammaln, and ln s_R, at the first rung R_0 = max(2, 10/alpha)."""
-    alpha, beta, _, jac = args
+def _log_bound(args, r, q=None):
+    """ln B(R) = ln[binom(n + q, n)^2 s_R^{2 beta} / (2 beta alpha)] by
+    scipy's gammaln, q = _tail_q(args, r) unless given."""
+    alpha, beta, jac = args
     n, two_beta = jac.n, 2.0 * beta
-    log_s = -alpha * max(2.0, 10.0 / alpha)
+    q = _tail_q(args, r) if q is None else q
     log_binom = gammaln(n + q + 1.0) - gammaln(q + 1.0) - gammaln(n + 1.0)
-    return 2.0 * log_binom + two_beta * log_s - math.log(two_beta * alpha), log_s
+    return 2.0 * log_binom - two_beta * alpha * r - math.log(two_beta * alpha)
 
 
-def _tail_q(args):
-    """a where the tail x = 1 - 2 s >= 1 - 2 s_{R_0} lies in Szego's range
-    x >= (b - a)/(a + b + 1), in which |P_n| <= P_n(1); max(a, b) elsewhere."""
-    alpha, _, _, jac = args
-    x_0 = 1.0 - 2.0 * math.exp(-alpha * max(2.0, 10.0 / alpha))
-    return jac.a if x_0 >= (jac.b - jac.a) / (jac.a + jac.b + 1.0) else max(jac.a, jac.b)
+def _tail_q(args, r):
+    """a where the tail beyond R, x = 1 - 2 s >= 1 - 2 s_R, lies in Szego's
+    range x >= (b - a)/(a + b + 1), in which |P_n| <= P_n(1); max(a, b)
+    elsewhere."""
+    alpha, _, jac = args
+    x_r = 1.0 - 2.0 * math.exp(-alpha * r)
+    return jac.a if x_r >= (jac.b - jac.a) / (jac.a + jac.b + 1.0) else max(jac.a, jac.b)
 
 
 def _pass_line():
@@ -933,58 +949,63 @@ def _bound_levels():
         (params, energy(params, CONSTS, n, l))
         for params, n, l in ((DEEPEST_WELL, 0, 0), (DEEPEST_WELL, 150, 0), SMALL_A_LEVEL,
                              (PotentialParams(0.0, 0.0, 15.25, 0.1), 10, 3), B_OVER_A_LEVEL,
-                             DECLINED_LEVEL, LOST_SERIES_LEVEL)
+                             DECLINED_LEVEL, THRESHOLD_LEVEL)
     ]
 
 
-def test_tail_bound_holds_and_keeps_the_series_rung(tail_calls):
-    # B(R_0), with q = a where Szego's range holds the tail, bounds the
-    # series' T(R_0), to within its error bound and the rounding of ln T
-    # (4e6 at the deepest well); wherever the bound proves rung 0, the
-    # series picks that rung too
+def test_tail_radius_is_the_first_radius_whose_bound_passes(tail_calls):
+    # the test's own ln B(R) - ln total, by scipy's gammaln with q chosen at
+    # each R, declines at R_0 .. R_{j-1} and passes at R_j, where r_tail =
+    # 2 R_j; Simpson pieces of psi^2 beyond r_tail hold under 1e-13 of the
+    # norm, while near threshold [R_0, 2 R_0] holds most of it
     levels = _bound_levels()
-    for params, level in levels:
-        build_wave(params, CONSTS, level)
+    waves = [build_wave(params, CONSTS, level) for params, level in levels]
     assert len(tail_calls) == len(levels)
-    for args, log_total, r_tail, proved in tail_calls:
-        log_bound, log_s = _log_bound(args, _tail_q(args))
-        log_tail, rel = wavefunction._log_tail(*args, np.array([log_s]))
-        if rel[0] < 1.0:
-            slack = 8.0 * np.finfo(float).eps * abs(log_tail[0])
-            assert log_bound >= log_tail[0] + math.log1p(-rel[0]) - slack, args[3]
-        assert r_tail == wavefunction._series_rung(*args, log_total), args[3]
-    # the bound settles most box levels, both deep ones and B_OVER_A_LEVEL;
-    # SMALL_A_LEVEL (2 beta = 0.2) ends on a later rung
-    proved = [call[3] for call in tail_calls]
-    assert sum(proved[:80]) >= 72
-    assert proved[80:] == [True, True, False, True, True, False, False]
+    for wave, (args, log_total, r_tail, j) in zip(waves, tail_calls):
+        where = (wave.params, wave.level.n, wave.level.l)
+        radii = _tail_start(args[0]) * 2.0 ** np.arange(j + 1)
+        passed = [_log_bound(args, r) - log_total <= _pass_line() for r in radii]
+        assert passed == [False] * j + [True], where
+        assert wave.r_tail == r_tail == 2.0 * radii[-1], where
+        for lo in (r_tail, 2.0 * r_tail):
+            r = np.linspace(lo, 2.0 * lo, 20001)
+            assert simpson(wave.psi(r) ** 2, x=r) < 1e-13, where
+    wave = waves[-1]  # THRESHOLD_LEVEL
+    r = np.linspace(1000.0, 2000.0, 20001)
+    assert simpson(wave.psi(r) ** 2, x=r) == pytest.approx(0.78, abs=1e-2)
+    # the bound settles most box levels at R_0, both deep ones and
+    # B_OVER_A_LEVEL; SMALL_A_LEVEL (2 beta = 0.2) ends at R_4
+    rungs = [call[3] for call in tail_calls]
+    assert rungs[:80].count(0) == 79
+    assert rungs[80:] == [0, 0, 4, 0, 0, 1, 1]
 
 
-def test_tail_rung_with_lost_series_fails(tail_calls):
-    # near threshold at n = 1410, S_abs / S reaches 1e13 at the first rung:
-    # its error bound exceeds T itself, so that rung cannot pass and the
-    # next one decides.  Simpson pieces of psi^2 agree: [R_0, 2 R_0] holds
-    # most of the norm, [2 R_0, 4 R_0] under 1e-13 of it.  The bound
-    # exceeds the whole norm here, and the proof declines without raising.
-    params, n, l = LOST_SERIES_LEVEL
+@pytest.mark.parametrize(
+    "params, n, l, j, true_j",
+    [
+        (PotentialParams(0.0, 0.0, 1.5, 0.02), 3, 0, 0, 0),
+        (DEEPEST_WELL, 0, 0, 0, 0),  # ln T = -4e6
+        (PotentialParams(0.0, 0.0, 100.0, 0.01), 140, 0, 3, 3),  # beta = 0.42
+        B_OVER_A_LEVEL + (0, 0),
+        DECLINED_LEVEL + (1, 0),  # r_tail 2000, where the true tail gives 1000
+        THRESHOLD_LEVEL + (1, 1),
+    ],
+)
+def test_tail_bound_holds_against_mpmath(tail_calls, params, n, l, j, true_j):
+    # B(R) >= T(R), both at 30 digits, T by quadrature, at R_j, where the
+    # bound passed, and at R_{j-1}, where it declined; at R_3 of the n = 140
+    # level, s_R = e^{-80}, they agree to the last of those digits.  The
+    # true tail passes first at R_{true_j} <= R_j, so r_tail is never below
+    # the radius that T itself would give
     wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
-    _, rel = wavefunction._log_tail(*_tail_args(wave),
-                                    -params.alpha * np.array([1000.0, 2000.0]))
-    assert rel[0] > 1.0 and rel[1] < 1e-10
-    assert wave.r_tail == 4000.0
-    (args, log_total, _, proved), = tail_calls
-    assert not proved and _log_bound(args, _tail_q(args))[0] > log_total + 10.0
-    for lo, hi, piece in ((1000.0, 2000.0, 0.78), (2000.0, 4000.0, 0.0)):
-        r = np.linspace(lo, hi, 20001)
-        assert simpson(wave.psi(r) ** 2, x=r) == pytest.approx(piece, abs=1e-2 * piece + 1e-13)
-
-
-def test_tail_bound_declines_where_the_series_passes_rung_0(tail_calls):
-    params, n, l = DECLINED_LEVEL
-    wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
-    (args, log_total, _, proved), = tail_calls
-    assert not proved and _log_bound(args, _tail_q(args))[0] - log_total > _pass_line()
-    assert wave.r_tail == 2.0 * 10.0 / params.alpha
+    (args, log_total, r_tail, rung), = tail_calls
+    assert rung == j
+    for k in range(max(j - 1, 0), j + 1):
+        r = _tail_start(params.alpha) * 2.0**k
+        exact = _mp_log_tail(wave, -params.alpha * r)
+        log_bound = _mp_log_bound(wave, -params.alpha * r, _tail_q(args, r))
+        assert log_bound - exact >= -1e-20 * abs(exact), k
+        assert (float(exact) - log_total <= _pass_line()) == (k >= true_j), k
 
 
 def test_tail_bound_takes_p_n_at_1_on_the_tail(tail_calls):
@@ -993,8 +1014,8 @@ def test_tail_bound_takes_p_n_at_1_on_the_tail(tail_calls):
     # [-1, 1] only for a >= b (DLMF 18.14.1).  On x >= (b - a)/(a + b + 1),
     # though, Szego's f = P_n^2 + (1 - x^2) P_n'^2 / (n (n + a + b + 1))
     # increases, so |P_n| <= P_n(1) there, and the tail, x >= 1 - 2 e^{-10},
-    # lies in that range: the bound takes binom(n + a, n), which proves
-    # rung 0 where binom(n + b, n) would not, and the series is not called.
+    # lies in that range: the bound takes binom(n + a, n), which proves the
+    # tail at R_0 where binom(n + b, n) would not.
     params, n, l = B_OVER_A_LEVEL
     wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
     jac = wave.jacobi
@@ -1008,25 +1029,41 @@ def test_tail_bound_takes_p_n_at_1_on_the_tail(tail_calls):
     szego = 1.0 - 2.0 * sigma >= (jac.b - jac.a) / (jac.a + jac.b + 1.0)
     assert 0.2 < szego.mean() < 0.3
     assert np.all(values[szego] <= values[0] * (1.0 + 1e-12))
-    (args, log_total, _, proved), = tail_calls
-    assert _tail_q(args) == jac.a
-    assert _log_bound(args, jac.a)[0] - log_total < _pass_line() - 10.0
-    assert _log_bound(args, jac.b)[0] - log_total > _pass_line()
-    assert proved and wave.r_tail == 2.0 * 10.0 / params.alpha == 2000.0
+    (args, log_total, _, j), = tail_calls
+    r_0 = _tail_start(params.alpha)
+    assert _tail_q(args, r_0) == jac.a
+    assert _log_bound(args, r_0) - log_total < _pass_line() - 10.0
+    assert _log_bound(args, r_0, jac.b) - log_total > _pass_line()
+    assert j == 0 and wave.r_tail == 2.0 * r_0 == 2000.0
 
 
-def test_tail_bound_takes_the_larger_jacobi_index(monkeypatch):
+def test_tail_bound_takes_the_larger_jacobi_index():
     # where b is so far above a that the tail leaves Szego's range, about
-    # b > (2 a + 1) / (2 s_{R_0}) - a - 1, the bound takes binom(n + b, n).
-    # At alpha = 0.5, a = 0.2 the edge is b = 0.7 e^{10} - 1.2; with this
-    # ln total the a-bound passes and the b-bound does not
-    monkeypatch.setattr(wavefunction, "_series_rung", lambda *args: -1.0)
+    # b > (2 a + 1) / (2 s_R) - a - 1, the bound takes binom(n + b, n).
+    # At alpha = 0.5, a = 0.2 the edge at R_0 = 20 is b = 0.7 e^{10} - 1.2;
+    # with this ln total the a-bound passes there and the b-bound does not,
+    # and at R_1 = 40 the tail is back in the range, where the a-bound passes
     alpha, a, n, log_total = 0.5, 0.2, 2, 35.0
     edge = 0.7 * math.exp(10.0) - 1.2
     for b, inside in ((edge * (1.0 - 1e-6), True), (edge * (1.0 + 1e-6), False)):
-        args = (alpha, a / 2.0, (b + 1.0) / 2.0, JacobiParams(n, a, b))
-        q = a if inside else b
-        assert _tail_q(args) == q
-        proved = _log_bound(args, q)[0] - log_total <= _pass_line()
-        assert proved == (q == a)
-        assert wavefunction._tail_radius(*args, log_total) == (40.0 if proved else -1.0)
+        args = (alpha, a / 2.0, JacobiParams(n, a, b))
+        assert _tail_q(args, 20.0) == (a if inside else b)
+        assert _tail_q(args, 40.0) == a
+        assert (_log_bound(args, 20.0) - log_total <= _pass_line()) == inside
+        assert _log_bound(args, 40.0) - log_total <= _pass_line()
+        assert wavefunction._tail_radius(*args, log_total) == (40.0 if inside else 80.0)
+
+
+def test_tail_that_never_passes_raises():
+    # with 2 beta = 1e-21, s_R^{2 beta} falls only to e^{-0.18} at R_64 =
+    # 2^64 R_0, the last radius tried, and to e^{-0.37} at R_65.  With this
+    # ln total the bound would pass between them, so no radius tried passes;
+    # 0.1 more, and R_64 passes
+    alpha, two_beta = 0.5, 1e-21
+    args = (alpha, two_beta / 2.0, JacobiParams(0, two_beta, 1.0))
+    r_64 = _tail_start(alpha) * 2.0**64
+    log_total = _log_bound(args, 1.5 * r_64) - _pass_line()
+    assert _log_bound(args, r_64) - log_total > _pass_line()
+    with pytest.raises(NumericalError, match="within 64 doublings"):
+        wavefunction._tail_radius(*args, log_total)
+    assert wavefunction._tail_radius(*args, log_total + 0.1) == 2.0 * r_64

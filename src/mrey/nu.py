@@ -14,177 +14,101 @@ finder that brackets the quantization condition itself (no closed-form input)
 and solves it numerically by _brent, a pure-Python port of scipy's brentq.
 It is the independent oracle used to validate every closed-form energy
 expression in spectrum.py.  c4..c13, the residual, xi1..xi3 and the wave
-shape are each coded once, in float helpers that the dataclass API wraps and
-solve_bound_state and wavefunction.build_wave call directly.
+shape are each coded once, in float helpers that solve_bound_state and
+wavefunction.build_wave call.  Each xi is handed over as the tuple of its
+addends, and c8, c9 and the residual are each one exact sum (math.fsum,
+Shewchuk's algorithm) over the expanded terms.  With c1 = c2 = c3 = 1,
+c9 = 1/4 - x1 - x2 + l(l+1) takes xi^2 from xi1, xi2 and xi3, where it
+cancels; summed exactly it carries no error of size eps xi^2, which the root
+and, in deep wells, the (1 - s) exponent zeta would otherwise inherit.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
 
-from .errors import ComplexBranchError, DomainError, NoRootError, NumericalError
-from .potential import (
-    PhysicalConstants,
-    PotentialParams,
-    QuantumNumbers,
-    _couplings,
-    _xi_sq,
-    xi_squared,
-)
+from .errors import ComplexBranchError, NoRootError, NumericalError
+from .potential import PhysicalConstants, PotentialParams, QuantumNumbers, _couplings, xi_squared
 
 _BRENTQ_RTOL = 4.0 * sys.float_info.epsilon
 _BRENTQ_XTOL = 1e-14
 _BRENTQ_MAXITER = 200
 
 
-@dataclass(frozen=True)
-class NuCoefficients:
-    """Inputs (c1, c2, c3) and (xi1, xi2, xi3) of the standard form."""
-
-    c1: float
-    c2: float
-    c3: float
-    xi1: float
-    xi2: float
-    xi3: float
-
-
-@dataclass(frozen=True)
-class NuDerived:
-    """The derived constants c4..c13."""
-
-    c4: float
-    c5: float
-    c6: float
-    c7: float
-    c8: float
-    c9: float
-    c10: float
-    c11: float
-    c12: float
-    c13: float
-
-
-@dataclass(frozen=True)
-class WaveShape:
-    """Exponents and Jacobi indices of the NU eigenfunction shape.
-
-    psi(s) = N s^{s_exponent} (1 - c3 s)^{one_minus_s_exponent}
-             P_n^{(jacobi_a, jacobi_b)}(1 - 2 c3 s)
-    """
-
-    s_exponent: float
-    one_minus_s_exponent: float
-    jacobi_a: float
-    jacobi_b: float
-
-
 def _constants(c1, c2, c3, xi1, xi2, xi3):
-    """c4..c9, sqrt(c8), sqrt(c9); ComplexBranchError if c8 < 0 or c9 < 0."""
+    """c4, c5, c8, c9, sqrt(c8), sqrt(c9); ComplexBranchError if c8 < 0 or c9 < 0.
+
+    Each xi is the tuple of its addends, as _screened_xi hands them over
+    (three for xi2, two for xi3).  c8 = c4^2 + xi3 and
+    c9 = c5^2 + xi1 + c3 (2 c4 c5 - xi2) + c3^2 (c4^2 + xi3) are each one exact
+    sum over the expanded terms, so the xi^2 that xi1, xi2 and xi3 share
+    cancels without rounding (exactly so where c3 times an addend is exact, as
+    at c3 = 1).
+    """
     c4 = 0.5 * (1.0 - c1)
     c5 = 0.5 * (c2 - 2.0 * c3)
-    c6 = c5**2 + xi1
-    c7 = 2.0 * c4 * c5 - xi2
-    c8 = c4**2 + xi3
-    c9 = c3 * c7 + c3**2 * c8 + c6
+    c3_sq = c3 * c3
+    p, q, r = xi2
+    t, u = xi3
+    c8 = math.fsum((c4 * c4, t, u))
+    c9 = math.fsum((c5 * c5, *xi1, 2.0 * c3 * c4 * c5, -c3 * p, -c3 * q, -c3 * r,
+                    c3_sq * c4 * c4, c3_sq * t, c3_sq * u))
     if c8 < 0.0 or c9 < 0.0:
         raise ComplexBranchError(c8, c9)
-    return c4, c5, c6, c7, c8, c9, math.sqrt(c8), math.sqrt(c9)
+    return c4, c5, c8, c9, math.sqrt(c8), math.sqrt(c9)
 
 
 def _residual(c1, c2, c3, xi1, xi2, xi3, n):
-    """The quantization residual on plain floats, n already validated."""
-    _, c5, _, c7, c8, _, sqrt_c8, sqrt_c9 = _constants(c1, c2, c3, xi1, xi2, xi3)
-    return (
-        c2 * n
-        - (2.0 * n + 1.0) * c5
-        + (2.0 * n + 1.0) * (sqrt_c9 + c3 * sqrt_c8)
-        + n * (n - 1.0) * c3
-        + c7
-        + 2.0 * c3 * c8
-        + 2.0 * sqrt_c8 * sqrt_c9
-    )
+    """The quantization residual, zero at a bound state of radial number n:
 
+        c2 n - (2n + 1) c5 + (2n + 1)(sqrt(c9) + c3 sqrt(c8)) + n (n - 1) c3
+        + c7 + 2 c3 c8 + 2 sqrt(c8 c9)
 
-def _derived(c1, c2, c3, xi1, xi2, xi3):
-    """c4..c13 on plain floats; ComplexBranchError if c8 < 0 or c9 < 0."""
-    c4, c5, c6, c7, c8, c9, sqrt_c8, sqrt_c9 = _constants(c1, c2, c3, xi1, xi2, xi3)
-    return (c4, c5, c6, c7, c8, c9, c1 + 2.0 * c4 + 2.0 * sqrt_c8,
-            c2 - 2.0 * c5 + 2.0 * (sqrt_c9 + c3 * sqrt_c8), c4 + sqrt_c8,
-            c5 - (sqrt_c9 + c3 * sqrt_c8))
-
-
-def derive_constants(coeffs: NuCoefficients) -> NuDerived:
-    """c4..c13 from the NU inputs.
-
-    Raises ComplexBranchError when c8 < 0 or c9 < 0 (the square roots in
-    c10..c13 would leave the real axis).
+    one exact sum, with c7 + 2 c3 c8 = 2 c4 c5 - xi2 + 2 c3 (c4^2 + xi3)
+    expanded into xi2's and xi3's addends; n is already validated.  For the
+    screened radial mapping it is strictly increasing in xi^2, so each n has
+    at most one root.
     """
-    c = coeffs
-    return NuDerived(*_derived(c.c1, c.c2, c.c3, c.xi1, c.xi2, c.xi3))
-
-
-def quantization_residual(coeffs: NuCoefficients, n: int) -> float:
-    """Left-hand side of the NU quantization condition at radial number n.
-
-    Zero exactly at a bound-state energy.  For the screened radial mapping
-    the residual is strictly increasing in xi^2, so each n has at most one
-    root.  Raises DomainError unless n is an integer >= 0.
-    """
-    QuantumNumbers(n, 0)
-    c = coeffs
-    return _residual(c.c1, c.c2, c.c3, c.xi1, c.xi2, c.xi3, n)
+    c4, c5, _, _, sqrt_c8, sqrt_c9 = _constants(c1, c2, c3, xi1, xi2, xi3)
+    k = 2.0 * n + 1.0
+    two_c3 = 2.0 * c3
+    p, q, r = xi2
+    t, u = xi3
+    return math.fsum((c2 * n, -k * c5, k * sqrt_c9, k * c3 * sqrt_c8, n * (n - 1.0) * c3,
+                      2.0 * c4 * c5, -p, -q, -r, two_c3 * c4 * c4, two_c3 * t, two_c3 * u,
+                      2.0 * sqrt_c8 * sqrt_c9))
 
 
 def _wave_shape(c1, c2, c3, xi1, xi2, xi3):
-    """WaveShape's four fields on plain floats, c3 != 0."""
-    *_, c10, c11, c12, c13 = _derived(c1, c2, c3, xi1, xi2, xi3)
+    """The NU eigenfunction's shape, c3 != 0: (s exponent, (1 - c3 s) exponent,
+    Jacobi a, Jacobi b) = (c12, -c12 - c13/c3, c10 - 1, c11/c3 - c10 - 1) of
+
+        psi(s) = N s^{c12} (1 - c3 s)^{-c12 - c13/c3} P_n^{(c10 - 1, c11/c3 - c10 - 1)}(1 - 2 c3 s)
+
+    with c10 = c1 + 2 c4 + 2 sqrt(c8), c11 = c2 - 2 c5 + 2 (sqrt(c9) + c3 sqrt(c8)),
+    c12 = c4 + sqrt(c8) and c13 = c5 - (sqrt(c9) + c3 sqrt(c8)).
+    """
+    c4, c5, _, _, sqrt_c8, sqrt_c9 = _constants(c1, c2, c3, xi1, xi2, xi3)
+    c10 = c1 + 2.0 * c4 + 2.0 * sqrt_c8
+    c11 = c2 - 2.0 * c5 + 2.0 * (sqrt_c9 + c3 * sqrt_c8)
+    c12 = c4 + sqrt_c8
+    c13 = c5 - (sqrt_c9 + c3 * sqrt_c8)
     return c12, -c12 - c13 / c3, c10 - 1.0, c11 / c3 - c10 - 1.0
 
 
-def wave_shape(coeffs: NuCoefficients) -> WaveShape:
-    """Eigenfunction exponents and Jacobi indices from the derived constants."""
-    if coeffs.c3 == 0.0:
-        raise DomainError("wave shape requires c3 != 0 (the 1 - c3 s factor degenerates)")
-    c = coeffs
-    return WaveShape(*_wave_shape(c.c1, c.c2, c.c3, c.xi1, c.xi2, c.xi3))
-
-
 def _screened_xi(x1, x2, x3, ll1, xi_sq):
-    """(xi1, xi2, xi3) of the screened radial problem, ll1 = l(l+1)."""
-    return xi_sq - x2 + x3, 2.0 * xi_sq + x1 + x3, xi_sq + ll1
+    """The addends of (xi1, xi2, xi3) of the screened radial problem,
+    xi1 = xi^2 - x2 + x3, xi2 = 2 xi^2 + x1 + x3 and xi3 = xi^2 + l(l+1),
+    with c1 = c2 = c3 = 1 in the dimensionless variables of
+    potential.dimensionless_params; ll1 = l(l+1)."""
+    return (xi_sq, -x2, x3), (2.0 * xi_sq, x1, x3), (xi_sq, ll1)
 
 
 def _mrey_xi(params, consts, ll1, energy):
-    """(xi1, xi2, xi3) of mrey_mapping at this energy, ll1 = l(l+1)."""
+    """_screened_xi at this energy, ll1 = l(l+1)."""
     xi_sq = xi_squared(params, consts, energy)
     return _screened_xi(*_couplings(params, consts)[1:], ll1, xi_sq)
-
-
-def mrey_mapping(
-    params: PotentialParams, consts: PhysicalConstants, l: int
-) -> Callable[[float], NuCoefficients]:
-    """Map the screened radial problem at angular momentum l onto NU form.
-
-    Returns energy -> NuCoefficients with c1 = c2 = c3 = 1 and
-
-        xi1 = xi^2 - x2 + x3
-        xi2 = 2 xi^2 + x1 + x3
-        xi3 = xi^2 + l(l+1)
-
-    in the dimensionless variables of potential.dimensionless_params.
-    """
-    QuantumNumbers(0, l)
-    ll1 = float(l * (l + 1))
-
-    def mapping(energy: float) -> NuCoefficients:
-        xi1, xi2, xi3 = _mrey_xi(params, consts, ll1, energy)
-        return NuCoefficients(c1=1.0, c2=1.0, c3=1.0, xi1=xi1, xi2=xi2, xi3=xi3)
-
-    return mapping
 
 
 def _brent(f, xa, xb, level, fa=None):
@@ -280,26 +204,20 @@ def solve_bound_state(
     Raises NoRootError when the level is unbound, and NumericalError when the
     root search breaks down (see _brent).  This never consults the closed-form
     spectrum: it runs the generic recipe through the float helpers and solves
-    it with _brent, the in-repo port of scipy's brentq, so each root is
-    bit-identical to brentq's on the dataclass path
-    quantization_residual(mrey_mapping(...)(E), n).
+    it with _brent, the in-repo port of scipy's brentq.
 
-    Precision limit: with c1 = c2 = c3 = 1, c9 = radicand/4 is formed from
-    xi1, xi2 and xi3, each of size xi^2, so the root's relative error grows
-    with xi^2: it is 8.6e-9 against 50 digits (the closed form's: 8.5e-18)
-    at n = l = 0 of (a1, a2, a3, alpha) = (1.3038747019433676e-06,
-    -2.993045207634939e-07, 76.21960089335214, 0.01370259605402353).
+    Precision: the residual is summed exactly, so the root keeps its digits at
+    large xi^2.  At n = l = 0 of (a1, a2, a3, alpha) = (1.3038747019433676e-06,
+    -2.993045207634939e-07, 76.21960089335214, 0.01370259605402353),
+    xi^2 = 3.2e7, it is 1.6e-16 off 50 digits (the closed form: 8.5e-18).
     """
     QuantumNumbers(n, l)
     ll1 = float(l * (l + 1))
-    mu = consts.mu
     h2a2, x1, x2, x3 = _couplings(params, consts)  # x1..x3 do not depend on E
-    e_scale = h2a2 / (2.0 * mu)
+    e_scale = h2a2 / (2.0 * consts.mu)
 
     def residual_of_xi_sq(xi_sq):
-        # mrey_mapping's energy round trip, so roots match the public path
-        mapped = _xi_sq(mu, h2a2, -xi_sq * e_scale)
-        return _residual(1.0, 1.0, 1.0, *_screened_xi(x1, x2, x3, ll1, mapped), n)
+        return _residual(1.0, 1.0, 1.0, *_screened_xi(x1, x2, x3, ll1, xi_sq), n)
 
     r0 = residual_of_xi_sq(0.0)
     if r0 == 0.0:
@@ -308,7 +226,8 @@ def solve_bound_state(
         raise NoRootError(f"no bound state for n={n}, l={l}: residual {r0:.6g} at E=0")
     # At c1 = c2 = c3 = 1 the residual is (2n + 1)/2 + n^2 + 2 l(l+1) - x1 - x3
     # + (2n + 1)(sqrt(c8) + sqrt(c9)) + 2 sqrt(c8 c9), with sqrt(c8) >= xi: at
-    # least (2n + 1)/2 once (2n + 1) xi >= x1 + x3.  That slack outlasts the
-    # rounding of its xi^2-sized terms, a few eps xi^2, for xi^2 < 1e14.
+    # least (2n + 1)/2 once (2n + 1) xi >= x1 + x3.  Summed exactly, it rounds
+    # only in its products and square roots, by ~eps (2n + 1 + 2 sqrt(c9)) xi:
+    # below that slack while xi^2 < ~1e28.
     hi = max(1.0, ((x1 + x3) / (2.0 * n + 1.0)) ** 2)
     return -_brent(residual_of_xi_sq, 0.0, hi, f"n={n}, l={l}", r0) * e_scale

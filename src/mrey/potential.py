@@ -172,18 +172,13 @@ class DimensionlessParams:
     x3: float
 
 
-def _xi_sq(mu: float, h2a2: float, energy: float) -> float:
-    """xi_squared on floats, with h2a2 = (hbar alpha)^2."""
-    if not math.isfinite(energy):
-        raise DomainError(f"energy must be finite, got {energy!r}")
-    return -2.0 * mu * energy / h2a2
-
-
 def xi_squared(
     params: PotentialParams, consts: PhysicalConstants, energy: float
 ) -> float:
     """xi^2 = -2 mu E / (hbar alpha)^2; DomainError unless E is finite."""
-    return _xi_sq(consts.mu, (consts.hbar * params.alpha) ** 2, energy)
+    if not math.isfinite(energy):
+        raise DomainError(f"energy must be finite, got {energy!r}")
+    return -2.0 * consts.mu * energy / (consts.hbar * params.alpha) ** 2
 
 
 def _couplings(params: PotentialParams, consts: PhysicalConstants):

@@ -8,12 +8,13 @@ reduced radial wavefunction
 where beta = sqrt(xi^2 + l(l+1)) equals the closed-form u of the level and
 zeta = 1/2 + sqrt(1/4 + l(l+1) - x1 - x2) equals the spectral delta.  The
 exponents and Jacobi indices come from the generic NU shape (nu._wave_shape,
-the float helper that nu.wave_shape wraps), not re-derived here, so the
-zeta = delta identity is a genuine cross-module check.  N is the wave's only
-scale; one three-term recurrence for P_n, in s rather than x = 1 - 2 s,
-serves psi and, differentiated in s in the same loop, gives ode_residual
-P_n's derivatives; psi's formula is RadialWave._psi_at, which count_nodes
-calls with the s and 1 - s of its theta-step rule.
+whose c9 is summed exactly, so zeta keeps its digits in deep wells), not
+re-derived here, so the zeta = delta identity is a genuine cross-module
+check.  N is the wave's only scale; one three-term recurrence for P_n, in s
+rather than x = 1 - 2 s, serves psi and, differentiated in s in the same
+loop, gives ode_residual P_n's derivatives; psi's formula is
+RadialWave._psi_at, which count_nodes calls with the s and 1 - s of its
+theta-step rule.
 
 Normalization is exact.  With s = e^{-alpha r}, a = 2 beta and
 b = 2 zeta - 1 the norm integral is

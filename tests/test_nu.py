@@ -7,6 +7,7 @@ modules that consume it.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -20,51 +21,38 @@ from mrey import (
     PotentialParams,
 )
 from mrey import nu
-from mrey.nu import (
-    NuCoefficients,
-    derive_constants,
-    mrey_mapping,
-    quantization_residual,
-    solve_bound_state,
-    wave_shape,
-)
-from mrey.potential import dimensionless_params
+from mrey.nu import solve_bound_state
+from mrey.potential import _couplings, dimensionless_params
 from mrey.spectrum import energy
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 UNIT_YUKAWA = PotentialParams(0.0, 0.0, 1.0, 0.5)
 
 
+def _xi(xi1, xi2, xi3):
+    """(xi1, xi2, xi3) as the addend tuples the float helpers take."""
+    return (xi1,), (xi2, 0.0, 0.0), (xi3, 0.0)
+
+
 def test_derived_constants_hand_case():
-    # xi^2 = 1, x1 = x2 = x3 = 0, l = 0 in the screened-well mapping
-    coeffs = NuCoefficients(c1=1.0, c2=1.0, c3=1.0, xi1=1.0, xi2=2.0, xi3=1.0)
-    d = derive_constants(coeffs)
-    assert d.c4 == 0.0
-    assert d.c5 == -0.5
-    assert d.c6 == pytest.approx(1.25, rel=1e-15)
-    assert d.c7 == pytest.approx(-2.0, rel=1e-15)
-    assert d.c8 == pytest.approx(1.0, rel=1e-15)
-    assert d.c9 == pytest.approx(0.25, rel=1e-15)
-    assert d.c10 == pytest.approx(3.0, rel=1e-15)
-    assert d.c11 == pytest.approx(5.0, rel=1e-15)
-    assert d.c12 == pytest.approx(1.0, rel=1e-15)
-    assert d.c13 == pytest.approx(-2.0, rel=1e-15)
+    # xi^2 = 1, x1 = x2 = x3 = 0, l = 0 in the screened-well mapping:
+    # xi1 = 1, xi2 = 2, xi3 = 1, so c6 = 1.25, c7 = -2, c10 = 3, c11 = 5,
+    # c12 = 1 and c13 = -2
+    xi = nu._screened_xi(0.0, 0.0, 0.0, 0.0, 1.0)
+    assert nu._constants(1.0, 1.0, 1.0, *xi) == (0.0, -0.5, 1.0, 0.25, 1.0, 0.5)
+    # (c12, -c12 - c13/c3, c10 - 1, c11/c3 - c10 - 1)
+    assert nu._wave_shape(1.0, 1.0, 1.0, *xi) == (1.0, 1.0, 2.0, 1.0)
 
 
 def test_derived_constants_zero_case():
-    d = derive_constants(NuCoefficients(1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
-    assert d.c6 == 0.25
-    assert d.c7 == 0.0
-    assert d.c8 == 0.0
-    assert d.c9 == 0.25
-    assert d.c12 == 0.0
+    assert nu._constants(1.0, 1.0, 1.0, *_xi(0.0, 0.0, 0.0)) == (0.0, -0.5, 0.0, 0.25, 0.0, 0.5)
 
 
 def test_derived_constants_general_inputs():
     # c4 and c5 are plain linear combinations; spot-check at c1, c2, c3 != 1
-    d = derive_constants(NuCoefficients(0.5, 2.0, 3.0, 0.1, 0.2, 0.3))
-    assert d.c4 == pytest.approx(0.25, rel=1e-15)
-    assert d.c5 == pytest.approx(-2.0, rel=1e-15)
+    c4, c5, *_ = nu._constants(0.5, 2.0, 3.0, *_xi(0.1, 0.2, 0.3))
+    assert c4 == pytest.approx(0.25, rel=1e-15)
+    assert c5 == pytest.approx(-2.0, rel=1e-15)
 
 
 def test_c9_internal_identity():
@@ -72,35 +60,35 @@ def test_c9_internal_identity():
     for _ in range(100):
         c1, c2, c3 = rng.uniform(-2.0, 2.0, size=3)
         xi1, xi2, xi3 = rng.uniform(0.0, 3.0, size=3)
-        coeffs = NuCoefficients(c1, c2, c3, xi1, xi2, xi3)
         try:
-            d = derive_constants(coeffs)
+            c4, c5, c8, c9, *_ = nu._constants(c1, c2, c3, *_xi(xi1, xi2, xi3))
         except ComplexBranchError:
             continue
-        c4 = 0.5 * (1.0 - c1)
-        c5 = 0.5 * (c2 - 2.0 * c3)
-        lhs = d.c9
+        assert (c4, c5) == (0.5 * (1.0 - c1), 0.5 * (c2 - 2.0 * c3))
+        assert c8 == pytest.approx(c4 * c4 + xi3, rel=1e-15)
         rhs = c3 * (2.0 * c4 * c5 - xi2) + c3 * c3 * (c4 * c4 + xi3) + (c5 * c5 + xi1)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+        assert c9 == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def test_c9_is_summed_exactly():
+    # with c1 = c2 = c3 = 1 the screened xi^2 cancels out of
+    # c9 = 1/4 - x1 - x2 + l(l+1): at xi^2 = 1e20 a rounded c9 would be 0 or
+    # off by ~1e4, the exact sum is the float nearest 1/4 - x1 - x2 + 6
+    x1, x2, x3 = 0.0123, -0.0456, 2e10
+    xi = nu._screened_xi(x1, x2, x3, 6.0, 1e20)
+    c9 = nu._constants(1.0, 1.0, 1.0, *xi)[3]
+    assert c9 == float(mpmath.mpf(0.25) - mpmath.mpf(x1) - mpmath.mpf(x2) + 6)
 
 
 def test_complex_branch_reported():
     # xi3 < -c4^2 forces c8 < 0
     with pytest.raises(ComplexBranchError) as info:
-        derive_constants(NuCoefficients(1.0, 1.0, 1.0, 0.0, 0.0, -1.0))
-    assert info.value.c8 == pytest.approx(-1.0, rel=1e-15)
+        nu._constants(1.0, 1.0, 1.0, *_xi(0.0, 0.0, -1.0))
+    assert info.value.c8 == -1.0
 
 
 def test_residual_zero_xi_hand_value():
-    coeffs = NuCoefficients(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-    assert quantization_residual(coeffs, 0) == pytest.approx(1.0, rel=1e-15)
-
-
-@pytest.mark.parametrize("n", [1.5, -0.5, True])
-def test_residual_rejects_non_integer_or_negative_n(n):
-    # int(n) would quietly turn 1.5 into 1 and -0.5 into 0
-    with pytest.raises(DomainError, match="n must be"):
-        quantization_residual(NuCoefficients(1.0, 1.0, 1.0, 1.0, 2.0, 1.0), n)
+    assert nu._residual(1.0, 1.0, 1.0, *_xi(0.0, 0.0, 0.0), 0) == 1.0
 
 
 def test_residual_vanishes_at_closed_form_energy():
@@ -113,8 +101,8 @@ def test_residual_vanishes_at_closed_form_energy():
             level = energy(params, CONSTS, n, l)
             if not level.valid_bound_state:
                 continue
-            coeffs = mrey_mapping(params, CONSTS, l)(level.energy)
-            assert abs(quantization_residual(coeffs, n)) < 1e-9
+            xi = nu._mrey_xi(params, CONSTS, float(l * (l + 1)), level.energy)
+            assert abs(nu._residual(1.0, 1.0, 1.0, *xi, n)) < 1e-9
             exercised += 1
     assert exercised >= 4
 
@@ -122,38 +110,29 @@ def test_residual_vanishes_at_closed_form_energy():
 def test_residual_monotone_in_binding():
     # at fixed n the residual grows with xi^2 (the sqrt(c8) coefficient is
     # 2n + 1 + 2 sqrt(c9) > 0), which is what makes the bracketing solver safe
-    mapping = mrey_mapping(UNIT_YUKAWA, CONSTS, 0)
     e_grid = -np.linspace(0.01, 2.0, 30)
-    residuals = [quantization_residual(mapping(e), 1) for e in e_grid]
+    residuals = [nu._residual(1.0, 1.0, 1.0, *nu._mrey_xi(UNIT_YUKAWA, CONSTS, 0.0, e), 1)
+                 for e in e_grid]
     assert all(b > a for a, b in zip(residuals, residuals[1:]))
 
 
 def test_wave_shape_matches_spectral_exponents():
     params = PotentialParams(0.01, 0.02, 1.2, 0.5)
     level = energy(params, CONSTS, 0, 1)
-    coeffs = mrey_mapping(params, CONSTS, 1)(level.energy)
-    shape = wave_shape(coeffs)
+    xi = nu._mrey_xi(params, CONSTS, 2.0, level.energy)  # l(l+1) = 2
+    beta, zeta, jacobi_a, jacobi_b = nu._wave_shape(1.0, 1.0, 1.0, *xi)
     dim = dimensionless_params(params, CONSTS, level.energy)
-    expected = 0.5 + math.sqrt(0.25 + 2.0 - dim.x1 - dim.x2)  # l(l+1) = 2
-    assert shape.one_minus_s_exponent == pytest.approx(expected, rel=1e-12)
-    assert shape.jacobi_b == pytest.approx(2.0 * (expected - 0.5), rel=1e-12)
-    assert shape.s_exponent == pytest.approx(math.sqrt(dim.xi_sq + 2.0), rel=1e-12)
-    assert shape.jacobi_a == pytest.approx(2.0 * shape.s_exponent, rel=1e-12)
+    expected = 0.5 + math.sqrt(0.25 + 2.0 - dim.x1 - dim.x2)
+    assert zeta == pytest.approx(expected, rel=1e-12)
+    assert jacobi_b == pytest.approx(2.0 * (expected - 0.5), rel=1e-12)
+    assert beta == pytest.approx(math.sqrt(dim.xi_sq + 2.0), rel=1e-12)
+    assert jacobi_a == pytest.approx(2.0 * beta, rel=1e-12)
 
 
 def test_wave_shape_zero_case():
     # c10 = 1, c11 = 3 here, so jacobi_b = c11/c3 - c10 - 1 = 1
     # (equivalently 2 sqrt(1/4) via the screened-well identity)
-    shape = wave_shape(NuCoefficients(1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
-    assert shape.s_exponent == 0.0
-    assert shape.jacobi_a == 0.0
-    assert shape.jacobi_b == pytest.approx(1.0, rel=1e-15)
-    assert shape.one_minus_s_exponent == pytest.approx(1.0, rel=1e-15)
-
-
-def test_wave_shape_rejects_zero_c3():
-    with pytest.raises(DomainError):
-        wave_shape(NuCoefficients(1.0, 1.0, 0.0, 0.0, 0.0, 0.0))
+    assert nu._wave_shape(1.0, 1.0, 1.0, *_xi(0.0, 0.0, 0.0)) == (0.0, 1.0, 0.0, 1.0)
 
 
 def test_oracle_finds_anchor_root():
@@ -188,44 +167,69 @@ def test_bracket_free_solver_reports_unbound():
         solve_bound_state(PotentialParams(0.0, 0.0, 0.01, 0.5), CONSTS, 3, 0)
 
 
-def _public_path_root(params, n, l):
-    """The oracle's bracket and brentq, run on the public dataclass path."""
-    mapping = mrey_mapping(params, CONSTS, l)
-    e_scale = (CONSTS.hbar * params.alpha) ** 2 / (2.0 * CONSTS.mu)
-    dim = dimensionless_params(params, CONSTS, 0.0)
+def _brentq_root(params, n, l):
+    """The oracle's bracket and residual, solved by scipy's brentq."""
+    h2a2, x1, x2, x3 = _couplings(params, CONSTS)
+    ll1 = float(l * (l + 1))
 
     def residual(xi_sq):
-        return quantization_residual(mapping(-xi_sq * e_scale), n)
+        return nu._residual(1.0, 1.0, 1.0, *nu._screened_xi(x1, x2, x3, ll1, xi_sq), n)
 
-    hi = max(1.0, ((dim.x1 + dim.x3) / (2.0 * n + 1.0)) ** 2)
+    hi = max(1.0, ((x1 + x3) / (2.0 * n + 1.0)) ** 2)
     assert residual(0.0) < 0.0 < residual(hi)
     root = brentq(
         residual, 0.0, hi,
         xtol=nu._BRENTQ_XTOL, rtol=nu._BRENTQ_RTOL, maxiter=nu._BRENTQ_MAXITER,
     )
-    return -float(root) * e_scale
+    return -float(root) * (h2a2 / (2.0 * CONSTS.mu))
 
 
-def test_oracle_is_bit_identical_to_the_public_path():
-    rng = np.random.default_rng(19)
-    checked = 0
-    while checked < 200:
-        alpha = rng.uniform(0.01, 0.5)
-        a3 = math.exp(rng.uniform(math.log(0.5), math.log(500.0)))
-        a1, a2 = rng.uniform(-0.05, 0.05, size=2) * alpha**2  # |x1|, |x2| <= 0.1
-        params = PotentialParams(float(a1), float(a2), a3, alpha)
-        n, l = int(rng.integers(0, 30)), int(rng.integers(0, 4))
-        if not energy(params, CONSTS, n, l).valid_bound_state:
-            continue
+def _mp_energy(params, n, l):
+    """The closed-form level E = Q1 - Q2 (rho + Q3/rho)^2 in 50 digits, from
+    the exact values of the float parameters (hbar = mu = 1)."""
+    with mpmath.workdps(50):
+        a1, a2, a3, alpha = (mpmath.mpf(v) for v in (params.a1, params.a2, params.a3,
+                                                     params.alpha))
+        x1, x2, x3, ll1 = 2 * a1 / alpha**2, 2 * a2 / alpha**2, 2 * a3 / alpha, l * (l + 1)
+        rho = n + (1 + mpmath.sqrt(1 + 4 * ll1 - 4 * x1 - 4 * x2)) / 2
+        return alpha**2 * ll1 / 2 - alpha**2 / 8 * (rho + (x2 - x3 + ll1) / rho) ** 2
+
+
+# xi^2 = 3.2e7; the oracle was 8.6e-9 off here while c9 was rounded
+DOCSTRING_LEVEL = (PotentialParams(1.3038747019433676e-06, -2.993045207634939e-07,
+                                   76.21960089335214, 0.01370259605402353), 0, 0)
+
+
+def test_oracle_matches_50_digit_closed_form():
+    # levels drawn by their xi^2, log-uniform in [1, 1e8]: the well depth
+    # x3 = 2 rho sqrt(xi^2 + l(l+1)) + rho^2 + x2 + l(l+1) puts level (n, l)
+    # there
+    rng = np.random.default_rng(32)
+    levels = [DOCSTRING_LEVEL]
+    while len(levels) < 200:
+        alpha = math.exp(rng.uniform(math.log(0.005), 0.0))
+        x1, x2 = rng.uniform(-0.05, 0.05, size=2)
+        n, l = int(rng.integers(0, 60)), int(rng.integers(0, 4))
+        ll1 = l * (l + 1)
+        rho = n + 0.5 + 0.5 * math.sqrt(1.0 + 4.0 * ll1 - 4.0 * x1 - 4.0 * x2)
+        beta = math.sqrt(10.0 ** rng.uniform(0.0, 8.0) + ll1)
+        x3 = 2.0 * rho * beta + rho * rho + x2 + ll1
+        params = PotentialParams(x1 * alpha**2 / 2, x2 * alpha**2 / 2, x3 * alpha / 2, alpha)
+        if energy(params, CONSTS, n, l).valid_bound_state:
+            levels.append((params, n, l))
+    largest_xi_sq = 0.0
+    for params, n, l in levels:
+        exact = _mp_energy(params, n, l)
         found = solve_bound_state(params, CONSTS, n, l)
-        assert found.hex() == _public_path_root(params, n, l).hex(), (params, n, l)
-        checked += 1
+        assert abs(float((found - exact) / exact)) <= 1e-13, (params, n, l)
+        largest_xi_sq = max(largest_xi_sq, -2.0 * found / params.alpha**2)
+    assert largest_xi_sq > 5e7
 
 
 def test_oracle_evaluates_the_residual_once_at_zero(monkeypatch):
     # brentq over [0, hi] evaluates f(0) itself; the oracle hands its own
     # unbound test's f(0) to _brent, so it makes exactly brentq's evaluations,
-    # one fewer than its unbound test plus brentq's
+    # one fewer than its unbound test plus brentq's, and finds brentq's root
     calls = []
 
     def counted(*args):
@@ -245,11 +249,12 @@ def test_oracle_evaluates_the_residual_once_at_zero(monkeypatch):
         if not energy(params, CONSTS, n, l).valid_bound_state:
             continue
         calls.clear()
-        solve_bound_state(params, CONSTS, n, l)
+        found = solve_bound_state(params, CONSTS, n, l)
         made = len(calls)
         calls.clear()
-        _public_path_root(params, n, l)  # its bracket check, then brentq
+        expected = _brentq_root(params, n, l)  # its bracket check, then brentq
         assert made == len(calls) - 2, (params, n, l)
+        assert found.hex() == expected.hex(), (params, n, l)
         levels += 1
 
 
@@ -264,6 +269,10 @@ def test_oracle_reports_complex_branch():
 @pytest.mark.parametrize(("n", "l", "message"), [
     (-1, 0, "n must be >= 0, got -1"),
     (0, 1.0, "l must be an integer, got 1.0"),
+    # int(n) would quietly turn 1.5 into 1 and -0.5 into 0
+    (1.5, 0, "n must be an integer, got 1.5"),
+    (-0.5, 0, "n must be an integer, got -0.5"),
+    (True, 0, "n must be an integer, got True"),
 ])
 def test_oracle_rejects_bad_quantum_numbers(n, l, message):
     with pytest.raises(DomainError, match=f"^{message}$"):

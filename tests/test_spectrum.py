@@ -19,6 +19,7 @@ from mrey import (
     spectral_coefficients,
     spectrum_table,
 )
+from mrey.nu import solve_bound_state
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 UNIT_YUKAWA = PotentialParams(0.0, 0.0, 1.0, 0.5)
@@ -122,6 +123,28 @@ def test_energy_bounded_by_centrifugal_offset():
         n, l = int(rng.integers(0, 6)), int(rng.integers(0, 4))
         coeffs = spectral_coefficients(params, CONSTS, l)
         assert energy(params, CONSTS, n, l).energy <= coeffs.q1 + 1e-12
+
+
+def test_spectrum_sweep_holds_the_nu_root():
+    # the sweep box of the parity runs: alpha in [0.005, 1] and a3 in
+    # [0.5, 1e4] (log-uniform), |x1|, |x2| <= 0.05, n < 60, l <= 3.  Every
+    # level keeps E <= Q1(l), and each strictly valid one sits within 1e-13
+    # (relative) of the NU oracle's root, which never consults the closed form
+    rng = np.random.default_rng(33)
+    valid = 0
+    for _ in range(400):
+        alpha = math.exp(rng.uniform(math.log(0.005), 0.0))
+        x1, x2 = rng.uniform(-0.05, 0.05, size=2)
+        a3 = math.exp(rng.uniform(math.log(0.5), math.log(1e4)))
+        params = PotentialParams(x1 * alpha**2 / 2, x2 * alpha**2 / 2, a3, alpha)
+        n, l = int(rng.integers(0, 60)), int(rng.integers(0, 4))
+        level = energy(params, CONSTS, n, l)
+        assert level.energy <= spectral_coefficients(params, CONSTS, l).q1, (params, n, l)
+        if level.valid_bound_state:
+            root = solve_bound_state(params, CONSTS, n, l)
+            assert root == pytest.approx(level.energy, rel=1e-13), (params, n, l)
+            valid += 1
+    assert valid > 200
 
 
 def test_lambda_max_values():

@@ -25,7 +25,6 @@ from mrey import (
     spectral_coefficients,
 )
 from mrey import wavefunction
-from mrey.nu import mrey_mapping, wave_shape
 from mrey.verification import _recheck_norm
 from mrey.wavefunction import JacobiParams, ode_residual
 
@@ -34,6 +33,8 @@ UNIT_YUKAWA = PotentialParams(0.0, 0.0, 1.0, 0.5)
 DEEP_YUKAWA = PotentialParams(0.0, 0.0, 5.0, 0.5)
 # 2 beta reaches 4e5 at n = 0
 DEEPEST_WELL = PotentialParams(0.0, 0.0, 2000.0, 0.01)
+# x3 = 2e11: xi^2 reaches 1e22 at n = 0
+ABYSS = PotentialParams(0.0, 0.0, 1e8, 0.001)
 
 
 def _jacobi_at(params, x):
@@ -208,23 +209,39 @@ def test_build_wave_rejects_non_bound_levels():
 
 
 def test_exponent_tracks_delta():
-    # the (1 - e^{-alpha r}) exponent must equal delta from the level algebra
-    for l in range(2):  # l = 2 of this well is unbound
-        coeffs = spectral_coefficients(DEEP_YUKAWA, CONSTS, l)
-        level = energy(DEEP_YUKAWA, CONSTS, 0, l)
-        wave = build_wave(DEEP_YUKAWA, CONSTS, level)
+    # the (1 - e^{-alpha r}) exponent must equal delta from the level algebra;
+    # at n = l = 0 of ABYSS a rounded c9 = -2097152 raised ComplexBranchError
+    # from this valid level
+    for params, l in ((DEEP_YUKAWA, 0), (DEEP_YUKAWA, 1), (ABYSS, 0)):
+        coeffs = spectral_coefficients(params, CONSTS, l)
+        wave = build_wave(params, CONSTS, energy(params, CONSTS, 0, l))
         assert abs(wave.zeta_exp - coeffs.delta) <= 1e-12
+        assert ode_residual(wave) < 1e-12
+        assert count_nodes(wave, default_node_grid(wave)) == 0
 
 
-def test_build_wave_shape_is_the_public_nu_shape():
-    # build_wave takes its exponents from nu's float helper; the dataclass
-    # path wave_shape(mrey_mapping(...)(E)) that the zeta = delta check
-    # rests on gives the same four numbers, bit for bit
-    for params, level in _parity_levels():
-        wave = build_wave(params, CONSTS, level)
-        shape = wave_shape(mrey_mapping(params, CONSTS, level.l)(level.energy))
-        assert (wave.beta_exp, wave.zeta_exp, wave.jacobi.a, wave.jacobi.b) == (
-            shape.s_exponent, shape.one_minus_s_exponent, shape.jacobi_a, shape.jacobi_b)
+def test_deep_wells_keep_zeta():
+    # x3 log-uniform in [1e3, 2e6] with x1 + x2 != 0, so delta is not 1 and
+    # c9 = 1/4 - x1 - x2 + l(l+1) cancels xi^2 ~ (x3 / 2 rho)^2 out of its
+    # addends; a rounded c9 put zeta 2.2e-4 off delta at (a1, a2, a3, alpha) =
+    # (6.3724837888874386e-06, 4.494594872750357e-06, 9753.926083538472,
+    # 0.011729699361949893), n = l = 0, and ode_residual over 1e-6
+    rng = np.random.default_rng(32)
+    levels = [(PotentialParams(6.3724837888874386e-06, 4.494594872750357e-06,
+                               9753.926083538472, 0.011729699361949893), 0, 0)]
+    while len(levels) < 200:
+        alpha = math.exp(rng.uniform(math.log(0.005), math.log(0.05)))
+        x1, x2 = rng.uniform(-0.05, 0.05, size=2)
+        x3 = math.exp(rng.uniform(math.log(1e3), math.log(2e6)))
+        params = PotentialParams(x1 * alpha**2 / 2, x2 * alpha**2 / 2, x3 * alpha / 2, alpha)
+        n, l = int(rng.integers(0, 10)), int(rng.integers(0, 4))
+        if energy(params, CONSTS, n, l).valid_bound_state:
+            levels.append((params, n, l))
+    for params, n, l in levels:
+        wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
+        delta = spectral_coefficients(params, CONSTS, l).delta
+        assert abs(wave.zeta_exp - delta) <= 1e-9, (params, n, l)
+        assert ode_residual(wave) < 1e-6, (params, n, l)
 
 
 def test_normalization_self_consistent():
@@ -766,10 +783,12 @@ def test_deepest_well_builds():
 
 
 def test_norm_outside_double_range_is_typed():
-    # N = e^{6900} here; the adaptive route raised a bare ZeroDivisionError
-    params = PotentialParams(0.0, 0.0, 1e8, 0.001)
-    with pytest.raises(NumericalError):
-        build_wave(params, CONSTS, energy(params, CONSTS, 3, 0))
+    # the norm integral is e^{-3444.64} here, and N = e^{1722.32} would
+    # overflow
+    message = (r"^norm integral e\^-3444\.64 of level \(n=3, l=100\) is outside "
+               r"double range$")
+    with pytest.raises(NumericalError, match=message):
+        build_wave(ABYSS, CONSTS, energy(ABYSS, CONSTS, 3, 100))
 
 
 def test_formerly_unconverged_level():

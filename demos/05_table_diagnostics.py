@@ -13,7 +13,7 @@ Run:  python3 demos/05_table_diagnostics.py
 import numpy as np
 
 from mrey import PhysicalConstants, PotentialParams, energy, fit_couplings
-from mrey.recovery import TableRow, channel_bound
+from mrey.recovery import channel_bound
 
 consts = PhysicalConstants()
 
@@ -35,7 +35,7 @@ print(f"  2000 random levels: max of E - Q1(l) = {worst:.3e}  (never positive)")
 print()
 print("== a column that cannot be reproduced ==")
 fixture = (0.109375, 0.046875, -0.078125, -0.265625, -0.515625, -0.828125)
-rows = [TableRow(n, 0, e) for n, e in enumerate(fixture)]
+rows = [(n, 0, e) for n, e in enumerate(fixture)]
 report = fit_couplings(rows, alpha=0.5, consts=consts)
 print(f"  rows: {fixture}")
 print(f"  {report.verdict}")
@@ -56,7 +56,7 @@ print()
 print("== a clean table round-trips ==")
 truth = PotentialParams(0.005, 0.002, 1.2, 0.4)
 rows = [
-    TableRow(n, l, energy(truth, consts, n, l).energy)
+    (n, l, energy(truth, consts, n, l).energy)
     for n in range(4) for l in range(3)
 ]
 report = fit_couplings(rows, alpha=0.4, consts=consts)

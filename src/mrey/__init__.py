@@ -20,7 +20,6 @@ from .errors import (
 from .potential import (
     PhysicalConstants,
     PotentialParams,
-    QuantumNumbers,
     SpecialCase,
     SpectralCoefficients,
     classify_special_case,
@@ -47,7 +46,7 @@ from .thermo import (
     thermo_curve,
     thermo_state,
 )
-from .recovery import RecoveryReport, TableRow, channel_bound, fit_couplings
+from .recovery import RecoveryReport, channel_bound, fit_couplings
 
 __version__ = "0.1.0"
 
@@ -63,7 +62,6 @@ __all__ = [
     "ResolutionError",
     "PhysicalConstants",
     "PotentialParams",
-    "QuantumNumbers",
     "SpecialCase",
     "SpectralCoefficients",
     "classify_special_case",
@@ -89,7 +87,6 @@ __all__ = [
     "thermo_curve",
     "thermo_state",
     "RecoveryReport",
-    "TableRow",
     "channel_bound",
     "fit_couplings",
     "__version__",

@@ -304,7 +304,10 @@ def cmd_wavefunction(cfg, args) -> int:
         raise ConfigError("wavefunction needs at least 2 points")
     if not (math.isfinite(r_max) and r_max > 0.0):
         raise ConfigError(f"r_max must be positive and finite, got {r_max!r}")
-    grid = np.linspace(r_max / points, r_max, points)
+    r_min = 1e-12 / cfg.potential.alpha  # the radii are log-spaced from alpha r = 1e-12
+    if not r_max > r_min:
+        raise ConfigError(f"r_max must exceed 1e-12/alpha = {r_min!r}, got {r_max!r}")
+    grid = np.geomspace(r_min, r_max, points)
     write_output(cfg, f"wavefunction_n{n}_l{l}", ["r", "psi"], list(zip(grid, wave.psi(grid))))
     return 0
 
@@ -414,7 +417,7 @@ def cmd_recover(cfg, args) -> int:
     report = fit_couplings(rows, cfg.potential.alpha, cfg.constants)
     p = report.params
     print(f"fitted couplings: a1 = {p.a1:.12g}, a2 = {p.a2:.12g}, a3 = {p.a3:.12g} "
-          f"(alpha = {report.alpha:g})")
+          f"(alpha = {p.alpha:g})")
     print(f"identifiable combinations: x1+x2 = {report.x1_plus_x2:.12g}, "
           f"x2-x3 = {report.x2_minus_x3:.12g}")
     print(f"rms residual = {report.rms:.6g}, max |residual| = "
@@ -423,8 +426,8 @@ def cmd_recover(cfg, args) -> int:
     write_output(
         cfg, "recovery", ["n", "l", "E", "E_fit", "residual"],
         [
-            (row.n, row.l, row.energy, fit, res)
-            for row, fit, res in zip(report.rows, report.fitted, report.residuals)
+            (n, l, e, fit, res)
+            for (n, l, e), fit, res in zip(report.rows, report.fitted, report.residuals)
         ],
     )
     return 0

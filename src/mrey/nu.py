@@ -29,7 +29,8 @@ import math
 import sys
 
 from .errors import ComplexBranchError, NoRootError, NumericalError
-from .potential import PhysicalConstants, PotentialParams, QuantumNumbers, _couplings, xi_squared
+from .potential import (PhysicalConstants, PotentialParams, _check_quantum_numbers, _couplings,
+                        xi_squared)
 
 _BRENTQ_RTOL = 4.0 * sys.float_info.epsilon
 _BRENTQ_XTOL = 1e-14
@@ -100,8 +101,9 @@ def _wave_shape(c1, c2, c3, xi1, xi2, xi3):
 def _screened_xi(x1, x2, x3, ll1, xi_sq):
     """The addends of (xi1, xi2, xi3) of the screened radial problem,
     xi1 = xi^2 - x2 + x3, xi2 = 2 xi^2 + x1 + x3 and xi3 = xi^2 + l(l+1),
-    with c1 = c2 = c3 = 1 in the dimensionless variables of
-    potential.dimensionless_params; ll1 = l(l+1)."""
+    with c1 = c2 = c3 = 1 in the dimensionless couplings of
+    potential._couplings and xi^2 = -2 mu E / (hbar alpha)^2
+    (potential.xi_squared); ll1 = l(l+1)."""
     return (xi_sq, -x2, x3), (2.0 * xi_sq, x1, x3), (xi_sq, ll1)
 
 
@@ -211,7 +213,7 @@ def solve_bound_state(
     -2.993045207634939e-07, 76.21960089335214, 0.01370259605402353),
     xi^2 = 3.2e7, it is 1.6e-16 off 50 digits (the closed form: 8.5e-18).
     """
-    QuantumNumbers(n, l)
+    _check_quantum_numbers(n, l)
     ll1 = float(l * (l + 1))
     h2a2, x1, x2, x3 = _couplings(params, consts)  # x1..x3 do not depend on E
     e_scale = h2a2 / (2.0 * consts.mu)

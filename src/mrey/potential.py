@@ -1,4 +1,5 @@
-"""Core parameter types for the Manning-Rosen plus exponential Yukawa model.
+"""Parameters, potential and spectral coefficients of the Manning-Rosen plus
+exponential Yukawa model.
 
 The potential is
 
@@ -72,20 +73,13 @@ class PotentialParams:
             raise DomainError(f"alpha must be > 0, got {self.alpha!r}")
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
-    """Radial quantum number n >= 0 and orbital angular momentum l >= 0."""
-
-    n: int
-    l: int
-
-    def __post_init__(self):
-        for name in ("n", "l"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise DomainError(f"{name} must be >= 0, got {value!r}")
+def _check_quantum_numbers(n, l) -> None:
+    """DomainError unless n and l are integers (not bool) >= 0."""
+    for name, value in (("n", n), ("l", l)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        if value < 0:
+            raise DomainError(f"{name} must be >= 0, got {value!r}")
 
 
 class SpecialCase(enum.Enum):
@@ -156,22 +150,6 @@ def greene_aldrich(alpha: float, r):
     return inv_r2, inv_r
 
 
-@dataclass(frozen=True)
-class DimensionlessParams:
-    """Couplings and energy mapped to dimensionless form.
-
-    xi_sq = -2 mu E / (hbar alpha)^2   (positive for bound states)
-    x1    =  2 mu A1 / (hbar alpha)^2
-    x2    =  2 mu A2 / (hbar alpha)^2
-    x3    =  2 mu A3 / (hbar^2 alpha)
-    """
-
-    xi_sq: float
-    x1: float
-    x2: float
-    x3: float
-
-
 def xi_squared(
     params: PotentialParams, consts: PhysicalConstants, energy: float
 ) -> float:
@@ -182,18 +160,12 @@ def xi_squared(
 
 
 def _couplings(params: PotentialParams, consts: PhysicalConstants):
-    """(hbar alpha)^2 and the couplings x1, x2, x3 on floats: the part of
-    dimensionless_params that does not depend on the energy."""
+    """(hbar alpha)^2 and the dimensionless couplings on floats:
+    x1 = 2 mu A1 / (hbar alpha)^2, x2 = 2 mu A2 / (hbar alpha)^2 and
+    x3 = 2 mu A3 / (hbar^2 alpha)."""
     h2a2 = (consts.hbar * params.alpha) ** 2
     return (h2a2, 2.0 * consts.mu * params.a1 / h2a2, 2.0 * consts.mu * params.a2 / h2a2,
             2.0 * consts.mu * params.a3 / (consts.hbar**2 * params.alpha))
-
-
-def dimensionless_params(
-    params: PotentialParams, consts: PhysicalConstants, energy: float
-) -> DimensionlessParams:
-    xi_sq = xi_squared(params, consts, energy)
-    return DimensionlessParams(xi_sq, *_couplings(params, consts)[1:])
 
 
 @dataclass(frozen=True)
@@ -222,7 +194,7 @@ def spectral_coefficients(
     Raises NoRealDeltaError when the couplings push the delta radicand
     negative (too-strong attractive Manning-Rosen part for this l).
     """
-    QuantumNumbers(0, l)
+    _check_quantum_numbers(0, l)
     h2a2, x1, x2, x3 = _couplings(params, consts)
     ll1 = float(l * (l + 1))
     # float() once here: numpy-scalar couplings give plain-float coefficients

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .potential import PhysicalConstants, PotentialParams, QuantumNumbers
+from .potential import PhysicalConstants, PotentialParams, _check_quantum_numbers
 
 # t = 2 delta - 1 at the lowest l of the table is scanned on this grid; each
 # local minimum of the best v along it seeds one polish in (t, v).
@@ -39,22 +39,9 @@ _EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
-class TableRow:
-    n: int
-    l: int
-    energy: float
-
-    def __post_init__(self):
-        QuantumNumbers(self.n, self.l)
-        if not math.isfinite(self.energy):
-            raise DomainError(f"table energy must be finite, got {self.energy!r}")
-
-
-@dataclass(frozen=True)
 class RecoveryReport:
     params: PotentialParams
-    alpha: float
-    rows: tuple
+    rows: tuple            # the table's (n, l, E) rows, E as a float
     fitted: tuple          # model energies at the fitted couplings
     residuals: tuple       # fitted - target, per row
     rms: float
@@ -99,19 +86,24 @@ def fit_couplings(
     alpha: float,
     consts: PhysicalConstants = PhysicalConstants(),
 ) -> RecoveryReport:
-    """Fit the table at fixed alpha; report the minimum-norm (A1, A2, A3)."""
-    rows = tuple(
-        r if isinstance(r, TableRow) else TableRow(r[0], r[1], float(r[2]))
-        for r in rows
-    )
+    """Fit the table's (n, l, E) rows at fixed alpha; report the minimum-norm
+    (A1, A2, A3)."""
+    checked = []
+    for r in rows:
+        n, l, e = r[0], r[1], float(r[2])
+        _check_quantum_numbers(n, l)
+        if not math.isfinite(e):
+            raise DomainError(f"table energy must be finite, got {e!r}")
+        checked.append((n, l, e))
+    rows = tuple(checked)
     if not rows:
         raise DomainError("recovery needs at least one table row")
     if isinstance(alpha, bool) or not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
 
-    targets = np.array([r.energy for r in rows])
-    n = np.array([r.n for r in rows], dtype=float)
-    ll1 = np.array([r.l * (r.l + 1) for r in rows], dtype=float)
+    targets = np.array([e for _, _, e in rows])
+    n = np.array([n for n, _, _ in rows], dtype=float)
+    ll1 = np.array([l * (l + 1) for _, l, _ in rows], dtype=float)
     gap = 4.0 * (ll1 - ll1.min())  # radicand at each row's l minus t^2
     h2a2 = (consts.hbar * alpha) ** 2
     q1 = h2a2 * ll1 / (2.0 * consts.mu)
@@ -191,16 +183,14 @@ def fit_couplings(
     fitted = targets + residuals
     rms = float(np.sqrt(np.mean(residuals**2)))
     infeasible = tuple(
-        i
-        for i, r in enumerate(rows)
-        if r.energy > channel_bound(r.l, alpha, consts)
+        i for i, (_, l, e) in enumerate(rows) if e > channel_bound(l, alpha, consts)
     )
     feasible = not infeasible
     if feasible:
         verdict = f"feasible: all rows within the E <= Q1(l) bound, rms {rms:.3e}"
     else:
         listed = ", ".join(
-            f"(n={rows[i].n}, l={rows[i].l}, E={rows[i].energy:g})" for i in infeasible
+            f"(n={rows[i][0]}, l={rows[i][1]}, E={rows[i][2]:g})" for i in infeasible
         )
         verdict = (
             f"infeasible: {len(infeasible)} row(s) exceed the coupling-independent "
@@ -216,7 +206,6 @@ def fit_couplings(
     couplings = ((1.0 + a2) * u - v, a2 * u + v, alpha * (u - 2.0 * v))
     return RecoveryReport(
         params=PotentialParams(*(float(c / scale) for c in couplings), alpha=alpha),
-        alpha=alpha,
         rows=rows,
         fitted=tuple(float(e) for e in fitted),
         residuals=tuple(float(e) for e in residuals),

@@ -34,8 +34,8 @@ from .errors import DomainError, NoRealDeltaError
 from .potential import (
     PhysicalConstants,
     PotentialParams,
-    QuantumNumbers,
     SpectralCoefficients,
+    _check_quantum_numbers,
     spectral_coefficients,
 )
 
@@ -96,7 +96,7 @@ def energy(
     params: PotentialParams, consts: PhysicalConstants, n: int, l: int
 ) -> EnergyLevel:
     """Closed-form level (compact route) with validity flags."""
-    QuantumNumbers(n, l)
+    _check_quantum_numbers(n, l)
     return _level(spectral_coefficients(params, consts, l), n, l, float(l * (l + 1)))
 
 
@@ -111,7 +111,7 @@ def energy_long_form(
 
     with R = 1 + 4 l(l+1) - 4 x1 - 4 x2.
     """
-    QuantumNumbers(n, l)
+    _check_quantum_numbers(n, l)
     hbar, mu, alpha = consts.hbar, consts.mu, params.alpha
     h2a2 = (hbar * alpha) ** 2
     ll1 = float(l * (l + 1))
@@ -138,7 +138,7 @@ def energy_manning_rosen(
     E = Q1 - (hbar^2 alpha^2 / 8 mu) * [ (rho^2 + x2 + l(l+1)) / rho ]^2,
     rho = n + 1/2 + (1/2) sqrt(1 - 4 x1 - 4 x2 + 4 l(l+1)).
     """
-    QuantumNumbers(n, l)
+    _check_quantum_numbers(n, l)
     if params.a3 != 0.0:
         raise DomainError("Manning-Rosen special case requires a3 = 0")
     hbar, mu, alpha = consts.hbar, consts.mu, params.alpha
@@ -165,7 +165,7 @@ def energy_yukawa(
 
     For l = 0 this is the compact form with delta = 1, Q3 = -x3.
     """
-    QuantumNumbers(n, l)
+    _check_quantum_numbers(n, l)
     if params.a1 != 0.0 or params.a2 != 0.0:
         raise DomainError("exponential-Yukawa special case requires a1 = a2 = 0")
     hbar, mu, alpha = consts.hbar, consts.mu, params.alpha
@@ -200,7 +200,7 @@ def spectrum_table(
     l_max: int = 3,
 ) -> SpectrumTable:
     """All levels n <= n_max, l <= l_max with per-l error propagation."""
-    QuantumNumbers(n_max, l_max)
+    _check_quantum_numbers(n_max, l_max)
     rows = []
     errors = {}
     for l in range(l_max + 1):

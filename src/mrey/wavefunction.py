@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ResolutionError
 from .nu import _mrey_xi, _wave_shape
-from .potential import PhysicalConstants, PotentialParams
+from .potential import PhysicalConstants, PotentialParams, _check_quantum_numbers
 from .spectrum import EnergyLevel
 
 _TAIL_FRACTION = 1e-13  # stop extending R once a doubling adds less than this
@@ -87,29 +87,13 @@ _ODE_STEPS = np.arange(_ODE_SAMPLES, dtype=float)  # linspace's k, for _ode_radi
 
 
 @dataclass(frozen=True)
-class JacobiParams:
-    """Degree and indices (n, a, b) of a Jacobi polynomial, a, b > -1."""
-
-    n: int
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 0:
-            raise DomainError(f"degree must be an integer >= 0, got {self.n!r}")
-        for name in ("a", "b"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > -1.0):
-                raise DomainError(f"{name} must be finite and > -1, got {value!r}")
-
-
-@dataclass(frozen=True)
 class RadialWave:
     """A normalized bound-state radial wavefunction.
 
-    psi(r) = norm * s^beta (1 - s)^zeta P_n(1 - 2 s) with s = e^{-alpha r};
-    r_tail is the radius beyond which the tail of psi^2 is proven negligible
-    by the Jacobi maximum bound (module docstring).
+    psi(r) = norm * s^beta (1 - s)^zeta P_n^{(a,b)}(1 - 2 s) with s =
+    e^{-alpha r} and jacobi = (n, a, b), a = 2 beta and b = 2 zeta - 1 as the
+    NU shape gives them; r_tail is the radius beyond which the tail of psi^2
+    is proven negligible by the Jacobi maximum bound (module docstring).
     """
 
     params: PotentialParams
@@ -117,7 +101,7 @@ class RadialWave:
     level: EnergyLevel
     beta_exp: float
     zeta_exp: float
-    jacobi: JacobiParams
+    jacobi: tuple
     norm: float
     r_tail: float
 
@@ -132,7 +116,7 @@ class RadialWave:
 
     def _psi_at(self, x, s, one_minus):
         """psi at x = -alpha r, given s = e^x and one_minus = 1 - s."""
-        p, _, log_scale = _jacobi_scaled(self.jacobi.n, self.jacobi.a, self.jacobi.b, s)
+        p, _, log_scale = _jacobi_scaled(*self.jacobi, s)
         # s^beta (1 - s)^zeta e^{log_scale} in one exponent: the factors
         # apart can underflow and overflow at the same r
         return self.norm * (p * np.exp(x * self.beta_exp + np.log(one_minus) * self.zeta_exp
@@ -148,7 +132,10 @@ def build_wave(
     marginal and invalid levels are rejected (u > 0 and xi^2 > 0 are needed
     for normalizability).  The norm is the closed form of the module
     docstring, in logs; r_tail comes from the tail's Jacobi maximum bound.
+    NumericalError where zeta rounds so far that b = 2 zeta - 1 <= -1
+    (beta from ~2^52 on, where zeta is down to beta's rounding error).
     """
+    _check_quantum_numbers(level.n, level.l)
     if not level.valid_bound_state:
         raise DomainError(f"level (n={level.n}, l={level.l}) is not a strictly valid bound "
                           f"state (u = {level.u_value:g}, xi^2 = {level.xi_sq:g})")
@@ -157,12 +144,16 @@ def build_wave(
                                            *_mrey_xi(params, consts, ll1, level.energy))
     # the norm integral in closed form, with a = 2 beta and b = 2 zeta - 1
     b = 2.0 * zeta - 1.0
+    if not (b > -1.0 and jac_b > -1.0):  # a = 2 sqrt(c8) >= 0 always
+        raise NumericalError(f"Jacobi index b = 2 zeta - 1 = {min(b, jac_b)!r} of level "
+                             f"(n={level.n}, l={level.l}) is not > -1: zeta lost its digits "
+                             f"to rounding at beta = {beta:g}")
     log_total = (_log_gamma_ratio(n + 1.0, b) - _log_gamma_ratio(n + 2.0 * beta + 1.0, b)
                  + math.log((n + zeta) / (2.0 * params.alpha * beta * (n + beta + zeta))))
     if not abs(log_total) < 1400.0:  # N = e^{-log_total / 2} must be a double
         raise NumericalError(f"norm integral e^{log_total:.6g} of level (n={level.n}, "
                              f"l={level.l}) is outside double range")
-    jacobi = JacobiParams(n, jac_a, jac_b)
+    jacobi = (n, jac_a, jac_b)
     return RadialWave(params, consts, level, beta, zeta, jacobi, math.exp(-0.5 * log_total),
                       _tail_radius(params.alpha, beta, jacobi, log_total))
 
@@ -237,7 +228,7 @@ def _jacobi_scaled(n: int, a: float, b: float, sigma, derivs: int = 0):
     return (p_curr, p_prev, log_scale) + ((d_curr, e_curr) if derivs else ())
 
 
-def _tail_radius(alpha, beta, jac: JacobiParams, log_total: float) -> float:
+def _tail_radius(alpha, beta, jacobi: tuple, log_total: float) -> float:
     """R past which the tail of (psi / norm)^2 is negligible, for the wave of
     these exponents: 2 R_j at the first R_j = 2^j max(2, 10/alpha), j <=
     _TAIL_DOUBLINGS, whose doubling adds at most _TAIL_FRACTION of the running
@@ -245,7 +236,7 @@ def _tail_radius(alpha, beta, jac: JacobiParams, log_total: float) -> float:
     docstring) and the running total at least total - B(R_j),
     B(R_j) <= _TAIL_FRACTION (total - B(R_j)) passes R_j; in logs, with 16 ulp
     of the largest term for rounding, and q chosen at each R_j."""
-    two_beta, n, a, b = 2.0 * beta, jac.n, jac.a, jac.b
+    two_beta, (n, a, b) = 2.0 * beta, jacobi
     pass_line = math.log(_TAIL_FRACTION / (1.0 + _TAIL_FRACTION))
     r = max(2.0, 10.0 / alpha)
     for _ in range(_TAIL_DOUBLINGS + 1):
@@ -261,11 +252,11 @@ def _tail_radius(alpha, beta, jac: JacobiParams, log_total: float) -> float:
                          "doublings")
 
 
-def _node_span(jac: JacobiParams):
+def _node_span(jacobi: tuple):
     """(phi_lo, phi_hi, M, K) of the level's node grid, M + 1 = ceil(32 K (phi_hi -
     phi_lo) / pi) with M in [64, 20001] (module docstring); K = inf where the
     Sturm bound fails."""
-    n, a, b = jac.n, jac.a, jac.b
+    n, a, b = jacobi
     if min(a, b) < 0.5:  # the Sturm bound does not hold: all of (0, pi/2)
         return 0.0, 0.5 * math.pi, _NODE_MAX, math.inf
     root_a, root_b = 0.5 * math.sqrt(a * a - 0.25), 0.5 * math.sqrt(b * b - 0.25)
@@ -366,8 +357,7 @@ def ode_residual(wave: RadialWave, screened: bool = True) -> float:
     r = _ode_radii(alpha, wave.r_tail)
     x = -alpha * r
     s, v = np.exp(x), -np.expm1(x)
-    p, _, log_scale, p_s, p_ss = _jacobi_scaled(wave.jacobi.n, wave.jacobi.a, wave.jacobi.b, s,
-                                                derivs=2)
+    p, _, log_scale, p_s, p_ss = _jacobi_scaled(*wave.jacobi, s, derivs=2)
     log_w = beta * x + zeta * np.log(v) + log_scale
     weight = np.exp(log_w - log_w.max())  # w e^{log_scale}, one scale for all r
     zs, vs, vv = zeta * s, v * s, v * v

@@ -208,6 +208,35 @@ def test_deep_well_wavefunction_has_no_nan(tmp_path):
     assert len(rows) == 1001
     assert all(np.isfinite(float(v)) for row in rows for v in row)
 
+def test_deep_wavefunction_is_sampled_where_it_lives(tmp_path):
+    # alpha r from 1e-12 to r_tail, log-spaced: this wave lives within alpha r
+    # ~ 1e-5 of the origin, below the first point of a linear grid
+    proc = run_cli("wavefunction", "--a3", "9753.9", "--alpha", "0.01173",
+                   "--output-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "wavefunction_n0_l0.csv", newline="") as fh:
+        r, psi = np.array([[float(v) for v in row] for row in list(csv.reader(fh))[1:]]).T
+    assert r.size == 1001
+    assert r[0] == pytest.approx(1e-12 / 0.01173, rel=1e-15)
+    np.testing.assert_allclose(np.diff(np.log(r)), np.log(r[-1] / r[0]) / 1000, rtol=1e-9)
+    assert np.abs(psi).max() > 10.0
+
+
+def test_wavefunction_r_max_must_exceed_the_first_radius(tmp_path):
+    proc = run_cli("wavefunction", "--r-max", "1e-15", "--output-dir", str(tmp_path))
+    assert proc.returncode == 2
+    assert "r_max must exceed 1e-12/alpha = 2e-12, got 1e-15" in proc.stderr
+
+
+def test_wavefunction_beyond_zeta_digits_is_numerical_error(tmp_path):
+    # beta = 5e15 > 2^52: zeta rounds to 0, so b = 2 zeta - 1 = -1
+    proc = run_cli("wavefunction", "--a3", "5e12", "--alpha", "1e-3",
+                   "--output-dir", str(tmp_path))
+    assert proc.returncode == 3, proc.stderr
+    assert "Jacobi index b = 2 zeta - 1 = -1.0 of level (n=0, l=0)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_wavefunction_rejects_unbound_level(tmp_path):
     proc = run_cli("wavefunction", "--n", "1", "--l", "0", "--output-dir", str(tmp_path))
     assert proc.returncode == 2  # marginal level, no normalizable wave

@@ -101,3 +101,17 @@ coeffs = mrey.spectral_coefficients(mrey.PotentialParams(0.0, 0.0, 1.0, 0.5),
 thermo.thermo_direct(mrey.ThermoInput(coeffs, 20.0, 0.5))
 """
     assert "'scipy.integrate'" in _heavy_modules_after(direct)
+
+
+def test_star_import_binds_exactly_all():
+    # no deleted name can linger in the export list, and no public name is
+    # missing from it
+    import mrey
+
+    namespace = {}
+    exec("from mrey import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(mrey.__all__)
+    assert len(set(mrey.__all__)) == len(mrey.__all__)
+    for name in mrey.__all__:
+        assert getattr(mrey, name) is namespace[name]

@@ -22,7 +22,7 @@ from mrey import (
 )
 from mrey import nu
 from mrey.nu import solve_bound_state
-from mrey.potential import _couplings, dimensionless_params
+from mrey.potential import _couplings, xi_squared
 from mrey.spectrum import energy
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
@@ -121,11 +121,12 @@ def test_wave_shape_matches_spectral_exponents():
     level = energy(params, CONSTS, 0, 1)
     xi = nu._mrey_xi(params, CONSTS, 2.0, level.energy)  # l(l+1) = 2
     beta, zeta, jacobi_a, jacobi_b = nu._wave_shape(1.0, 1.0, 1.0, *xi)
-    dim = dimensionless_params(params, CONSTS, level.energy)
-    expected = 0.5 + math.sqrt(0.25 + 2.0 - dim.x1 - dim.x2)
+    _, x1, x2, _ = _couplings(params, CONSTS)
+    expected = 0.5 + math.sqrt(0.25 + 2.0 - x1 - x2)
     assert zeta == pytest.approx(expected, rel=1e-12)
     assert jacobi_b == pytest.approx(2.0 * (expected - 0.5), rel=1e-12)
-    assert beta == pytest.approx(math.sqrt(dim.xi_sq + 2.0), rel=1e-12)
+    assert beta == pytest.approx(math.sqrt(xi_squared(params, CONSTS, level.energy) + 2.0),
+                                 rel=1e-12)
     assert jacobi_a == pytest.approx(2.0 * beta, rel=1e-12)
 
 

@@ -1,5 +1,6 @@
 """Potential evaluation, parameter validation, and coefficient construction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,17 +8,24 @@ import pytest
 
 from mrey import (
     DomainError,
+    build_wave,
+    energy,
+    energy_long_form,
+    energy_manning_rosen,
+    energy_yukawa,
+    fit_couplings,
+    spectrum_table,
     NoRealDeltaError,
     PhysicalConstants,
     PotentialParams,
-    QuantumNumbers,
     SpecialCase,
     classify_special_case,
     evaluate_potential,
     greene_aldrich,
     spectral_coefficients,
 )
-from mrey.potential import dimensionless_params
+from mrey.nu import solve_bound_state
+from mrey.potential import _couplings, xi_squared
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 
@@ -39,15 +47,46 @@ def test_params_validation():
     PotentialParams(-1.0, 2.0, -3.0, 0.7)
 
 
-def test_quantum_number_validation():
-    QuantumNumbers(0, 0)
-    QuantumNumbers(5, 3)
-    with pytest.raises(DomainError):
-        QuantumNumbers(-1, 0)
-    with pytest.raises(DomainError):
-        QuantumNumbers(0, -2)
-    with pytest.raises(DomainError):
-        QuantumNumbers(1.5, 0)
+# a well whose levels (n, l) <= (2, 2) are all bound
+DEEP = PotentialParams(0.0, 0.0, 20.0, 0.5)
+# every public entry that takes n or l, as f(n, l); spectral_coefficients
+# takes l alone, spectrum_table n_max and l_max, fit_couplings them in a
+# table row, and build_wave them on a level the caller may have made
+TAKES_N_OR_L = {
+    "energy": lambda n, l: energy(DEEP, CONSTS, n, l),
+    "energy_long_form": lambda n, l: energy_long_form(DEEP, CONSTS, n, l),
+    "energy_manning_rosen": lambda n, l: energy_manning_rosen(
+        PotentialParams(0.01, 0.02, 0.0, 0.5), CONSTS, n, l),
+    "energy_yukawa": lambda n, l: energy_yukawa(DEEP, CONSTS, n, l),
+    "spectrum_table": lambda n, l: spectrum_table(DEEP, CONSTS, n, l),
+    "spectral_coefficients": lambda n, l: spectral_coefficients(DEEP, CONSTS, l),
+    "solve_bound_state": lambda n, l: solve_bound_state(DEEP, CONSTS, n, l),
+    "fit_couplings": lambda n, l: fit_couplings([(n, l, -1.0)], 0.5, CONSTS),
+    "build_wave": lambda n, l: build_wave(
+        DEEP, CONSTS, dataclasses.replace(energy(DEEP, CONSTS, 2, 2), n=n, l=l)),
+}
+BAD_QUANTUM_NUMBERS = [
+    (-1, "must be >= 0, got -1"),
+    (1.5, "must be an integer, got 1.5"),
+    (True, "must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize(("entry", "name"), [
+    (entry, name) for entry in TAKES_N_OR_L for name in ("n", "l")
+    if (entry, name) != ("spectral_coefficients", "n")
+])
+@pytest.mark.parametrize(("value", "message"), BAD_QUANTUM_NUMBERS,
+                         ids=[repr(value) for value, _ in BAD_QUANTUM_NUMBERS])
+def test_quantum_numbers_are_checked_where_they_enter(entry, name, value, message):
+    args = {"n": 0, "l": 0, name: value}
+    with pytest.raises(DomainError, match=f"^{name} {message}$"):
+        TAKES_N_OR_L[entry](**args)
+
+
+@pytest.mark.parametrize("entry", TAKES_N_OR_L)
+def test_numpy_integer_quantum_numbers_are_accepted(entry):
+    TAKES_N_OR_L[entry](np.int64(2), np.int64(2))
 
 
 def test_potential_decays_at_large_r():
@@ -115,20 +154,21 @@ def test_greene_aldrich_error_grows_with_alpha_r():
 
 def test_dimensionless_values():
     params = PotentialParams(0.0, 0.0, 1.0, 0.5)
-    dim = dimensionless_params(params, CONSTS, 0.0)
-    assert dim.x3 == pytest.approx(4.0, rel=1e-15)
-    assert dim.x1 == 0.0 and dim.x2 == 0.0
-    assert dim.xi_sq == 0.0
-    assert dimensionless_params(params, CONSTS, -0.125).xi_sq == pytest.approx(1.0, rel=1e-15)
+    _, x1, x2, x3 = _couplings(params, CONSTS)
+    assert x3 == pytest.approx(4.0, rel=1e-15)
+    assert x1 == 0.0 and x2 == 0.0
+    assert xi_squared(params, CONSTS, 0.0) == 0.0
+    assert xi_squared(params, CONSTS, -0.125) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_dimensionless_linearity():
-    base = dimensionless_params(PotentialParams(0.3, 0.4, 0.5, 0.7), CONSTS, -0.2)
-    doubled_a1 = dimensionless_params(PotentialParams(0.6, 0.4, 0.5, 0.7), CONSTS, -0.2)
-    doubled_e = dimensionless_params(PotentialParams(0.3, 0.4, 0.5, 0.7), CONSTS, -0.4)
-    assert doubled_a1.x1 == pytest.approx(2.0 * base.x1, rel=1e-14)
-    assert doubled_a1.x2 == base.x2 and doubled_a1.x3 == base.x3
-    assert doubled_e.xi_sq == pytest.approx(2.0 * base.xi_sq, rel=1e-14)
+    base = _couplings(PotentialParams(0.3, 0.4, 0.5, 0.7), CONSTS)
+    doubled_a1 = _couplings(PotentialParams(0.6, 0.4, 0.5, 0.7), CONSTS)
+    assert doubled_a1[1] == pytest.approx(2.0 * base[1], rel=1e-14)
+    assert doubled_a1[2:] == base[2:]
+    xi_sq = xi_squared(PotentialParams(0.3, 0.4, 0.5, 0.7), CONSTS, -0.2)
+    doubled_e = xi_squared(PotentialParams(0.3, 0.4, 0.5, 0.7), CONSTS, -0.4)
+    assert doubled_e == pytest.approx(2.0 * xi_sq, rel=1e-14)
 
 
 def test_spectral_coefficients_hand_values():

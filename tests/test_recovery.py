@@ -22,7 +22,7 @@ from mrey import (
     spectrum_table,
 )
 from mrey import recovery
-from mrey.recovery import TableRow, channel_bound
+from mrey.recovery import channel_bound
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 
@@ -31,14 +31,6 @@ FIXTURE = (0.109375, 0.046875, -0.078125, -0.265625, -0.515625, -0.828125)
 # x2 - x3 of its best fit, which sits on the bound t = 0 (x1 + x2 = 1/4):
 # the root of the cost's derivative in v at t = 0, to 50 digits with mpmath
 FIXTURE_BEST_V = -0.785145878211361139
-
-
-def test_row_validation():
-    TableRow(0, 0, -1.0)
-    with pytest.raises(DomainError):
-        TableRow(-1, 0, -1.0)
-    with pytest.raises(DomainError):
-        TableRow(0, 0, math.nan)
 
 
 def test_channel_bound_values():
@@ -50,7 +42,7 @@ def test_channel_bound_values():
 def test_round_trip_recovers_energies_and_invariants():
     truth = PotentialParams(0.005, 0.002, 1.2, 0.4)
     rows = [
-        TableRow(n, l, energy(truth, CONSTS, n, l).energy)
+        (n, l, energy(truth, CONSTS, n, l).energy)
         for n in range(4)
         for l in range(3)
     ]
@@ -67,14 +59,12 @@ def test_round_trip_recovers_energies_and_invariants():
     assert report.x1_plus_x2 == pytest.approx(x1 + x2, abs=1e-6)
     assert report.x2_minus_x3 == pytest.approx(x2 - x3, abs=1e-6)
     # and the fitted couplings themselves reproduce every level
-    refit = [
-        energy(report.params, CONSTS, row.n, row.l).energy for row in rows
-    ]
-    np.testing.assert_allclose(refit, [row.energy for row in rows], atol=1e-7)
+    refit = [energy(report.params, CONSTS, n, l).energy for n, l, _ in rows]
+    np.testing.assert_allclose(refit, [e for _, _, e in rows], atol=1e-7)
 
 
 def test_positive_entries_are_infeasible():
-    rows = [TableRow(n, 0, e) for n, e in enumerate(FIXTURE)]
+    rows = [(n, 0, e) for n, e in enumerate(FIXTURE)]
     report = fit_couplings(rows, alpha=0.5, consts=CONSTS)
     assert not report.feasible
     assert report.verdict.startswith("infeasible")
@@ -97,15 +87,17 @@ def test_fit_input_validation():
     with pytest.raises(DomainError):
         fit_couplings([], alpha=0.5, consts=CONSTS)
     with pytest.raises(DomainError):
-        fit_couplings([TableRow(0, 0, -0.1)], alpha=0.0, consts=CONSTS)
+        fit_couplings([(0, 0, -0.1)], alpha=0.0, consts=CONSTS)
     with pytest.raises(DomainError):
-        fit_couplings([TableRow(0, 0, -0.1)], alpha=True, consts=CONSTS)
-    # plain (n, l, E) triples are accepted, with n and l checked as given
-    report = fit_couplings([(0, 0, -0.28125), (1, 0, -0.02)], alpha=0.5, consts=CONSTS)
+        fit_couplings([(0, 0, -0.1)], alpha=True, consts=CONSTS)
+    with pytest.raises(DomainError, match="^table energy must be finite, got nan$"):
+        fit_couplings([(0, 0, -0.1), (1, 0, math.nan)], alpha=0.5, consts=CONSTS)
+    # (n, l, E) triples, E taken as a float and kept as one in the report
+    report = fit_couplings([(0, 0, -0.28125), (1, 0, np.float32(-0.02))], alpha=0.5,
+                           consts=CONSTS)
     assert report.converged
-    for row in [(1.5, 0, -0.1), (0, True, -0.1)]:
-        with pytest.raises(DomainError):
-            fit_couplings([row], alpha=0.5, consts=CONSTS)
+    assert report.rows == ((0, 0, -0.28125), (1, 0, float(np.float32(-0.02))))
+    assert all(type(e) is float for _, _, e in report.rows)
 
 
 def _from_x(x1, x2, x3, alpha):

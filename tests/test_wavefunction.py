@@ -26,7 +26,7 @@ from mrey import (
 )
 from mrey import wavefunction
 from mrey.verification import _recheck_norm
-from mrey.wavefunction import JacobiParams, ode_residual
+from mrey.wavefunction import ode_residual
 
 CONSTS = PhysicalConstants(1.0, 1.0, 1.0)
 UNIT_YUKAWA = PotentialParams(0.0, 0.0, 1.0, 0.5)
@@ -37,9 +37,10 @@ DEEPEST_WELL = PotentialParams(0.0, 0.0, 2000.0, 0.01)
 ABYSS = PotentialParams(0.0, 0.0, 1e8, 0.001)
 
 
-def _jacobi_at(params, x):
-    """P_n^{(a,b)}(x) from the library's recurrence in sigma = (1 - x) / 2."""
-    p, _, log_scale = wavefunction._jacobi_scaled(params.n, params.a, params.b, (1.0 - x) / 2.0)
+def _jacobi_at(jacobi, x):
+    """P_n^{(a,b)}(x), jacobi = (n, a, b), from the library's recurrence in
+    sigma = (1 - x) / 2."""
+    p, _, log_scale = wavefunction._jacobi_scaled(*jacobi, (1.0 - x) / 2.0)
     return float(p * np.exp(log_scale))
 
 
@@ -64,16 +65,16 @@ def _simpson_log_r(wave, f, points=4001):
 
 
 def test_jacobi_low_degrees():
-    assert _jacobi_at(JacobiParams(0, 2.3, -0.4), 0.77) == 1.0
-    assert _jacobi_at(JacobiParams(1, 2.0, 1.0), 0.5) == pytest.approx(1.75, rel=1e-15)
+    assert _jacobi_at((0, 2.3, -0.4), 0.77) == 1.0
+    assert _jacobi_at((1, 2.0, 1.0), 0.5) == pytest.approx(1.75, rel=1e-15)
     # (a, b) = (0, 0) reduces to Legendre, P1(x) = x
-    assert _jacobi_at(JacobiParams(1, 0.0, 0.0), 0.3) == pytest.approx(0.3, rel=1e-15)
+    assert _jacobi_at((1, 0.0, 0.0), 0.3) == pytest.approx(0.3, rel=1e-15)
 
 
 def test_jacobi_endpoint_identity():
     for n in range(6):
         for a, b in ((0.0, 0.0), (1.5, -0.2), (3.0, 1.0)):
-            value = _jacobi_at(JacobiParams(n, a, b), 1.0)
+            value = _jacobi_at((n, a, b), 1.0)
             assert value == pytest.approx(binom(n + a, n), rel=1e-13)
 
 
@@ -84,7 +85,7 @@ def test_jacobi_matches_explicit_summation():
         a = rng.uniform(-0.9, 5.0)
         b = rng.uniform(-0.9, 5.0)
         for x in rng.uniform(-1.0, 1.0, size=5):
-            fast = _jacobi_at(JacobiParams(n, a, b), x)
+            fast = _jacobi_at((n, a, b), x)
             slow = _jacobi_by_summation(n, a, b, x)
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
 
@@ -178,15 +179,20 @@ def test_psi_leaves_r_unchanged():
         np.testing.assert_array_equal(r, before)
 
 
-def test_jacobi_params_validation():
-    with pytest.raises(DomainError):
-        JacobiParams(0, -1.0, 0.0)
-    with pytest.raises(DomainError):
-        JacobiParams(0, 0.0, -1.5)
-    with pytest.raises(DomainError):
-        JacobiParams(-1, 0.0, 0.0)
-    with pytest.raises(DomainError, match="degree must be an integer"):
-        JacobiParams(True, 0.0, 0.0)
+@pytest.mark.parametrize("a3, n", [(5e12, 0), (2e13, 1)])
+def test_build_wave_rejects_rounded_away_zeta(a3, n):
+    # x3 = 2 a3 / alpha >= 1e16: beta >= 5e15 > 2^52, where zeta = 1/2 +
+    # sqrt(1/4) is down to beta's rounding error, here 0, and b = 2 zeta - 1 = -1;
+    # at n = 0 the norm would take lgamma(n + 1 + b) = lgamma(0)
+    params = PotentialParams(0.0, 0.0, a3, 1e-3)
+    level = energy(params, CONSTS, n, 0)
+    assert level.valid_bound_state
+    _, zeta, _, _ = wavefunction._wave_shape(
+        1.0, 1.0, 1.0, *wavefunction._mrey_xi(params, CONSTS, 0.0, level.energy))
+    assert zeta == 0.0
+    with pytest.raises(NumericalError, match=r"^Jacobi index b = 2 zeta - 1 = -1\.0 of level "
+                       rf"\(n={n}, l=0\) is not > -1"):
+        build_wave(params, CONSTS, level)
 
 
 def test_build_wave_anchor_exponents():
@@ -194,9 +200,10 @@ def test_build_wave_anchor_exponents():
     wave = build_wave(UNIT_YUKAWA, CONSTS, level)
     assert wave.beta_exp == pytest.approx(1.5, rel=1e-12)
     assert wave.zeta_exp == pytest.approx(1.0, rel=1e-12)
-    assert wave.jacobi.n == 0
-    assert wave.jacobi.a == pytest.approx(3.0, rel=1e-12)
-    assert wave.jacobi.b == pytest.approx(1.0, rel=1e-12)
+    n, a, b = wave.jacobi
+    assert n == 0
+    assert a == pytest.approx(3.0, rel=1e-12)
+    assert b == pytest.approx(1.0, rel=1e-12)
 
 
 def test_build_wave_rejects_non_bound_levels():
@@ -387,9 +394,9 @@ def test_node_grid_verdicts_match_the_full_theta_grid():
         wave = build_wave(params, CONSTS, level)
         grid, full = default_node_grid(wave), _theta_grid(params.alpha, 20001)
         where = (params, level.n, level.l)
-        jac = wave.jacobi
-        if min(jac.a, jac.b) >= 0.5:  # 16 points per pi/K inside the span
-            lo, hi, k = _sturm_span(jac.n, jac.a, jac.b)
+        jac_n, jac_a, jac_b = wave.jacobi
+        if min(jac_a, jac_b) >= 0.5:  # 16 points per pi/K inside the span
+            lo, hi, k = _sturm_span(jac_n, jac_a, jac_b)
             assert grid.size == min(max(math.ceil(32 * k * (hi - lo) / math.pi) - 1, 64),
                                     20001), where
         else:
@@ -434,8 +441,7 @@ def test_nodes_lie_inside_the_span_and_keep_their_least_gap(seed):
         gaps = np.diff(np.sort(theta))
         # the bound is nearly tight (to 4e-9) where a and b are large
         assert (gaps >= math.pi / big_k * (1.0 - 1e-6)).all(), where
-        jac = JacobiParams(n, float(a), float(b))
-        lo_lib, hi_lib, m, _ = wavefunction._node_span(jac)
+        lo_lib, hi_lib, m, _ = wavefunction._node_span((n, float(a), float(b)))
         assert (lo_lib, hi_lib) == (lo, hi), where
         if m < 20001:
             assert 16.0 * 2.0 * (hi - lo) / (m + 1) <= math.pi / big_k * (1.0 + 1e-12), where
@@ -445,7 +451,7 @@ def test_nodes_lie_inside_the_span_and_keep_their_least_gap(seed):
 def test_node_grid_falls_back_where_the_sturm_bound_fails(params, n, l):
     # 16 ceil(N) would give 64 and 320 points
     wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
-    assert min(wave.jacobi.a, wave.jacobi.b) < 0.5
+    assert min(wave.jacobi[1:]) < 0.5
     grid = default_node_grid(wave)
     assert grid.size == 20001
     assert count_nodes(wave, grid) == n
@@ -461,7 +467,7 @@ def test_node_grid_theta_step_limit(params, n):
     # 1e-6 under the limit and raise 1e-6 over it; a last, coarse step below
     # the span, to half its phi, is free
     wave = build_wave(params, CONSTS, energy(params, CONSTS, n, 0))
-    lo, hi, k = _sturm_span(wave.jacobi.n, wave.jacobi.a, wave.jacobi.b)
+    lo, hi, k = _sturm_span(*wave.jacobi)
     m = default_node_grid(wave).size
     limit = max(2.0 * (hi - lo) / (m + 1), math.pi / (16.0 * k))
     assert (m == 20001) == (limit > math.pi / (16.0 * k))
@@ -482,7 +488,7 @@ def test_fine_theta_grid_is_accepted_on_a_narrow_span():
     # the level's own grid (64 points on a span of 6.2e-3 in theta, a step
     # of 9.7e-5) but under pi/(16 K) = 4.1e-4
     wave = build_wave(DEEPEST_WELL, CONSTS, energy(DEEPEST_WELL, CONSTS, 0, 0))
-    lo, hi, k = _sturm_span(wave.jacobi.n, wave.jacobi.a, wave.jacobi.b)
+    lo, hi, k = _sturm_span(*wave.jacobi)
     assert 2.0 * (hi - lo) / 65 < math.pi / 20002 < math.pi / (16.0 * k)
     assert count_nodes(wave, _theta_grid(DEEPEST_WELL.alpha, 20001)) == 0
 
@@ -509,12 +515,12 @@ def test_psi_matches_mpmath(params, n):
     wave = build_wave(params, CONSTS, energy(params, CONSTS, n, 0))
     r = np.geomspace(1e-6 / params.alpha, wave.r_tail, 400)
     psi = wave.psi(r)
-    jac = wave.jacobi
+    jac_n, jac_a, jac_b = wave.jacobi
     with mpmath.workdps(40):
         ref = np.array([
             float(
                 wave.norm * s**wave.beta_exp * (1 - s) ** wave.zeta_exp
-                * mpmath.jacobi(jac.n, jac.a, jac.b, 1 - 2 * s)
+                * mpmath.jacobi(jac_n, jac_a, jac_b, 1 - 2 * s)
             )
             for s in (mpmath.exp(-params.alpha * mpmath.mpf(x)) for x in r)
         ])
@@ -528,7 +534,7 @@ class _SignPattern:
     after `lead` samples of the first value."""
 
     params = PotentialParams(0.0, 0.0, 1.0, 1.0)
-    jacobi = JacobiParams(0, 1.0, 1.0)  # count_nodes sizes its theta-step rule by N
+    jacobi = (0, 1.0, 1.0)  # count_nodes sizes its theta-step rule by N
 
     def __init__(self, values, lead=0):
         self.values = np.array([values[0]] * lead + list(values), dtype=float)
@@ -654,9 +660,9 @@ def test_node_grid_is_the_where_form():
     rng = np.random.default_rng(5)
     degrees = np.exp(rng.uniform(0.0, math.log(2000.0), 300)).astype(int) - 1
     indices = np.exp(rng.uniform(math.log(0.5), math.log(1e5), (300, 2)))
-    jacobis = [JacobiParams(int(n), float(a), float(b)) for n, (a, b) in zip(degrees, indices)]
+    jacobis = [(int(n), float(a), float(b)) for n, (a, b) in zip(degrees, indices)]
     sizes, parts = set(), set()
-    for jacobi in jacobis + [JacobiParams(0, 0.0, 0.0)]:  # the last below the bound
+    for jacobi in jacobis + [(0, 0.0, 0.0)]:  # the last below the bound
         stand_in.jacobi = jacobi
         lo, hi, m, _ = wavefunction._node_span(jacobi)
         half = lo + (hi - lo) * np.arange(m, 0, -1) / (m + 1)
@@ -828,8 +834,9 @@ def test_norm_sweep_against_simpson(a1, a2, log_a3, log_alpha, n, l):
     # the closed-form norm rests on a = 2 beta and b = 2 zeta - 1 and on the
     # Jacobi norm h_n; its oracle expands P_n(1 - 2s) = P_n(1) sum_j q_j s^j
     # (DLMF 18.5.7), so the norm integral is a finite sum of beta functions
-    assert wave.jacobi.a == pytest.approx(2.0 * wave.beta_exp, rel=1e-12)
-    assert wave.jacobi.b == pytest.approx(2.0 * wave.zeta_exp - 1.0, rel=1e-12)
+    _, a, b = wave.jacobi
+    assert a == pytest.approx(2.0 * wave.beta_exp, rel=1e-12)
+    assert b == pytest.approx(2.0 * wave.zeta_exp - 1.0, rel=1e-12)
     with mpmath.workdps(40):
         a, b = 2 * mpmath.mpf(wave.beta_exp), 2 * mpmath.mpf(wave.zeta_exp) - 1
         q = [mpmath.rf(-n, j) * mpmath.rf(n + a + b + 1, j)
@@ -869,7 +876,7 @@ def _mp_log_tail(wave, log_s):
     """ln T(R) at s_R = e^{log_s}: 30-digit quadrature of the t-integral with
     t = e^{-u / (2 beta)}, T = s_R^{2 beta} / (2 beta alpha) * integral over
     (0, inf) of e^{-u} (1 - s_R t)^{2 zeta} P_n(1 - 2 s_R t)^2 du."""
-    jac = wave.jacobi
+    jac_n, jac_a, jac_b = wave.jacobi
     with mpmath.workdps(30):
         two_beta, two_zeta = 2 * mpmath.mpf(wave.beta_exp), 2 * mpmath.mpf(wave.zeta_exp)
         s_r = mpmath.exp(mpmath.mpf(log_s))
@@ -877,7 +884,7 @@ def _mp_log_tail(wave, log_s):
         def integrand(u):
             s = s_r * mpmath.exp(-u / two_beta)
             return mpmath.exp(-u) * (1 - s) ** two_zeta * mpmath.jacobi(
-                jac.n, jac.a, jac.b, 1 - 2 * s
+                jac_n, jac_a, jac_b, 1 - 2 * s
             ) ** 2
 
         integral = mpmath.quad(integrand, [0, 1, 10, mpmath.inf])
@@ -888,7 +895,7 @@ def _mp_log_bound(wave, log_s, q):
     """ln B(R) = ln[binom(n + q, n)^2 s_R^{2 beta} / (2 beta alpha)] at
     s_R = e^{log_s}, at 30 digits."""
     with mpmath.workdps(30):
-        n, q, two_beta = wave.jacobi.n, mpmath.mpf(q), 2 * mpmath.mpf(wave.beta_exp)
+        n, q, two_beta = wave.jacobi[0], mpmath.mpf(q), 2 * mpmath.mpf(wave.beta_exp)
         log_binom = mpmath.loggamma(n + q + 1) - mpmath.loggamma(q + 1) - mpmath.loggamma(n + 1)
         return 2 * log_binom + two_beta * log_s - mpmath.log(two_beta * wave.params.alpha)
 
@@ -927,8 +934,8 @@ def tail_calls(monkeypatch):
 def _log_bound(args, r, q=None):
     """ln B(R) = ln[binom(n + q, n)^2 s_R^{2 beta} / (2 beta alpha)] by
     scipy's gammaln, q = _tail_q(args, r) unless given."""
-    alpha, beta, jac = args
-    n, two_beta = jac.n, 2.0 * beta
+    alpha, beta, (n, _, _) = args
+    two_beta = 2.0 * beta
     q = _tail_q(args, r) if q is None else q
     log_binom = gammaln(n + q + 1.0) - gammaln(q + 1.0) - gammaln(n + 1.0)
     return 2.0 * log_binom - two_beta * alpha * r - math.log(two_beta * alpha)
@@ -938,9 +945,9 @@ def _tail_q(args, r):
     """a where the tail beyond R, x = 1 - 2 s >= 1 - 2 s_R, lies in Szego's
     range x >= (b - a)/(a + b + 1), in which |P_n| <= P_n(1); max(a, b)
     elsewhere."""
-    alpha, _, jac = args
+    alpha, _, (_, jac_a, jac_b) = args
     x_r = 1.0 - 2.0 * math.exp(-alpha * r)
-    return jac.a if x_r >= (jac.b - jac.a) / (jac.a + jac.b + 1.0) else max(jac.a, jac.b)
+    return jac_a if x_r >= (jac_b - jac_a) / (jac_a + jac_b + 1.0) else max(jac_a, jac_b)
 
 
 def _pass_line():
@@ -1037,22 +1044,22 @@ def test_tail_bound_takes_p_n_at_1_on_the_tail(tail_calls):
     # tail at R_0 where binom(n + b, n) would not.
     params, n, l = B_OVER_A_LEVEL
     wave = build_wave(params, CONSTS, energy(params, CONSTS, n, l))
-    jac = wave.jacobi
-    assert jac.b > jac.a + 18.0
+    _, jac_a, jac_b = wave.jacobi
+    assert jac_b > jac_a + 18.0
     sigma = np.linspace(0.0, 1.0, 2001)
-    p, _, log_scale = wavefunction._jacobi_scaled(n, jac.a, jac.b, sigma)
+    p, _, log_scale = wavefunction._jacobi_scaled(n, jac_a, jac_b, sigma)
     values = np.abs(p) * np.exp(log_scale)
-    assert values[-1] == pytest.approx(binom(n + jac.b, n), rel=1e-12)
-    assert values[0] == pytest.approx(binom(n + jac.a, n), rel=1e-12)
+    assert values[-1] == pytest.approx(binom(n + jac_b, n), rel=1e-12)
+    assert values[0] == pytest.approx(binom(n + jac_a, n), rel=1e-12)
     assert values[-1] > 1e3 * values[0] and np.all(values <= values[-1] * (1.0 + 1e-12))
-    szego = 1.0 - 2.0 * sigma >= (jac.b - jac.a) / (jac.a + jac.b + 1.0)
+    szego = 1.0 - 2.0 * sigma >= (jac_b - jac_a) / (jac_a + jac_b + 1.0)
     assert 0.2 < szego.mean() < 0.3
     assert np.all(values[szego] <= values[0] * (1.0 + 1e-12))
     (args, log_total, _, j), = tail_calls
     r_0 = _tail_start(params.alpha)
-    assert _tail_q(args, r_0) == jac.a
+    assert _tail_q(args, r_0) == jac_a
     assert _log_bound(args, r_0) - log_total < _pass_line() - 10.0
-    assert _log_bound(args, r_0, jac.b) - log_total > _pass_line()
+    assert _log_bound(args, r_0, jac_b) - log_total > _pass_line()
     assert j == 0 and wave.r_tail == 2.0 * r_0 == 2000.0
 
 
@@ -1065,7 +1072,7 @@ def test_tail_bound_takes_the_larger_jacobi_index():
     alpha, a, n, log_total = 0.5, 0.2, 2, 35.0
     edge = 0.7 * math.exp(10.0) - 1.2
     for b, inside in ((edge * (1.0 - 1e-6), True), (edge * (1.0 + 1e-6), False)):
-        args = (alpha, a / 2.0, JacobiParams(n, a, b))
+        args = (alpha, a / 2.0, (n, a, b))
         assert _tail_q(args, 20.0) == (a if inside else b)
         assert _tail_q(args, 40.0) == a
         assert (_log_bound(args, 20.0) - log_total <= _pass_line()) == inside
@@ -1079,7 +1086,7 @@ def test_tail_that_never_passes_raises():
     # ln total the bound would pass between them, so no radius tried passes;
     # 0.1 more, and R_64 passes
     alpha, two_beta = 0.5, 1e-21
-    args = (alpha, two_beta / 2.0, JacobiParams(0, two_beta, 1.0))
+    args = (alpha, two_beta / 2.0, (0, two_beta, 1.0))
     r_64 = _tail_start(alpha) * 2.0**64
     log_total = _log_bound(args, 1.5 * r_64) - _pass_line()
     assert _log_bound(args, r_64) - log_total > _pass_line()

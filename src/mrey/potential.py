@@ -174,8 +174,8 @@ class SpectralCoefficients:
 
     The bound-state energies are E(n) = q1 - q2 * (rho + q3/rho)^2 with
     rho = n + delta.  radicand is the argument of delta's square root and is
-    kept for diagnostics.  Instances built by spectral_coefficients always
-    have q2 > 0 and radicand >= 0; synthetic instances (e.g. q2 = 0 for a
+    kept for diagnostics.  spectral_coefficients always returns Python floats,
+    with q2 > 0 and radicand >= 0; synthetic instances (e.g. q2 = 0 for a
     constant spectrum) may be constructed directly in tests.
     """
 

@@ -66,7 +66,8 @@ _LAYER_EFOLDS = 60.0
 
 @dataclass(frozen=True)
 class ThermoInput:
-    """Coefficients, continuous level cap lambda > 0, inverse temperature beta >= 0."""
+    """Coefficients, continuous level cap lambda > 0, inverse temperature beta >= 0;
+    lam and beta are kept as floats (numpy scalars slow every point several-fold)."""
 
     coeffs: SpectralCoefficients
     lam: float
@@ -77,6 +78,8 @@ class ThermoInput:
             raise DomainError(f"lambda must be finite and > 0, got {self.lam!r}")
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise DomainError(f"beta must be finite and >= 0, got {self.beta!r}")
+        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "beta", float(self.beta))
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,6 @@ _DAWSON_ROWS = _dawson_rows()
 
 def _dawson(x: float) -> float:
     """Dawson's integral F(x) = e^{-x^2} integral_0^x e^{u^2} du for 1 <= |x| <= 9."""
-    x = float(x)  # on a numpy scalar the loop below takes several times longer
     if x < 0.0:
         return -_dawson(-x)  # F is odd
     j = int((x - 1.0) * _DAWSON_STEP + 0.5)
@@ -319,8 +321,14 @@ def _closed_form(coeffs: SpectralCoefficients, lam: float, beta: float):
     return -beta * e_p + math.log(s0), e_p - q2 * m1, q2 * q2 * var
 
 
+def _check_boltzmann(k: float) -> None:
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError(f"k_boltzmann must be finite and > 0, got {k!r}")
+
+
 def thermo_state(inp: ThermoInput, k: float = 1.0) -> ThermoState:
     """Z, U, S, F and C at one point from the closed-form S0, S1, S2."""
+    _check_boltzmann(k)
     beta = inp.beta
     ln_z, u, var = _closed_form(inp.coeffs, inp.lam, beta)
     return ThermoState(
@@ -381,18 +389,16 @@ def _direct_moments(inp: ThermoInput, count: int):
 
         g = -q2 (n - n_ref)(1 - q3/(rho rho_ref))(t + t_ref),  t = rho + q3/rho,
 
-    so that it keeps its digits where it is far below eps |E| (tiny lambda).
+    so that it keeps its digits far below eps |E| (tiny lambda); every input is a float.
     """
     from scipy.integrate import quad  # deferred: keeps it out of import mrey
 
     coeffs, lam, beta = inp.coeffs, inp.lam, inp.beta
     e_ref, n_ref = _reference_energy(coeffs, lam)
-    # plain floats: numpy scalars (from couplings drawn with numpy) slow down
-    # every operation of the integrand, which is QUADPACK's inner loop
-    q2, q3, delta, n_ref = (float(v) for v in (coeffs.q2, coeffs.q3, coeffs.delta, n_ref))
+    q2, q3, delta = coeffs.q2, coeffs.q3, coeffs.delta
     rho_ref = n_ref + delta
     t_ref = rho_ref + q3 / rho_ref
-    minus_q2, minus_beta = -q2, -float(beta)
+    minus_q2, minus_beta = -q2, -beta
 
     def moment(n, m, exp=math.exp):
         rho = n + delta
@@ -480,6 +486,7 @@ def thermo_curve(
             raise DomainError("lambda sweep needs fixed_beta")
     else:
         raise DomainError(f"sweep must be 'beta' or 'lambda', got {sweep!r}")
+    _check_boltzmann(k)
 
     columns = {name: np.full(grid.size, np.nan) for name in "zusfc"}
     errors = []
@@ -502,8 +509,8 @@ def thermo_curve(
     return ThermoCurve(
         sweep=sweep,
         grid=grid,
-        fixed_beta=fixed_beta if sweep == "lambda" else None,
-        fixed_lambda=fixed_lambda if sweep == "beta" else None,
+        fixed_beta=float(fixed_beta) if sweep == "lambda" else None,
+        fixed_lambda=float(fixed_lambda) if sweep == "beta" else None,
         k_boltzmann=k,
         z=columns["z"],
         u=columns["u"],

@@ -289,6 +289,56 @@ def test_curve_columns_equal_thermo_state():
     assert curve.errors == []
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, -1.0, 0.0])
+def test_bad_boltzmann_constant_is_a_domain_error(k):
+    # a NaN, infinite or non-positive k would give NaN, infinite or negative
+    # S and C with no error recorded
+    for beta in (0.5, 1.0):
+        with pytest.raises(DomainError, match="k_boltzmann must be finite and > 0"):
+            thermo_state(ThermoInput(COEFFS, 1.0, beta), k)
+    with pytest.raises(DomainError, match="k_boltzmann must be finite and > 0"):
+        thermo_curve(COEFFS, "beta", np.array([0.5, 1.0]), fixed_lambda=1.0, k=k)
+    with pytest.raises(DomainError, match="k_boltzmann must be finite and > 0"):
+        thermo_curve(COEFFS, "lambda", np.array([1.0, 2.0]), fixed_beta=0.5, k=k)
+
+
+def _curve_bytes(curve):
+    return [getattr(curve, name).tobytes() for name in ("grid", "z", "u", "s", "f", "c")]
+
+
+def test_numpy_inputs_run_as_floats_with_the_same_bits():
+    inp = ThermoInput(COEFFS, np.float64(2.0), np.float64(0.5))
+    assert type(inp.lam) is float and type(inp.beta) is float
+    with pytest.raises(TypeError):
+        ThermoInput(COEFFS, "2", 1.0)
+    betas = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 15)))
+    lams = np.geomspace(1e-6, 700.0, 15)
+    # beta = 0 leaves F undefined: one error on the beta sweep
+    for sweep, grid, fixed, failed in (("beta", betas, 20.0, [0]), ("lambda", lams, 0.7, [])):
+        key = "fixed_lambda" if sweep == "beta" else "fixed_beta"
+        numpy_curve = thermo_curve(COEFFS, sweep, grid, **{key: np.float64(fixed)})
+        float_curve = thermo_curve(COEFFS, sweep, grid.tolist(), **{key: fixed})
+        assert type(getattr(numpy_curve, key)) is float
+        assert _curve_bytes(numpy_curve) == _curve_bytes(float_curve)
+        assert numpy_curve.errors == float_curve.errors
+        assert [i for i, _ in numpy_curve.errors] == failed
+
+
+def test_closed_form_runs_on_floats(monkeypatch):
+    # numpy scalars make every point's arithmetic several times slower
+    seen = set()
+    h = thermo._h
+
+    def recording_h(a, t):
+        seen.update((type(a), type(t)))
+        return h(a, t)
+
+    monkeypatch.setattr(thermo, "_h", recording_h)
+    thermo_curve(COEFFS, "beta", np.geomspace(0.1, 100.0, 6), fixed_lambda=np.float64(20.0))
+    thermo_curve(COEFFS, "lambda", np.linspace(1.0, 100.0, 6), fixed_beta=np.float64(1.0))
+    assert seen == {float}
+
+
 # ---------------------------------------------------- closed form against mpmath
 
 # (lambda, beta) on UNIT_YUKAWA where the former moment quadrature raised
@@ -524,7 +574,7 @@ def test_thermo_domain_sweep():
                 try:
                     ln_z_direct, u, c = thermo_direct(inp)
                 except NumericalError as exc:
-                    assert f"at lambda = {inp.lam!r}, beta = {beta!r}" in str(exc)
+                    assert f"at lambda = {inp.lam!r}, beta = {inp.beta!r}" in str(exc)
                     uncovered.append((i, inp.lam, round(beta)))
                     continue
                 assert abs(state.u - u) <= 1e-9 * max(1.0, abs(state.u)), where

@@ -35,17 +35,15 @@ with a fixed number of terms.  A window lambda <= delta/4 over which the
 weight changes by at most two e-folds, where the two ends' terms nearly
 cancel, is integrated by a fixed 16-point Gauss-Legendre rule instead.  Every
 exponential is taken against the peak, so ln Z, U, S, F and C stay finite
-even when Z itself overflows the double range (Z is then +inf).
+even when Z itself overflows the double range (Z is then +inf).  One numpy
+pass (_closed_form) takes a whole sweep, four t lanes a point, h on every lane
+by one Horner pass (about 9 us a point in-process on a 2-core x86-64 guest,
+against 18 for a per-point loop); thermo_state is its one-point call.
 
 Adaptive quadrature is the oracle only: thermo_direct integrates the literal
 n-space moments integral g^m e^{-beta g} dn, m = 0, 1, 2, g = E(n) - E(n_ref)
-with n_ref the argmin of E, by one QUADPACK call per moment, breakpoints at the
-stationary point of E and through the Boltzmann boundary layers, and returns
-ln Z, U and C from them; log_partition_direct is its m = 0 integral alone.  g
-is taken in factored form, so it keeps its digits at tiny lambda.  On the
-tests' domain sweep the route fails (NumericalError) at three points only,
-lambda = 1e4 with beta near 513, 3848 and 9812, where QUADPACK meets round-off
-in the boundary layer at n = lambda before its estimate reaches 1e-10.
+with n_ref the argmin of E, in u = |n - n_ref| on each side of n_ref, and
+returns ln Z, U and C from them; log_partition_direct is its m = 0 integral.
 """
 
 from __future__ import annotations
@@ -98,7 +96,7 @@ class ThermoState:
     @property
     def z(self) -> float:
         """Z itself; +inf if Z overflows the double range."""
-        return math.exp(self.ln_z) if self.ln_z <= _LOG_MAX else math.inf
+        return _partition(self.ln_z)
 
 
 @dataclass
@@ -119,24 +117,12 @@ class ThermoCurve:
 
 
 # h(a, t) = dawson(sqrt(a) t)/sqrt(a) = integral_0^t e^{a (s^2 - t^2)} ds.  The
-# branch follows z^2 = a t^2.  Below _Z2_SERIES, h = t sum_k c_k (a t^2)^k
+# branch follows w = z^2 = a t^2.  Below _Z2_SERIES, h = t sum_k c_k (a t^2)^k
 # with c_k = (-2)^k/(2k+1)!!; 22 terms leave under 1e-18 of h, h' and h'' at
 # z = 1.  From _Z2_ASYMPTOTIC on, h = sum_k (2k-1)!!/(2^{k+1} t^{2k+1} a^{k+1});
 # 18 terms leave under 1e-17 at z = 9, far before the smallest term (k ~ 81).
-# Rows run from the highest power down, for Horner's rule, and hold the
-# coefficients of h, h' and h''.  In between, h, h' and h'' follow from
-# dawson(z), which _dawson takes from its Taylor series about the nearest
-# anchor c = 1 + j/8.
-_Z2_SERIES = 1.0
-_Z2_ASYMPTOTIC = 81.0
-_C = [(-2) ** k / math.prod(range(2 * k + 1, 0, -2)) for k in range(22)] + [0.0, 0.0]
-_SERIES = tuple(
-    (_C[j], (j + 1) * _C[j + 1], (j + 2) * (j + 1) * _C[j + 2]) for j in reversed(range(22))
-)
-_D = [float(math.prod(range(2 * k - 1, 0, -2))) for k in range(18)]
-_ASYMPTOTIC = tuple(
-    (_D[k], (k + 1) * _D[k], (k + 1) * (k + 2) * _D[k]) for k in reversed(range(18))
-)
+# In between, they follow from dawson(z) by its Taylor series about 1 + j/8.
+_Z2_SERIES, _Z2_ASYMPTOTIC = 1.0, 81.0
 
 
 # Dawson's integral F(1 + j/8), j = 0..64, each the double nearest the value
@@ -163,39 +149,38 @@ _DAWSON_ANCHORS = (
 )
 
 
-def _dawson_rows():
-    """13 Taylor coefficients of F about each anchor, highest power first.
+def _horner_table():
+    """(22, 3, 67) coefficients of h, h' and h'', highest power first: column
+    j < 65 holds dawson's Taylor series about anchor j (in row 0), column 65
+    the power series in w, column 66 the asymptotic series in 1/(2w).  Leading
+    zeros pad the shorter series: 0 x + 0 = 0 and 0 x + c = c, so one Horner
+    pass serves all three branches, bit for bit as each alone.
 
     F' = 1 - 2xF (DLMF 7.2.5) gives F^(k+1) = -2x F^(k) - 2k F^(k-1).  With
     c = p/8 and F(c) = num/den, N_k = F^(k)(c) den 8^k is an integer, so each
-    coefficient F^(k)(c)/k! = N_k/(den 8^k k!) is rounded once, from exact
-    integers.  13 terms leave under 2e-19 of F at |x - c| <= 1/16.
+    Taylor coefficient F^(k)(c)/k! = N_k/(den 8^k k!) is rounded once, from
+    exact integers.  13 terms leave under 2e-19 of F at |x - c| <= 1/16.
     """
-    terms, rows = 13, []
-    scale = [_DAWSON_STEP**k * math.factorial(k) for k in range(terms)]
+    table = np.zeros((22, 3, len(_DAWSON_ANCHORS) + 2))
+    scale = [_DAWSON_STEP**k * math.factorial(k) for k in range(13)]
     for j, f in enumerate(_DAWSON_ANCHORS):
         num, den = f.as_integer_ratio()
         p = _DAWSON_STEP + j
         n = [num, _DAWSON_STEP * den - 2 * p * num]
-        for k in range(1, terms - 1):
+        for k in range(1, 12):
             n.append(-2 * (p * n[k] + _DAWSON_STEP**2 * k * n[k - 1]))
-        rows.append(tuple(n[k] / (den * scale[k]) for k in reversed(range(terms))))
-    return tuple(rows)
+        table[9:, 0, j] = [n[k] / (den * scale[k]) for k in reversed(range(13))]
+    c = [(-2) ** k / math.prod(range(2 * k + 1, 0, -2)) for k in range(22)] + [0.0, 0.0]
+    table[:, :, -2] = [(c[j], (j + 1) * c[j + 1], (j + 2) * (j + 1) * c[j + 2])
+                       for j in reversed(range(22))]
+    d = [float(math.prod(range(2 * k - 1, 0, -2))) for k in range(18)]
+    table[4:, :, -1] = [(d[k], (k + 1) * d[k], (k + 1) * (k + 2) * d[k])
+                        for k in reversed(range(18))]
+    return table
 
 
-_DAWSON_ROWS = _dawson_rows()
-
-
-def _dawson(x: float) -> float:
-    """Dawson's integral F(x) = e^{-x^2} integral_0^x e^{u^2} du for 1 <= |x| <= 9."""
-    if x < 0.0:
-        return -_dawson(-x)  # F is odd
-    j = int((x - 1.0) * _DAWSON_STEP + 0.5)
-    d = x - (1.0 + j / _DAWSON_STEP)
-    f = 0.0
-    for c in _DAWSON_ROWS[j]:
-        f = f * d + c
-    return f
+_HORNER = _horner_table()
+_ANCHOR_X = 1.0 + np.arange(len(_DAWSON_ANCHORS)) / _DAWSON_STEP
 
 
 # A window lambda <= _SMALL_WINDOW delta over which the weight changes by at
@@ -207,9 +192,9 @@ _SMALL_WINDOW_EFOLDS = 2.0
 
 
 def _gauss_legendre(m: int):
-    """(s, 1 - s, weight) of the m-point Gauss-Legendre rule on (0, 1), by
-    Newton's method on P_m from Tricomi's first guesses: pure math, so that
-    import mrey does not load LAPACK and its buffers."""
+    """Columns s, 1 - s and weight of the m-point Gauss-Legendre rule on
+    (0, 1), by Newton's method on P_m from Tricomi's first guesses: pure math,
+    so that import mrey does not load LAPACK and its buffers."""
     rule = []
     for i in range(1, m + 1):
         x = math.cos(math.pi * (i - 0.25) / (m + 0.5))
@@ -220,105 +205,139 @@ def _gauss_legendre(m: int):
             slope = m * (p_prev - x * p) / (1.0 - x * x)
             x -= p / slope
         rule.append((0.5 - 0.5 * x, 0.5 + 0.5 * x, 1.0 / ((1.0 - x * x) * slope * slope)))
-    return tuple(rule)
+    return np.array(rule).T[:, :, None]
 
 
-_GL_RULE = _gauss_legendre(16)
+_GL_S, _GL_V, _GL_WEIGHT = _gauss_legendre(16)
 
 
-def _h(a: float, t: float):
-    """(h, dh/da, d^2h/da^2) of h(a, t) = dawson(sqrt(a) t)/sqrt(a), a >= 0."""
+def _math(fn, x) -> np.ndarray:
+    """fn at each value of x, rounded as math and Python's ** round: numpy's
+    exp, log and power differ from them in the last bit on up to 5% of values."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _square(x: float) -> float:
+    return x**2
+
+
+def _h(a, t):
+    """(h, dh/da, d^2h/da^2) of h(a, t) = dawson(sqrt(a) t)/sqrt(a) on 1-d
+    arrays of one size, a >= 0."""
     w = a * t * t
-    if w < _Z2_SERIES:
-        p0 = p1 = p2 = 0.0
-        for c0, c1, c2 in _SERIES:
-            p0 = p0 * w + c0
-            p1 = p1 * w + c1
-            p2 = p2 * w + c2
-        t2 = t * t
-        return t * p0, t * t2 * p1, t * t2 * t2 * p2
-    if w < _Z2_ASYMPTOTIC:
-        root = math.sqrt(a)
-        z = root * t
-        f = _dawson(z)
-        return (
-            f / root,
-            (z - (2.0 * w + 1.0) * f) / (2.0 * a * root),
-            (f * (4.0 * w * w + 4.0 * w + 3.0) - z * (2.0 * w + 3.0)) / (4.0 * a * a * root),
-        )
-    v = 0.5 / w
-    p0 = p1 = p2 = 0.0
-    for d0, d1, d2 in _ASYMPTOTIC:
-        p0 = p0 * v + d0
-        p1 = p1 * v + d1
-        p2 = p2 * v + d2
-    g = 0.5 / (a * t)
-    return g * p0, -g * p1 / a, g * p2 / (a * a)
+    series = w < _Z2_SERIES
+    asymptotic = w >= _Z2_ASYMPTOTIC
+    # 1 on the series lanes, the only ones where a, t or w can be 0
+    a_ = np.where(series, 1.0, a)
+    t_ = np.where(series, 1.0, t)
+    w_ = np.where(series, 1.0, w)
+    root = np.sqrt(a_)
+    z = root * t_
+    x = np.abs(z)  # dawson is odd
+    last = len(_ANCHOR_X) - 1
+    j = np.minimum((x - 1.0) * _DAWSON_STEP + 0.5, last).astype(np.intp)
+    x = np.where(series, w, np.where(asymptotic, 0.5 / w_, x - _ANCHOR_X[j]))
+    x = np.concatenate((x, x, x))
+    p = np.zeros(x.size)
+    column = np.where(series, last + 1, np.where(asymptotic, last + 2, j))
+    for row in _HORNER[:, :, column].reshape(len(_HORNER), -1):
+        p *= x
+        p += row
+    p0, p1, p2 = p.reshape(3, -1)
+    f = np.copysign(p0, z)
+    g, a2 = 0.5 / (a_ * t_), a_ * a_
+    t2 = t * t
+    t3, w2, w4 = t * t2, 2.0 * w_, 4.0 * w_
+    return (
+        np.where(series, t * p0, np.where(asymptotic, g * p0, f / root)),
+        np.where(series, t3 * p1, np.where(
+            asymptotic, -g * p1 / a_, (z - (w2 + 1.0) * f) / (2.0 * a_ * root))),
+        np.where(series, t3 * t2 * p2, np.where(
+            asymptotic, g * p2 / a2,
+            (f * (w4 * w_ + w4 + 3.0) - z * (w2 + 3.0)) / (4.0 * a2 * root))),  # (4a) a exactly
+    )
 
 
-def _phi_rise(r0: float, r1: float, gap: float, b: float) -> float:
+def _phi_rise(r0, r1, gap, b):
     """phi(r1) - phi(r0) for phi = rho^2 + b^2/rho^2, given gap = r1 - r0,
     factored so that nearby ends do not cancel."""
     p = r0 * r1
     return gap * (r0 + r1) * (p - b) * (p + b) / (p * p)
 
 
-def _window_sums(r0: float, lam: float, a: float, b: float, r_p: float, drop: float):
-    """(S0, S1, S2) over rho in [r0, r0 + lambda]; r_p is the end where phi
-    peaks and drop = phi_p - phi at the other end."""
-    r1 = r0 + lam
-    peak_upper = r_p > r0
-    # phi_p less phi's minimum over the window: 2b at rho = sqrt(b) if inside
-    depth = (r_p - b / r_p) ** 2 if r0 * r0 < b < r1 * r1 else drop
-    if lam <= _SMALL_WINDOW * r0 and a * depth <= _SMALL_WINDOW_EFOLDS:
-        s0 = s1 = s2 = 0.0
-        for s, v, weight in _GL_RULE:
-            n = lam * s
-            if peak_upper:
-                g = -_phi_rise(r0 + n, r1, lam * v, b)
-            else:
-                g = _phi_rise(r0, r0 + n, n, b)
-            e = weight * math.exp(a * g)
-            s0 += e
-            s1 += e * g
-            s2 += e * g * g
-        return lam * s0, lam * s1, lam * s2
-    s0 = s1 = s2 = 0.0
-    d1, d0 = (0.0, drop) if peak_upper else (drop, 0.0)
-    for r, sign, d in ((r1, 1.0, d1), (r0, -1.0, d0)):
-        scale = sign * math.exp(-a * d)
-        for t in (r + b / r, r - b / r):
-            h0, h1, h2 = _h(a, t)
-            s0 += scale * h0
-            s1 += scale * (h1 - d * h0)
-            s2 += scale * (h2 - d * (2.0 * h1 - d * h0))
-    return 0.5 * s0, 0.5 * s1, 0.5 * s2
-
-
-def _closed_form(coeffs: SpectralCoefficients, lam: float, beta: float):
-    """(ln Z, U, Var(E)) at one point from the exact S0, S1, S2."""
+def _closed_form(coeffs: SpectralCoefficients, lam: np.ndarray, beta: np.ndarray, k: float):
+    """(ln Z, U, S, C, F) at every point of the float64 arrays lam and beta,
+    from the exact S0, S1, S2, and the failures as {index: exception}; a
+    failed point is NaN in every column, and F is NaN at beta = 0."""
+    failures = {}
+    valid = np.isfinite(lam) & (lam > 0.0) & np.isfinite(beta) & (beta >= 0.0)
+    if not valid.all():  # ThermoInput's rule; ThermoInput words each failure
+        for i in np.flatnonzero(~valid).tolist():
+            try:
+                ThermoInput(coeffs, float(lam[i]), float(beta[i]))
+            except DomainError as exc:
+                failures[i] = exc
+        lam, beta = np.where(valid, lam, 1.0), np.where(valid, beta, 1.0)  # stand-ins
     q2 = coeffs.q2
     if q2 < 0.0:
-        raise DomainError(f"closed-form thermodynamics needs q2 >= 0, got {q2!r}")
-    a = beta * q2
-    b = abs(coeffs.q3)
-    r0 = coeffs.delta
-    rise = _phi_rise(r0, r0 + lam, lam, b)
-    r_p = r0 + lam if rise >= 0.0 else r0
-    e_p = coeffs.q1 - q2 * (r_p + coeffs.q3 / r_p) ** 2
-    s0, s1, s2 = _window_sums(r0, lam, a, b, r_p, abs(rise))
-    if a == 0.0:
-        s0 = lam  # a flat weight: the exact integral, free of the ends' rounding
-    if not s0 > 0.0:
-        raise NumericalError(f"closed-form partition integral came out {s0!r}")
-    m1 = s1 / s0
-    m2 = s2 / s0
+        exc = DomainError(f"closed-form thermodynamics needs q2 >= 0, got {q2!r}")
+        return [np.full(lam.size, np.nan) for _ in range(5)], {
+            i: failures.get(i, exc) for i in range(lam.size)}
+    a, b, r0 = beta * q2, abs(coeffs.q3), coeffs.delta
+    r1 = r0 + lam
+    rise = _phi_rise(r0, r1, lam, b)
+    upper = rise >= 0.0  # phi peaks at the upper end
+    r_p = np.where(upper, r1, r0)
+    e_p = coeffs.q1 - q2 * _math(_square, r_p + coeffs.q3 / r_p)
+    drop = np.abs(rise)
+    # the signed sum over the ends (r1 added, r0 subtracted) and t = rho +- b/rho,
+    # each end weighed by e^{-a D}, D = phi_p - phi there: four lanes a point
+    x1 = b / r1
+    t = np.concatenate((r1 + x1, r1 - x1, np.full(lam.size, r0 + b / r0),
+                        np.full(lam.size, r0 - b / r0)))
+    d1, d0 = np.where(upper, 0.0, drop), np.where(upper, drop, 0.0)
+    d = np.concatenate((d1, d1, d0, d0))
+    far = _math(math.exp, -a * drop)
+    e1, e0 = np.where(upper, 1.0, far), np.where(upper, -far, -1.0)
+    h0, h1, h2 = _h(np.concatenate((a, a, a, a)), t)
+    dh0 = d * h0
+    terms = np.concatenate((e1, e1, e0, e0)) * np.array((h0, h1 - dh0, h2 - d * (2.0 * h1 - dh0)))
+    s = 0.5 * sum(terms.reshape(3, 4, -1).swapaxes(0, 1), 0.0)  # lane by lane, in order
+    window = lam <= _SMALL_WINDOW * r0
+    if window.any():
+        # phi_p less phi's minimum over the window: 2b at rho = sqrt(b) if inside
+        depth = np.where((r0 * r0 < b) & (b < r1 * r1), _math(_square, r_p - b / r_p), drop)
+        window &= a * depth <= _SMALL_WINDOW_EFOLDS
+        i = np.flatnonzero(window)
+        n = lam[i] * _GL_S
+        g = np.where(upper[i], -_phi_rise(r0 + n, r1[i], lam[i] * _GL_V, b),
+                     _phi_rise(r0, r0 + n, n, b))
+        e = _GL_WEIGHT * _math(math.exp, a[i] * g)
+        s[:, i] = lam[i] * sum(np.stack((e, e * g, e * g * g), axis=1), 0.0)
+    s0, s1, s2 = s
+    # a flat weight: the exact integral, free of the ends' rounding
+    np.copyto(s0, lam, where=a == 0.0)
+    positive = s0 > 0.0
+    if not positive.all():
+        for i in np.flatnonzero(~positive).tolist():
+            failures.setdefault(i, NumericalError(
+                f"closed-form partition integral came out {float(s0[i])!r}"))
+        s0 = np.where(positive, s0, np.nan)
+    m1, m2 = s1 / s0, s2 / s0
     var = m2 - m1 * m1
-    if var < 0.0:
-        if var < -1e-10 * m2:
-            raise NumericalError(f"variance came out negative: {var:.3e}")
-        var = 0.0
-    return -beta * e_p + math.log(s0), e_p - q2 * m1, q2 * q2 * var
+    negative = var < 0.0
+    if negative.any():
+        for i in np.flatnonzero(negative & (var < -1e-10 * m2)).tolist():
+            failures.setdefault(i, NumericalError(f"variance came out negative: {var[i]:.3e}"))
+        var[negative] = 0.0
+    ln_z = -beta * e_p + _math(math.log, s0)
+    u = e_p - q2 * m1
+    columns = (ln_z, u, k * (ln_z + beta * u), k * _math(_square, beta) * (q2 * q2 * var),
+               np.divide(-ln_z, beta, out=np.full(lam.size, np.nan), where=beta > 0.0))
+    if failures:
+        for column in columns:
+            column[list(failures)] = np.nan
+    return columns, failures
 
 
 def _check_boltzmann(k: float) -> None:
@@ -326,18 +345,19 @@ def _check_boltzmann(k: float) -> None:
         raise DomainError(f"k_boltzmann must be finite and > 0, got {k!r}")
 
 
+def _partition(ln_z: float) -> float:
+    """Z from ln Z; +inf once Z overflows the double range."""
+    return math.inf if ln_z > _LOG_MAX else math.exp(ln_z)
+
+
 def thermo_state(inp: ThermoInput, k: float = 1.0) -> ThermoState:
-    """Z, U, S, F and C at one point from the closed-form S0, S1, S2."""
+    """Z, U, S, F and C at one point: the one-point call of the sweep kernel."""
     _check_boltzmann(k)
-    beta = inp.beta
-    ln_z, u, var = _closed_form(inp.coeffs, inp.lam, beta)
-    return ThermoState(
-        ln_z=ln_z,
-        u=u,
-        s=k * (ln_z + beta * u),
-        c=k * beta**2 * var,
-        f=-ln_z / beta if beta > 0.0 else None,
-    )
+    columns, failures = _closed_form(inp.coeffs, np.array([inp.lam]), np.array([inp.beta]), k)
+    if failures:
+        raise failures[0]
+    ln_z, u, s, c, f = (float(column[0]) for column in columns)
+    return ThermoState(ln_z=ln_z, u=u, s=s, c=c, f=f if inp.beta > 0.0 else None)
 
 
 # ------------------------------------------------------------------ oracles
@@ -381,15 +401,16 @@ def _reference_energy(coeffs: SpectralCoefficients, lam: float):
 
 def _direct_moments(inp: ThermoInput, count: int):
     """(e_ref, [S_0 .. S_{count-1}]) with S_m = integral_0^lambda g^m e^{-beta g} dn,
-    g = E(n) - e_ref, each by one call of QUADPACK's QAGP (scipy.integrate.quad)
-    with the interior _split_points cuts as breakpoints; QAGP subdivides from
-    them and its one global error estimate must stay within 1e-10 of S_m.
-
-    e_ref = E(n_ref) is the minimum of E, and g is taken in factored form,
+    g = E(n) - e_ref, e_ref = E(n_ref) the minimum of E.  Each side of n_ref is
+    integrated in u = |n - n_ref| by one QUADPACK QAGP call (scipy.integrate.quad)
+    with the _split_points cuts, mapped to u, as breakpoints; the sides' summed
+    error estimates must stay within 1e-10 of S_m.  With n - n_ref = +-u exact in
 
         g = -q2 (n - n_ref)(1 - q3/(rho rho_ref))(t + t_ref),  t = rho + q3/rho,
 
-    so that it keeps its digits far below eps |E| (tiny lambda); every input is a float.
+    g keeps its digits far below eps |E| (tiny lambda), and the Boltzmann layer
+    at n_ref lies at u = 0, where doubles are dense (at n = 1e4 they are 1.8e-12
+    apart).  Every input is a float.
     """
     from scipy.integrate import quad  # deferred: keeps it out of import mrey
 
@@ -400,17 +421,25 @@ def _direct_moments(inp: ThermoInput, count: int):
     t_ref = rho_ref + q3 / rho_ref
     minus_q2, minus_beta = -q2, -beta
 
-    def moment(n, m, exp=math.exp):
-        rho = n + delta
-        g = minus_q2 * (n - n_ref) * (1.0 - q3 / (rho * rho_ref)) * (rho + q3 / rho + t_ref)
+    def moment(u, m, side, exp=math.exp):
+        gap = side * u  # n - n_ref
+        rho = rho_ref + gap
+        g = minus_q2 * gap * (1.0 - q3 / (rho * rho_ref)) * (rho + q3 / rho + t_ref)
         return g**m * exp(minus_beta * g)
 
     cuts = _split_points(coeffs, lam, beta)[1:-1]
+    sides = [(side, length, sorted({u for u in (side * (cut - n_ref) for cut in cuts)
+                                    if 0.0 < u < length}))
+             for side, length in ((-1.0, n_ref), (1.0, lam - n_ref)) if length > 0.0]
     totals = []
     for m in range(count):
-        # full_output keeps a missed target a number, not a warning
-        total, err = quad(moment, 0.0, lam, args=(m,), points=cuts, epsabs=1e-280,
-                          epsrel=1e-12, limit=2000, full_output=1)[:2]
+        total = err = 0.0
+        for side, length, points in sides:
+            # full_output keeps a missed target a number, not a warning
+            part, part_err = quad(moment, 0.0, length, args=(m, side), points=points,
+                                  epsabs=1e-280, epsrel=1e-12, limit=2000, full_output=1)[:2]
+            total += part
+            err += part_err
         if err > 1e-10 * max(abs(total), 1e-300):
             raise NumericalError(
                 f"quadrature error {err:.2e} too large for S{m} = {total:.2e}"
@@ -462,15 +491,10 @@ def partition_discrete(energies, beta: float) -> float:
     return math.exp(log_z)
 
 
-def thermo_curve(
-    coeffs: SpectralCoefficients,
-    sweep: str,
-    grid,
-    fixed_beta: float = None,
-    fixed_lambda: float = None,
-    k: float = 1.0,
-) -> ThermoCurve:
-    """Sweep beta at fixed lambda, or lambda at fixed beta.
+def thermo_curve(coeffs: SpectralCoefficients, sweep: str, grid, fixed_beta: float = None,
+                 fixed_lambda: float = None, k: float = 1.0) -> ThermoCurve:
+    """Sweep beta at fixed lambda, or lambda at fixed beta, in one call of the
+    closed-form kernel.
 
     Points that fail (e.g. F at beta = 0) are recorded in the errors list and
     reported as NaN; the sweep continues.
@@ -478,44 +502,20 @@ def thermo_curve(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("grid must be a non-empty 1-d array")
-    if sweep == "beta":
-        if fixed_lambda is None:
-            raise DomainError("beta sweep needs fixed_lambda")
-    elif sweep == "lambda":
-        if fixed_beta is None:
-            raise DomainError("lambda sweep needs fixed_beta")
-    else:
+    if sweep not in ("beta", "lambda"):
         raise DomainError(f"sweep must be 'beta' or 'lambda', got {sweep!r}")
+    fixed, name = (fixed_lambda, "lambda") if sweep == "beta" else (fixed_beta, "beta")
+    if fixed is None:
+        raise DomainError(f"{sweep} sweep needs fixed_{name}")
     _check_boltzmann(k)
-
-    columns = {name: np.full(grid.size, np.nan) for name in "zusfc"}
-    errors = []
-    for i, value in enumerate(grid):
-        beta = value if sweep == "beta" else fixed_beta
-        lam = value if sweep == "lambda" else fixed_lambda
-        try:
-            state = thermo_state(ThermoInput(coeffs=coeffs, lam=lam, beta=beta), k)
-        except (DomainError, NumericalError) as exc:
-            errors.append((i, str(exc)))
-            continue
-        columns["z"][i] = state.z
-        columns["u"][i] = state.u
-        columns["s"][i] = state.s
-        columns["c"][i] = state.c
-        if state.f is None:
-            errors.append((i, "F undefined at beta = 0"))
-        else:
-            columns["f"][i] = state.f
+    fixed = float(fixed)
+    other = np.full(grid.size, fixed)
+    lam, beta = (grid, other) if sweep == "lambda" else (other, grid)
+    (ln_z, u, s, c, f), failures = _closed_form(coeffs, lam, beta, k)
+    errors = {i: str(exc) for i, exc in failures.items()}
+    for i in np.flatnonzero(beta == 0.0).tolist():
+        errors.setdefault(i, "F undefined at beta = 0")
     return ThermoCurve(
-        sweep=sweep,
-        grid=grid,
-        fixed_beta=float(fixed_beta) if sweep == "lambda" else None,
-        fixed_lambda=float(fixed_lambda) if sweep == "beta" else None,
-        k_boltzmann=k,
-        z=columns["z"],
-        u=columns["u"],
-        s=columns["s"],
-        f=columns["f"],
-        c=columns["c"],
-        errors=errors,
-    )
+        sweep=sweep, grid=grid, fixed_beta=fixed if sweep == "lambda" else None,
+        fixed_lambda=fixed if sweep == "beta" else None, k_boltzmann=k,
+        z=_math(_partition, ln_z), u=u, s=s, f=f, c=c, errors=sorted(errors.items()))

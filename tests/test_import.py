@@ -45,7 +45,8 @@ h = thermo._h
 
 def spy(a, t):
     w = a * t * t
-    branches.add(0 if w < thermo._Z2_SERIES else 1 if w < thermo._Z2_ASYMPTOTIC else 2)
+    branch = np.where(w < thermo._Z2_SERIES, 0, np.where(w < thermo._Z2_ASYMPTOTIC, 1, 2))
+    branches.update(branch.tolist())
     return h(a, t)
 
 thermo._h = spy
